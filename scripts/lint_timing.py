@@ -5,7 +5,7 @@ Runs the full rule set over ``src`` and ``tests`` twice against a fresh
 cache directory and enforces two bounds:
 
 * the **cold** run (every file a cache miss) must finish within
-  ``--cold-budget`` seconds (default 70), and
+  ``--cold-budget`` seconds (default 20), and
 * the **warm** run (every file a cache hit) must be at least
   ``--min-speedup`` times faster (default 5x).
 
@@ -50,7 +50,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """Measure cold vs warm lint wall time; enforce the CI bounds."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("paths", nargs="*", default=["src", "tests"])
-    parser.add_argument("--cold-budget", type=float, default=70.0,
+    parser.add_argument("--cold-budget", type=float, default=20.0,
                         metavar="SECONDS")
     parser.add_argument("--min-speedup", type=float, default=5.0,
                         metavar="RATIO")

@@ -6,8 +6,9 @@ exists at two call sites — one in the oracle class that owns it, one in
 the kernel's flat replay loop.  A constant edited in one place but not
 the other would silently break the engines' bit-identity contract, so
 each such constant is defined here exactly once and *imported* by both
-sides; the twin-engine drift analysis (mapglint rule TWIN04) enforces
-that no gating/break-even constant is ever duplicated again.
+sides.  A copy that drifted anyway would fail the config-fuzzed
+fast/oracle parity test (``tests/test_fastsim_parity.py``), which
+compares whole results over randomly drawn configurations.
 
 This module is a leaf on purpose: no imports, so either engine (and the
 predictor package) can pull constants without ordering concerns.

@@ -132,18 +132,11 @@ class FastSimulator:
         if config.core.miss_window > 1:
             # WindowedCore's overlap accounting (and its counters) exists
             # only on the oracle path; the fast engine refuses it here.
-            # mapglint: twin-exempt=dependence_stalls,overlapped_misses
-            # mapglint: twin-exempt=hidden_misses
             reasons.append("miss_window > 1 (WindowedCore)")
         if self.sim.hierarchy.prefetcher is not None:
             # The whole prefetcher subsystem sits outside the fast
             # envelope: its config knobs and counters never occur on a
             # fast-path run because this check falls back first.
-            # mapglint: twin-exempt=table_entries,max_stride_bytes
-            # mapglint: twin-exempt=confirmations,useful_prefetches
-            # mapglint: twin-exempt=late_prefetches,prefetch_redundant
-            # mapglint: twin-exempt=prefetch_dropped,prefetch_fills
-            # mapglint: twin-exempt=trained,triggers,issued
             reasons.append("prefetcher enabled")
         if config.l1.replacement != "lru":
             reasons.append(f"l1 replacement {config.l1.replacement!r}")

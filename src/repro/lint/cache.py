@@ -33,7 +33,6 @@ from typing import Dict, List, Optional, Tuple
 from repro.lint.findings import Finding
 from repro.lint.project.effects import EFFECT_SCHEMA
 from repro.lint.project.summary import SUMMARY_SCHEMA, ModuleSummary
-from repro.lint.project.twin import TWIN_SCHEMA
 
 DEFAULT_CACHE_DIR = ".mapglint-cache"
 
@@ -53,8 +52,6 @@ def ruleset_version() -> str:
         # the phase-1 effect layout must orphan every cached summary even
         # if the package source hash were ever to collide.
         digest.update(f"effects={EFFECT_SCHEMA};".encode("utf-8"))
-        # Likewise for the twin-footprint layout feeding TWIN01–TWIN04.
-        digest.update(f"twin={TWIN_SCHEMA};".encode("utf-8"))
         for root, dirs, names in os.walk(package_dir):
             dirs[:] = sorted(d for d in dirs if d != "__pycache__")
             for name in sorted(names):

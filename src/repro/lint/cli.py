@@ -15,7 +15,7 @@ from repro.lint.base import all_project_rules, all_rule_ids, all_rules
 from repro.lint.baseline import Baseline
 from repro.lint.cache import DEFAULT_CACHE_DIR, ResultCache
 from repro.lint.findings import format_json, format_text
-from repro.lint.fixes import fix_files, fix_twin_constants
+from repro.lint.fixes import fix_files
 from repro.lint.runner import collect_files, lint_files
 from repro.lint.sarif import format_sarif
 
@@ -115,8 +115,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if args.fix:
         changed = fix_files(files)
-        for path, count in fix_twin_constants(files).items():
-            changed[path] = changed.get(path, 0) + count
         total = sum(changed.values())
         for path in sorted(changed):
             print(f"fixed: {path} ({changed[path]} edit(s))")

@@ -146,34 +146,6 @@ _EXAMPLES: Dict[str, Tuple[str, str]] = {
         "with context.Pool(workers) as pool:\n"
         "    merge(pool.map(_worker, cells))  # released on every exit edge",
     ),
-    "TWIN01": (
-        "# oracle: Dram.access honors config.dram.row_policy\n"
-        "# fast kernel: never reads it, never refuses it -> sweeps "
-        "diverge silently",
-        "if config.dram.row_policy != 'open':\n"
-        "    reasons.append('closed-row DRAM')   # refused, visibly, or\n"
-        "row_open = config.dram.row_policy == 'open'  # read by the kernel",
-    ),
-    "TWIN02": (
-        "# oracle: controller.counters.add('token_delays', 1)\n"
-        "# fast flush: never writes 'token_delays' -> fast results drop "
-        "the column",
-        "self._flush_counters(controller.counters, (\n"
-        "    ('token_delays', n_delay),))   # every oracle key has a "
-        "fast writer",
-    ),
-    "TWIN03": (
-        "# engine helper lives in repro/lint/shared.py, but\n"
-        "_EXCLUDED_DIRS = ('lint', '__pycache__')  # digest never sees it",
-        "# engine code lives under a digested directory, so editing it\n"
-        "# orphans every cached result (repro/sim/shared.py)",
-    ),
-    "TWIN04": (
-        "bias = min(96.0, bias + 4)      # kernel literal...\n"
-        "_BIAS_CAP_CYCLES = 96           # ...twin literal in the policy",
-        "from repro.core.gating_constants import AIMD_BIAS_CAP_CYCLES\n"
-        "# one definition, imported by both engines",
-    ),
 }
 
 

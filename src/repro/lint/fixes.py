@@ -13,13 +13,6 @@ Only transformations with exactly one correct spelling are automated:
   whose dimension can't be proven is left alone — a wrong constant is
   worse than a magic number.
 
-* **TWIN04 duplicated engine constants** — a literal in the fast
-  engine's source whose value duplicates an oracle-side literal *and*
-  already has a shared module-level definition (e.g. in
-  ``repro.core.gating_constants``) is rewritten to that name, inserting
-  the import.  Values with no shared definition are left for a human:
-  inventing a name and a home module is not mechanical.
-
 Fixes are applied as source-text splices from the parsed AST's column
 spans, bottom-up so earlier edits never shift later offsets, and the
 result is re-parsed before writing: if the rewritten module no longer
@@ -247,126 +240,4 @@ def fix_files(files: Sequence[str]) -> Dict[str, int]:
             with open(path, "w", encoding="utf-8") as handle:
                 handle.write(fixed)
             changed[path.replace("\\", "/")] = count
-    return changed
-
-
-# ---------------------------------------------------------------------------
-# TWIN04: hoist duplicated engine constants onto their shared definition
-# ---------------------------------------------------------------------------
-
-
-def _module_dotted(path: str) -> Optional[str]:
-    """``src/repro/core/x.py`` -> ``repro.core.x`` (None outside repro)."""
-    parts = path.replace("\\", "/").split("/")
-    if "repro" not in parts or not parts[-1].endswith(".py"):
-        return None
-    start = len(parts) - 1 - parts[::-1].index("repro")
-    dotted = parts[start:]
-    dotted[-1] = dotted[-1][:-3]
-    return ".".join(dotted)
-
-
-def _insert_from_import(source: str, module: str,
-                        names: Sequence[str]) -> str:
-    """Add ``from module import names`` (merging into an existing one)."""
-    tree = ast.parse(source)
-    existing: Optional[ast.ImportFrom] = None
-    last_import_line = 0
-    for stmt in tree.body:
-        if isinstance(stmt, ast.ImportFrom):
-            if stmt.module == module:
-                existing = stmt
-            last_import_line = max(last_import_line,
-                                   getattr(stmt, "end_lineno", stmt.lineno))
-        elif isinstance(stmt, ast.Import):
-            last_import_line = max(last_import_line, stmt.lineno)
-    wanted = sorted(set(names))
-    if existing is not None:
-        have = {alias.name for alias in existing.names}
-        wanted = [name for name in wanted if name not in have]
-        if not wanted:
-            return source
-    lines = source.splitlines(keepends=True)
-    if existing is not None:
-        lineno = existing.lineno - 1
-        end = getattr(existing, "end_lineno", existing.lineno) - 1
-        if lineno == end:
-            text = lines[lineno].rstrip("\n")
-            lines[lineno] = text + ", " + ", ".join(wanted) + "\n"
-            return "".join(lines)
-    addition = f"from {module} import {', '.join(wanted)}\n"
-    insert_at = last_import_line
-    if not insert_at and tree.body and isinstance(tree.body[0], ast.Expr) \
-            and isinstance(tree.body[0].value, ast.Constant) \
-            and isinstance(tree.body[0].value.value, str):
-        insert_at = getattr(tree.body[0], "end_lineno", tree.body[0].lineno)
-    lines[insert_at:insert_at] = [addition]
-    return "".join(lines)
-
-
-def fix_twin_constants(files: Sequence[str]) -> Dict[str, int]:
-    """Hoist TWIN04 duplicated constants onto their shared definitions.
-
-    Runs the whole-program twin analysis over ``files`` (it needs both
-    closures to know which literals are duplicated), then rewrites each
-    duplicated fastsim literal whose value already has a module-level
-    definition outside fastsim to that definition's name, inserting the
-    import.  Returns ``{path: edit_count}`` for changed files.
-    """
-    from repro.lint.base import parse_suppressions
-    from repro.lint.project.graph import ProjectModel
-    from repro.lint.project.summary import extract_summary
-
-    sources: Dict[str, Tuple[str, str]] = {}  # norm -> (fs path, source)
-    summaries = []
-    for path in files:
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                source = handle.read()
-            tree = ast.parse(source, filename=path)
-        except (OSError, SyntaxError):
-            continue
-        norm = path.replace("\\", "/")
-        sources[norm] = (path, source)
-        summaries.append(
-            extract_summary(path, source, tree, parse_suppressions(source)))
-    if not summaries:
-        return {}
-    twin = ProjectModel(summaries).twin()
-    fast_consts = twin.fastsim_constants()
-    oracle_consts = twin.oracle_constants()
-    shared_defs = twin.shared_constant_defs()
-
-    # norm path -> (edits, names to import per module)
-    per_file: Dict[str, Tuple[List[_Edit], Dict[str, List[str]]]] = {}
-    for key in sorted(set(fast_consts) & set(oracle_consts)):
-        hoist = shared_defs.get(key)
-        if hoist is None:
-            continue
-        def_path, const_def = hoist
-        module = _module_dotted(def_path)
-        if module is None:
-            continue
-        fast_qual, const = fast_consts[key]
-        norm = twin.module_of(fast_qual)
-        if norm not in sources:
-            continue
-        edits, imports = per_file.setdefault(norm, ([], {}))
-        edits.append((const.line - 1, const.col,
-                      const.line - 1, const.end_col, const_def.name))
-        imports.setdefault(module, []).append(const_def.name)
-
-    changed: Dict[str, int] = {}
-    for norm, (edits, imports) in sorted(per_file.items()):
-        path, source = sources[norm]
-        fixed = _apply_edits(source, edits)
-        for module, names in sorted(imports.items()):
-            fixed = _insert_from_import(fixed, module, names)
-        try:
-            ast.parse(fixed, filename=path)
-        except SyntaxError:  # a fixer bug must not corrupt the file
-            continue
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(fixed)
-        changed[norm] = len(edits)
     return changed

@@ -517,7 +517,7 @@ def _extract_guarded_bindings(tree: ast.Module, lines: List[str],
         bindings.append(GuardedBinding(
             symbol=symbol, lock=lock, scope=scope, line=stmt.lineno,
             col=stmt.col_offset + 1,
-            line_text=_line_text(lines, stmt.lineno)))
+            line_text=line_at(lines, stmt.lineno)))
 
     for node in ast.walk(tree):
         if isinstance(node, ast.Assign):
@@ -573,16 +573,42 @@ def _is_mutable_value(node: ast.AST) -> bool:
     return False
 
 
-def _line_text(lines: List[str], line: int) -> str:
+_SOURCE_LINE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
+
+
+def split_source(source: str) -> List[str]:
+    """``source`` split into lines the way the parser numbers them.
+
+    Only ``\\r\\n``, ``\\n`` and ``\\r`` end a line (a form feed does not,
+    unlike :meth:`str.splitlines`) and each line keeps its ending, exactly
+    as ``ast.get_source_segment`` splits.  Phase 1 splits each module once
+    and slices call-site text from the result: ``get_source_segment``
+    re-splits the whole module per call, which made phase 1 quadratic.
+    """
+    return _SOURCE_LINE.findall(source)
+
+
+def line_at(lines: List[str], line: int) -> str:
+    """Text of 1-based ``line`` of :func:`split_source` output, sans ending."""
     if 1 <= line <= len(lines):
-        return lines[line - 1]
+        return lines[line - 1].rstrip("\r\n")
     return ""
 
 
-def _source_repr(source: str, node: ast.AST, limit: int = 60) -> str:
-    segment = ast.get_source_segment(source, node)
-    if segment is None:
+def source_repr(lines: List[str], node: ast.AST, limit: int = 60) -> str:
+    """``node``'s source text, whitespace-collapsed and cut to ``limit``."""
+    end_line = getattr(node, "end_lineno", None)
+    end = getattr(node, "end_col_offset", None)
+    if end_line is None or end is None:
         return ""
+    first, last, start = node.lineno - 1, end_line - 1, node.col_offset
+    # Column offsets count UTF-8 bytes, as in ast.get_source_segment.
+    if first == last:
+        segment = lines[first].encode()[start:end].decode()
+    else:
+        segment = "".join([lines[first].encode()[start:].decode(),
+                           *lines[first + 1:last],
+                           lines[last].encode()[:end].decode()])
     segment = " ".join(segment.split())
     return segment if len(segment) <= limit else segment[:limit - 3] + "..."
 
@@ -613,7 +639,7 @@ class _EffectVisitor(ast.NodeVisitor):
     guarded field *is* its initialization.
     """
 
-    def __init__(self, lines: List[str], source: str,
+    def __init__(self, lines: List[str],
                  write_watch: FrozenSet[str], read_watch: FrozenSet[str],
                  global_decls: FrozenSet[str],
                  guard_globals: Optional[Dict[str, str]] = None,
@@ -623,7 +649,6 @@ class _EffectVisitor(ast.NodeVisitor):
                  lock_spans: Optional[_LockSpans] = None,
                  emit_guarded: bool = True) -> None:
         self.lines = lines
-        self.source = source
         self.write_watch = write_watch
         self.read_watch = read_watch
         self.global_decls = global_decls
@@ -644,7 +669,7 @@ class _EffectVisitor(ast.NodeVisitor):
         self.effects.append(Effect(
             kind=kind, detail=detail, line=line,
             col=getattr(node, "col_offset", 0) + 1,
-            line_text=_line_text(self.lines, line), symbol=symbol,
+            line_text=line_at(self.lines, line), symbol=symbol,
             locks_held=held))
 
     # -- env ----------------------------------------------------------------
@@ -926,10 +951,9 @@ def _local_bindings(func: ast.AST) -> Set[str]:
 class _PoolSiteCollector(ast.NodeVisitor):
     """Finds pool/process submission sites inside one function body."""
 
-    def __init__(self, lines: List[str], source: str, qualname: str,
+    def __init__(self, lines: List[str], qualname: str,
                  into: List[PoolSubmission]) -> None:
         self.lines = lines
-        self.source = source
         self.qualname = qualname
         self.into = into
 
@@ -982,10 +1006,10 @@ class _PoolSiteCollector(ast.NodeVisitor):
             for other in others for sub in ast.walk(other))
         self.into.append(PoolSubmission(
             method=method, worker_kind=kind, worker_name=name,
-            worker_repr=_source_repr(self.source, worker),
+            worker_repr=source_repr(self.lines, worker),
             receiver=receiver, in_function=self.qualname,
             line=node.lineno, col=node.col_offset + 1,
-            line_text=_line_text(self.lines, node.lineno),
+            line_text=line_at(self.lines, node.lineno),
             lambda_in_args=lambda_in_args, open_in_args=open_in_args))
 
 
@@ -998,12 +1022,11 @@ class _ConcurrencyCollector:
     skipped; they are walked as bodies of their own.
     """
 
-    def __init__(self, lines: List[str], source: str, qualname: str,
+    def __init__(self, lines: List[str], qualname: str,
                  lock_spans: _LockSpans,
                  spawns: List[SpawnSite], lock_ops: List[LockOp],
                  writes: List[FileWrite]) -> None:
         self.lines = lines
-        self.source = source
         self.qualname = qualname
         self.lock_spans = lock_spans
         self.spawns = spawns
@@ -1019,7 +1042,7 @@ class _ConcurrencyCollector:
             self.writes.append(FileWrite(
                 path_repr=path_repr, mode=mode, in_function=self.qualname,
                 line=line, col=col,
-                line_text=_line_text(self.lines, line),
+                line_text=line_at(self.lines, line),
                 replace_in_function=self._has_replace))
 
     def _walk(self, node: ast.AST, conditional: bool,
@@ -1087,7 +1110,7 @@ class _ConcurrencyCollector:
                 self.lock_ops.append(LockOp(
                     op=attr, lock=base, function=self.qualname,
                     line=node.lineno, col=node.col_offset + 1,
-                    line_text=_line_text(self.lines, node.lineno),
+                    line_text=line_at(self.lines, node.lineno),
                     conditional=conditional, in_finally=in_finally,
                     held_before=self._held_excluding(node.lineno, base)))
             elif base == "os" and attr == "replace":
@@ -1115,11 +1138,11 @@ class _ConcurrencyCollector:
         self.spawns.append(SpawnSite(
             kind=kind, api=api, worker_kind=worker_kind,
             worker_name=worker_name,
-            worker_repr=_source_repr(self.source, worker)
+            worker_repr=source_repr(self.lines, worker)
             if worker is not None else "",
             in_function=self.qualname, line=node.lineno,
             col=node.col_offset + 1,
-            line_text=_line_text(self.lines, node.lineno)))
+            line_text=line_at(self.lines, node.lineno)))
 
     def _open(self, node: ast.Call) -> None:
         mode = ""
@@ -1135,7 +1158,7 @@ class _ConcurrencyCollector:
             return
         path_node = node.args[0] if node.args else None
         self._raw_writes.append((
-            _source_repr(self.source, path_node)
+            source_repr(self.lines, path_node)
             if path_node is not None else "",
             mode, node.lineno, node.col_offset + 1))
 
@@ -1152,7 +1175,7 @@ class _ConcurrencyCollector:
             self.lock_ops.append(LockOp(
                 op="with", lock=name, function=self.qualname,
                 line=node.lineno, col=node.col_offset + 1,
-                line_text=_line_text(self.lines, node.lineno),
+                line_text=line_at(self.lines, node.lineno),
                 conditional=conditional, in_finally=in_finally,
                 held_before=held))
             seen.append(name)
@@ -1244,12 +1267,11 @@ class _ErrorFlowCollector:
     escape sites in a post-pass over the same body.
     """
 
-    def __init__(self, lines: List[str], source: str, qualname: str,
+    def __init__(self, lines: List[str], qualname: str,
                  raises: List[RaiseSite], handlers: List[HandlerInfo],
                  spans: List[ProtectedSpan],
                  resources: List[ResourceSite]) -> None:
         self.lines = lines
-        self.source = source
         self.qualname = qualname
         self.raises = raises
         self.handlers = handlers
@@ -1317,7 +1339,7 @@ class _ErrorFlowCollector:
                 in_function=self.qualname, caught=caught, is_bare=is_bare,
                 try_start=start, try_end=end, line=handler.lineno,
                 col=handler.col_offset + 1,
-                line_text=_line_text(self.lines, handler.lineno),
+                line_text=line_at(self.lines, handler.lineno),
                 reraises=self._suite_reraises(handler.body),
                 raises_new=self._suite_raises_new(handler.body),
                 logs=self._suite_logs(handler.body),
@@ -1338,7 +1360,7 @@ class _ErrorFlowCollector:
                 exc_type="", in_function=self.qualname,
                 in_handler=in_handler, line=node.lineno,
                 col=node.col_offset + 1,
-                line_text=_line_text(self.lines, node.lineno),
+                line_text=line_at(self.lines, node.lineno),
                 is_reraise=True))
             return
         name = _exc_type_name(node.exc)
@@ -1348,7 +1370,7 @@ class _ErrorFlowCollector:
             exc_type=name, in_function=self.qualname,
             in_handler=in_handler, line=node.lineno,
             col=node.col_offset + 1,
-            line_text=_line_text(self.lines, node.lineno)))
+            line_text=line_at(self.lines, node.lineno)))
 
     # -- handler-suite classification ---------------------------------------
 
@@ -1393,7 +1415,7 @@ class _ErrorFlowCollector:
         site = ResourceSite(
             kind=kind, api=api, var=var, in_function=self.qualname,
             line=node.lineno, col=node.col_offset + 1,
-            line_text=_line_text(self.lines, node.lineno),
+            line_text=line_at(self.lines, node.lineno),
             in_with=in_with, escapes=escapes)
         if var and not in_with and not escapes:
             self._named.append((var, site))
@@ -1485,7 +1507,7 @@ def extract_module_effects(path: str, source: str,
                            tree: ast.Module) -> ModuleEffects:
     """Phase 1: the :class:`ModuleEffects` record for one parsed module."""
     norm = path.replace("\\", "/")
-    lines = source.splitlines()
+    lines = split_source(source)
     declared_lines = parse_declared_caches(source)
     guard_pragmas = parse_guarded_pragmas(source)
     boundary_lines = parse_error_boundaries(source)
@@ -1528,7 +1550,7 @@ def extract_module_effects(path: str, source: str,
                 class_attrs.append(ClassAttrInfo(
                     class_name=node.name, attr=name, line=stmt.lineno,
                     col=stmt.col_offset + 1,
-                    line_text=_line_text(lines, stmt.lineno)))
+                    line_text=line_at(lines, stmt.lineno)))
 
     # Which globals does any function body mutate after import?
     scanner = _MutationScanner(frozenset(mutable))
@@ -1596,7 +1618,7 @@ def extract_module_effects(path: str, source: str,
         locals_ = frozenset(_local_bindings(func))
         lock_spans = _LockSpans(func.body)
         visitor = _EffectVisitor(
-            lines, source,
+            lines,
             write_watch=frozenset(write_watch - locals_),
             read_watch=frozenset(read_watch - locals_),
             global_decls=frozenset(scanner.global_decls),
@@ -1615,7 +1637,7 @@ def extract_module_effects(path: str, source: str,
                 qualname=qualname, name=func.name, line=func.lineno,
                 effects=tuple(visitor.effects)))
         before = len(pool_sites)
-        collector = _PoolSiteCollector(lines, source, qualname, pool_sites)
+        collector = _PoolSiteCollector(lines, qualname, pool_sites)
         for stmt in func.body:
             collector.visit(stmt)
         for index in range(before, len(pool_sites)):
@@ -1624,10 +1646,10 @@ def extract_module_effects(path: str, source: str,
             if held:
                 pool_sites[index] = PoolSubmission(
                     **{**site.__dict__, "locks_held": held})
-        conc = _ConcurrencyCollector(lines, source, qualname, lock_spans,
+        conc = _ConcurrencyCollector(lines, qualname, lock_spans,
                                      spawn_sites, lock_ops, file_writes)
         conc.run(func.body)
-        errflow = _ErrorFlowCollector(lines, source, qualname, raise_sites,
+        errflow = _ErrorFlowCollector(lines, qualname, raise_sites,
                                       handler_infos, protected_spans,
                                       resource_sites)
         errflow.run(func.body)
@@ -1656,7 +1678,7 @@ def extract_module_effects(path: str, source: str,
                                              ast.ClassDef, ast.Import,
                                              ast.ImportFrom))]
     if module_stmts:
-        visitor = _EffectVisitor(lines, source, write_watch=frozenset(),
+        visitor = _EffectVisitor(lines, write_watch=frozenset(),
                                  read_watch=frozenset(),
                                  global_decls=frozenset(),
                                  emit_guarded=False)
@@ -1666,16 +1688,16 @@ def extract_module_effects(path: str, source: str,
             functions.append(FunctionEffects(
                 qualname=f"{norm}::<module>", name="<module>", line=1,
                 effects=tuple(visitor.effects)))
-        collector = _PoolSiteCollector(lines, source, f"{norm}::<module>",
+        collector = _PoolSiteCollector(lines, f"{norm}::<module>",
                                        pool_sites)
         for stmt in module_stmts:
             collector.visit(stmt)
         conc = _ConcurrencyCollector(
-            lines, source, f"{norm}::<module>", _LockSpans(module_stmts),
+            lines, f"{norm}::<module>", _LockSpans(module_stmts),
             spawn_sites, lock_ops, file_writes)
         conc.run(module_stmts)
         errflow = _ErrorFlowCollector(
-            lines, source, f"{norm}::<module>", raise_sites, handler_infos,
+            lines, f"{norm}::<module>", raise_sites, handler_infos,
             protected_spans, resource_sites)
         errflow.run(module_stmts)
 

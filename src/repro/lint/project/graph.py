@@ -24,7 +24,6 @@ from repro.lint.project.effects import EffectPropagator
 from repro.lint.project.errflow import ErrorFlow
 from repro.lint.project.summary import (
     CallSite, DataclassInfo, FunctionInfo, ModuleSummary)
-from repro.lint.project.twin import TwinAnalysis
 
 
 def is_test_path(path: str) -> bool:
@@ -69,7 +68,6 @@ class ProjectModel:
         self.functions_by_qualname: Dict[str, FunctionInfo] = {}
         self._effects: Optional[EffectPropagator] = None
         self._errflow: Optional[ErrorFlow] = None
-        self._twin: Optional[TwinAnalysis] = None
         for summary in self.summaries:
             test = is_test_path(summary.path)
             for info in summary.functions:
@@ -107,12 +105,6 @@ class ProjectModel:
         if self._errflow is None:
             self._errflow = ErrorFlow(self)
         return self._errflow
-
-    def twin(self) -> TwinAnalysis:
-        """Both engines' closures, built once per model on demand."""
-        if self._twin is None:
-            self._twin = TwinAnalysis(self)
-        return self._twin
 
     # ---- agreed facts across ambiguous candidates ------------------------
 

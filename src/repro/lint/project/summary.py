@@ -20,8 +20,9 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.lint.project.dimensions import (
     UNKNOWN, CallObservation, FunctionAnalyzer, dim_of_name, dotted_name)
-from repro.lint.project.effects import ModuleEffects, extract_module_effects
-from repro.lint.project.twin import ModuleTwinFacts, extract_module_twin
+from repro.lint.project.effects import (
+    ModuleEffects, extract_module_effects, line_at, source_repr,
+    split_source)
 
 #: Bump when the summary layout changes so cached pickles are invalidated
 #: even if the source of the lint package somehow hashes equal.
@@ -29,9 +30,9 @@ from repro.lint.project.twin import ModuleTwinFacts, extract_module_twin
 #: guarded bindings, persistence writes) for CONC01–CONC04.
 #: 5: ModuleEffects grew the error-flow model (raise sites, handler
 #: spans, resource sites, exception classes) for ERR01–ERR04/RES01.
-#: 6: ModuleTwinFacts joined the summary (per-function engine footprints,
-#: twin-exempt pragmas) for the twin-drift rules TWIN01–TWIN04.
-SUMMARY_SCHEMA = 6
+#: 6: ModuleTwinFacts joined the summary for the twin-drift rules.
+#: 7: ModuleTwinFacts removed with the twin-drift rules.
+SUMMARY_SCHEMA = 7
 
 
 @dataclass(frozen=True)
@@ -110,7 +111,6 @@ class ModuleSummary:
     attr_writes: List[AttrWrite] = field(default_factory=list)
     suppressions: Dict[int, FrozenSet[str]] = field(default_factory=dict)
     module_effects: Optional[ModuleEffects] = None
-    twin: Optional[ModuleTwinFacts] = None
 
     def is_suppressed(self, rule_id: str, line: int) -> bool:
         rules = self.suppressions.get(line)
@@ -169,21 +169,7 @@ class _AttrReadCollector(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def _line_text(lines: List[str], line: int) -> str:
-    if 1 <= line <= len(lines):
-        return lines[line - 1]
-    return ""
-
-
-def _source_repr(source: str, node: ast.AST, limit: int = 60) -> str:
-    segment = ast.get_source_segment(source, node)
-    if segment is None:
-        return ""
-    segment = " ".join(segment.split())
-    return segment if len(segment) <= limit else segment[:limit - 3] + "..."
-
-
-def _analyze_function(path: str, source: str, lines: List[str],
+def _analyze_function(path: str, lines: List[str],
                       func: ast.AST, class_name: str = "") -> FunctionInfo:
     assert isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
     calls: List[CallSite] = []
@@ -196,9 +182,9 @@ def _analyze_function(path: str, source: str, lines: List[str],
             receiver=obs.receiver,
             line=node.lineno,
             col=node.col_offset + 1,
-            line_text=_line_text(lines, node.lineno),
+            line_text=line_at(lines, node.lineno),
             arg_dims=tuple(obs.arg_dims),
-            arg_reprs=tuple(_source_repr(source, arg) for arg in node.args),
+            arg_reprs=tuple(source_repr(lines, arg) for arg in node.args),
             arg_tuple_lens=tuple(obs.arg_tuple_lens),
             kw_dims=tuple(sorted(obs.kw_dims.items())),
             result_context=obs.result_context,
@@ -242,7 +228,7 @@ def _extract_dataclass(node: ast.ClassDef,
             fields.append(FieldInfo(name=stmt.target.id,
                                     annotation=annotation,
                                     line=stmt.lineno,
-                                    line_text=_line_text(lines, stmt.lineno)))
+                                    line_text=line_at(lines, stmt.lineno)))
         elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)) and \
                 stmt.name == "__post_init__":
             has_post_init = True
@@ -263,7 +249,7 @@ def extract_summary(path: str, source: str, tree: ast.Module,
                     suppressions: Dict[int, FrozenSet[str]]) -> ModuleSummary:
     """Build the :class:`ModuleSummary` for one parsed module."""
     norm = path.replace("\\", "/")
-    lines = source.splitlines()
+    lines = split_source(source)
     summary = ModuleSummary(path=norm, suppressions=dict(suppressions))
 
     # Attribute reads over the whole module, *excluding* __post_init__
@@ -302,14 +288,14 @@ def extract_summary(path: str, source: str, tree: ast.Module,
                         receiver=dotted_name(target.value),
                         line=target.lineno,
                         col=target.col_offset + 1,
-                        line_text=_line_text(lines, target.lineno)))
+                        line_text=line_at(lines, target.lineno)))
 
     # Functions, methods, dataclasses.
     def walk_body(body: List[ast.stmt], class_name: str = "") -> None:
         for stmt in body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 summary.functions.append(_analyze_function(
-                    norm, source, lines, stmt, class_name=class_name))
+                    norm, lines, stmt, class_name=class_name))
                 # Nested defs (rare) still contribute call sites.
                 nested = [s for s in stmt.body
                           if isinstance(s, (ast.FunctionDef,
@@ -336,7 +322,7 @@ def extract_summary(path: str, source: str, tree: ast.Module,
             body=module_level, decorator_list=[], returns=None,
             type_comment=None, lineno=1, col_offset=0)
         try:
-            info = _analyze_function(norm, source, lines, wrapper)
+            info = _analyze_function(norm, lines, wrapper)
         except (AttributeError, TypeError):  # defensive: odd module shapes
             info = None
         if info is not None and info.calls:
@@ -346,6 +332,5 @@ def extract_summary(path: str, source: str, tree: ast.Module,
                 calls=info.calls))
 
     summary.module_effects = extract_module_effects(norm, source, tree)
-    summary.twin = extract_module_twin(norm, source, tree)
 
     return summary

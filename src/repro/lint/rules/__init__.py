@@ -25,10 +25,6 @@ from repro.lint.rules.ledger import EnergyLedgerRule
 from repro.lint.rules.obs_neutrality import ObsNeutralityRule
 from repro.lint.rules.picklable import PicklablePayloadRule
 from repro.lint.rules.res_lifecycle import ResourceLifecycleRule
-from repro.lint.rules.twin_config import TwinConfigCoverageRule
-from repro.lint.rules.twin_const import TwinConstantDuplicationRule
-from repro.lint.rules.twin_digest import TwinDigestCoverageRule
-from repro.lint.rules.twin_result import TwinResultCoverageRule
 from repro.lint.rules.unit_safety import UnitSafetyRule
 from repro.lint.rules.worker_purity import WorkerPurityRule
 
@@ -52,10 +48,6 @@ __all__ = [
     "InterproceduralUnitRule",
     "ObsNeutralityRule",
     "PicklablePayloadRule",
-    "TwinConfigCoverageRule",
-    "TwinConstantDuplicationRule",
-    "TwinDigestCoverageRule",
-    "TwinResultCoverageRule",
     "UnitSafetyRule",
     "WorkerPurityRule",
 ]

@@ -2,12 +2,30 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.config import CacheConfig, DramConfig, GatingConfig, SystemConfig
 from repro.power.gating import SleepTransistorNetwork
 from repro.power.model import CorePowerModel
 from repro.power.technology import get_technology
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.fixture(scope="session")
+def repo_lint_report():
+    """One whole-tree mapglint run over ``src`` and ``tests``, shared.
+
+    Linting the tree is the slowest thing the suite does, so every test
+    that asserts something about the real tree reads this one report.
+    """
+    from repro.lint import Baseline, lint_paths
+
+    baseline = Baseline.load(str(REPO_ROOT / "lint-baseline.json"))
+    return lint_paths([str(REPO_ROOT / "src"), str(REPO_ROOT / "tests")],
+                      baseline=baseline)
 
 
 @pytest.fixture

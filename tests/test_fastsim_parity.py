@@ -4,9 +4,11 @@
 oracle — same energy ledger floats, same histogram moments, same
 controller counters — not "close".  These tests sweep the whole workload
 profile x policy matrix (cold and warmed up), push fast-engine cells
-through the SweepRunner at ``jobs`` 1 and 4, and fuzz randomized segment
-traces, comparing the canonical JSON of every ``SimulationResult`` field.
-Any diff is a kernel bug by definition.
+through the SweepRunner at ``jobs`` 1 and 4, fuzz randomized segment
+traces, and fuzz the configuration itself: every ``SystemConfig`` leaf the
+kernel accepts is drawn at random, and every leaf it refuses must make it
+fall back.  Each comparison is the canonical JSON of every
+``SimulationResult`` field.  Any diff is a kernel bug by definition.
 """
 
 import dataclasses
@@ -15,14 +17,21 @@ import random
 
 import pytest
 
-from repro.config import SystemConfig
+from repro.config import (
+    CacheConfig, CoreConfig, DramConfig, GatingConfig, PrefetcherConfig,
+    SystemConfig)
 from repro.core.crosscheck import crosscheck_engines, verify_engines
+from repro.core.token import TokenArbiter
 from repro.errors import ConfigError
 from repro.exec import JobSpec, SweepRunner
-from repro.fastsim import ColumnarTrace, FastSimulator, validate_engine
+from repro.fastsim import (
+    ColumnarTrace, FastSimulator, shared_columnar_store, validate_engine)
+from repro.memory.dram import Dram
+from repro.power.technology import TECHNOLOGY_NODES
 from repro.sim.runner import run_workload, with_policy
 from repro.sim.simulator import Simulator
 from repro.trace.format import ComputeBlock, MemoryAccess
+from repro.units import GHZ
 from repro.workloads import profile_names
 
 POLICIES = ("never", "naive", "bet_guard", "mapg", "mapg_adaptive", "oracle")
@@ -176,3 +185,197 @@ class TestEngineContract:
         assert check.identical
         assert not check.used_fast_path
         assert check.fallback_reasons
+
+
+# ---- config fuzzing ----------------------------------------------------------
+
+#: Leaves the kernel refuses, each with a non-default value that must make
+#: it fall back and the reason it is outside the fast envelope.
+REFUSED_LEAVES = {
+    "core.miss_window": (2, "the windowed-MLP core is modelled only by "
+                            "the oracle"),
+    "l1.replacement": ("plru", "the kernel inlines LRU only"),
+    "l2.replacement": ("random", "the kernel inlines LRU only"),
+    "prefetcher.enabled": (True, "the stride prefetcher runs only on the "
+                                 "oracle path"),
+}
+
+#: Leaves only ``run_multicore`` reads: it turns them into the shared DRAM
+#: and TAP token arbiter the kernel refuses, so a single-core fast run can
+#: never depend on them.
+MULTI_CORE_LEAVES = {
+    "num_cores": "run_multicore shares one DRAM across the cores",
+    "token.enabled": "run_multicore builds the TAP token arbiter",
+    "token.wake_tokens": "sizes the multi-core TAP token arbiter",
+    "token.token_wait_limit_cycles": "bounds the multi-core TAP token wait",
+}
+
+#: Every other leaf: ``random_config`` draws each of them.
+DRAWN_LEAVES = (
+    "core.frequency_hz", "core.pipeline_depth", "core.issue_width",
+    "core.mlp_overlap",
+    *(f"{level}.{name}" for level in ("l1", "l2")
+      for name in ("name", "size_bytes", "line_bytes", "associativity",
+                   "hit_latency_cycles", "write_back", "mshr_entries")),
+    "dram.channels", "dram.ranks_per_channel", "dram.banks_per_rank",
+    "dram.row_bytes", "dram.t_cas_ns", "dram.t_rcd_ns", "dram.t_rp_ns",
+    "dram.t_ras_ns", "dram.controller_overhead_ns", "dram.bus_transfer_ns",
+    "dram.queue_service_ns", "dram.row_policy", "dram.refresh_interval_ns",
+    "dram.refresh_latency_ns", "dram.write_buffer_per_bank",
+    "gating.policy", "gating.predictor", "gating.guard_margin_cycles",
+    "gating.early_wakeup", "gating.early_margin_cycles",
+    "gating.min_confidence", "gating.bet_scale", "gating.wake_scale",
+    "gating.sleep_mode",
+    "prefetcher.table_entries", "prefetcher.degree",
+    "prefetcher.confirmations", "prefetcher.max_stride_bytes",
+    "technology",
+)
+
+FUZZ_SEEDS = range(60)
+FUZZ_OPS = 600
+
+
+def config_leaves(obj, prefix=""):
+    """``{dotted leaf name: value}`` over a (nested) config dataclass."""
+    leaves = {}
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if dataclasses.is_dataclass(value):
+            leaves.update(config_leaves(value, f"{prefix}{f.name}."))
+        else:
+            leaves[f"{prefix}{f.name}"] = value
+    return leaves
+
+
+def with_leaf(config, leaf, value):
+    """``config`` with one dotted leaf replaced."""
+    if "." not in leaf:
+        return config.replace(**{leaf: value})
+    section, name = leaf.split(".")
+    return config.replace(**{section: dataclasses.replace(
+        getattr(config, section), **{name: value})})
+
+
+def random_cache(rng, name, line_bytes, sets, max_ways, latency, mshrs):
+    ways = rng.randint(1, max_ways)
+    return CacheConfig(
+        name=name, size_bytes=rng.choice(sets) * ways * line_bytes,
+        line_bytes=line_bytes, associativity=ways,
+        hit_latency_cycles=rng.randint(*latency),
+        write_back=rng.random() < 0.75, mshr_entries=rng.randint(*mshrs))
+
+
+def random_config(rng):
+    """One in-envelope ``SystemConfig`` with every drawn leaf randomized."""
+    line_bytes = rng.choice((32, 64, 128))  # L1 and L2 must agree
+    return SystemConfig(
+        core=CoreConfig(
+            frequency_hz=rng.choice((1.0, 1.6, 2.0, 2.5, 3.2)) * GHZ,
+            pipeline_depth=rng.randint(5, 20),
+            issue_width=rng.randint(1, 4),
+            mlp_overlap=rng.choice((0.0, rng.uniform(0.0, 0.9)))),
+        l1=random_cache(rng, rng.choice(("L1D", "dl1")), line_bytes,
+                        (16, 32, 64, 128), 8, (1, 5), (1, 12)),
+        l2=random_cache(rng, rng.choice(("L2", "ul2")), line_bytes,
+                        (256, 512, 1024, 2048), 16, (8, 30), (1, 24)),
+        dram=DramConfig(
+            channels=rng.randint(1, 4),
+            ranks_per_channel=rng.randint(1, 2),
+            banks_per_rank=rng.randint(1, 16),
+            row_bytes=rng.choice((1024, 2048, 4096, 8192, 16384)),
+            t_cas_ns=rng.uniform(5.0, 25.0),
+            t_rcd_ns=rng.uniform(5.0, 25.0),
+            t_rp_ns=rng.uniform(5.0, 25.0),
+            t_ras_ns=rng.uniform(20.0, 50.0),
+            controller_overhead_ns=rng.uniform(0.0, 40.0),
+            bus_transfer_ns=rng.uniform(0.0, 10.0),
+            queue_service_ns=rng.uniform(0.0, 15.0),
+            row_policy=rng.choice(("open", "closed")),
+            refresh_interval_ns=rng.uniform(2000.0, 10000.0),
+            refresh_latency_ns=rng.choice((0.0, rng.uniform(50.0, 350.0))),
+            write_buffer_per_bank=rng.randint(0, 8)),
+        gating=GatingConfig(
+            policy=rng.choice(POLICIES),
+            # "table" twice: it is the only predictor the inlined MAPG
+            # stall path accepts.
+            predictor=rng.choice(("table", "table", "fixed", "last_value",
+                                  "ewma", "oracle")),
+            guard_margin_cycles=rng.randint(0, 40),
+            early_wakeup=rng.random() < 0.7,
+            early_margin_cycles=rng.randint(0, 30),
+            min_confidence=rng.uniform(0.0, 1.0),
+            bet_scale=rng.uniform(0.25, 4.0),
+            wake_scale=rng.uniform(0.0, 3.0),
+            sleep_mode=rng.choice(("full", "retention", "dual"))),
+        prefetcher=PrefetcherConfig(
+            enabled=False,
+            table_entries=rng.randint(1, 64),
+            degree=rng.randint(1, 4),
+            confirmations=rng.randint(1, 4),
+            max_stride_bytes=rng.choice((1024, 4096, 8192, 65536))),
+        technology=rng.choice(sorted(TECHNOLOGY_NODES)))
+
+
+def fuzz_case(seed):
+    """``(config, profile, trace seed, warmup ops, temperature)`` for a seed."""
+    rng = random.Random(seed)
+    config = random_config(rng)
+    return (config, rng.choice(profile_names()), rng.randint(1, 10_000),
+            rng.choice((0, rng.randint(50, 300))), rng.uniform(0.0, 120.0))
+
+
+class TestFuzzedConfigs:
+    """Random in-envelope configurations: fast path taken, results equal."""
+
+    def test_fuzzed_configs_match_the_oracle(self):
+        modes = set()
+        for seed in FUZZ_SEEDS:
+            config, profile, trace_seed, warmup, temperature = fuzz_case(seed)
+            oracle = run_workload(config, profile, FUZZ_OPS, seed=trace_seed,
+                                  warmup_ops=warmup,
+                                  temperature_c=temperature, engine="oracle")
+            fast = FastSimulator(config, workload=profile, seed=trace_seed,
+                                 temperature_c=temperature)
+            assert fast.used_fast_path, \
+                f"fuzz seed {seed} fell back: {fast.fallback_reasons}"
+            modes.add(fast._stall_mode)
+            warm_trace, trace = shared_columnar_store().traces(
+                profile, FUZZ_OPS, seed=trace_seed, warmup_ops=warmup)
+            if warmup:
+                fast.warm_up(warm_trace)
+            assert canonical(fast.run(trace)) == canonical(oracle), \
+                f"fast kernel diverged on fuzz seed {seed} ({profile})"
+        assert modes == {"never", "mapg", "generic"}
+
+    def test_every_config_leaf_is_drawn_or_refused(self):
+        leaves = set(config_leaves(SystemConfig()))
+        drawn = set(DRAWN_LEAVES)
+        refused = set(REFUSED_LEAVES)
+        multi_core = set(MULTI_CORE_LEAVES)
+        assert len(drawn) == len(DRAWN_LEAVES)
+        assert not drawn & refused and not drawn & multi_core \
+            and not refused & multi_core
+        assert drawn | refused | multi_core == leaves
+
+    def test_every_drawn_leaf_varies(self):
+        seen = {leaf: set() for leaf in DRAWN_LEAVES}
+        for seed in FUZZ_SEEDS:
+            values = config_leaves(fuzz_case(seed)[0])
+            for leaf in DRAWN_LEAVES:
+                seen[leaf].add(values[leaf])
+        assert [leaf for leaf, values in seen.items() if len(values) < 2] \
+            == []
+
+    @pytest.mark.parametrize("leaf", sorted(REFUSED_LEAVES))
+    def test_refused_leaf_falls_back(self, leaf):
+        value, reason = REFUSED_LEAVES[leaf]
+        assert reason
+        config = with_leaf(SystemConfig(), leaf, value)
+        assert FastSimulator(config).fallback_reasons, leaf
+
+    def test_multi_core_leaves_reach_the_kernel_only_as_refused_objects(self):
+        assert all(MULTI_CORE_LEAVES.values())
+        config = SystemConfig()
+        shared = FastSimulator(config, shared_dram=Dram(config.dram))
+        tap = FastSimulator(config, token_arbiter=TokenArbiter(config.token))
+        assert shared.fallback_reasons and tap.fallback_reasons

@@ -71,23 +71,6 @@ class TestResultCache:
         lint_paths([str(tmp_path / "repro")], cache=cache)
         assert cache.misses == 1 and cache.hits == 0
 
-    def test_twin_schema_bump_invalidates(self, tmp_path, monkeypatch):
-        # Same ratchet for the twin-footprint layout: stale summaries
-        # pickled before ModuleTwinFacts existed (or with an older
-        # layout) must never feed the TWIN01–TWIN04 drift closures.
-        write_tree(tmp_path)
-        cache_dir = str(tmp_path / "cache")
-        lint_paths([str(tmp_path / "repro")], cache=ResultCache(cache_dir))
-
-        before = ruleset_version()
-        monkeypatch.setattr(cache_module, "_ruleset_version", None)
-        monkeypatch.setattr(cache_module, "TWIN_SCHEMA",
-                            cache_module.TWIN_SCHEMA + 1)
-        assert ruleset_version() != before
-        cache = ResultCache(cache_dir)
-        lint_paths([str(tmp_path / "repro")], cache=cache)
-        assert cache.misses == 1 and cache.hits == 0
-
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         module = write_tree(tmp_path)
         cache = ResultCache(str(tmp_path / "cache"))

@@ -1,7 +1,7 @@
 """Tier-1 guard: the repository itself is mapglint-clean.
 
-Runs the full rule set over ``src`` and ``tests`` against the checked-in
-baseline (``lint-baseline.json``, currently empty — every historical
+Runs the full rule set over ``src`` and ``tests`` (once per session, via
+the ``repo_lint_report`` fixture) against the checked-in baseline (``lint-baseline.json``, currently empty — every historical
 finding was fixed rather than grandfathered) and asserts a clean exit.
 Also proves the CLI's failure mode: a seeded violation must make
 ``python -m repro.lint`` exit non-zero.
@@ -10,17 +10,15 @@ Also proves the CLI's failure mode: a seeded violation must make
 import textwrap
 from pathlib import Path
 
-from repro.lint import Baseline, lint_paths
+from repro.lint import Baseline
 from repro.lint.cli import main as lint_main
 
 REPO_ROOT = Path(__file__).parent.parent
 BASELINE = REPO_ROOT / "lint-baseline.json"
 
 
-def test_repo_is_lint_clean():
-    baseline = Baseline.load(str(BASELINE))
-    report = lint_paths([str(REPO_ROOT / "src"), str(REPO_ROOT / "tests")],
-                        baseline=baseline)
+def test_repo_is_lint_clean(repo_lint_report):
+    report = repo_lint_report
     assert report.files_checked > 100
     assert report.ok, "\n".join(
         f"{f.location()} [{f.rule_id}] {f.message}" for f in report.all_findings)
@@ -35,11 +33,8 @@ def test_checked_in_baseline_is_empty():
     assert len(Baseline.load(str(BASELINE))) == 0
 
 
-def test_no_stale_baseline_entries():
-    baseline = Baseline.load(str(BASELINE))
-    report = lint_paths([str(REPO_ROOT / "src"), str(REPO_ROOT / "tests")],
-                        baseline=baseline)
-    assert report.stale_baseline == []
+def test_no_stale_baseline_entries(repo_lint_report):
+    assert repo_lint_report.stale_baseline == []
 
 
 def test_seeded_violation_fails_cli(tmp_path, capsys):

@@ -33,8 +33,7 @@ class TestSarifShape:
         # by name.
         pinned = {"CACHE01", "PURE01", "OBS01", "PAR01",
                   "CONC01", "CONC02", "CONC03", "CONC04",
-                  "ERR01", "ERR02", "ERR03", "ERR04", "RES01",
-                  "TWIN01", "TWIN02", "TWIN03", "TWIN04"}
+                  "ERR01", "ERR02", "ERR03", "ERR04", "RES01"}
         log = to_sarif([])
         ids = {r["id"] for r in log["runs"][0]["tool"]["driver"]["rules"]}
         assert pinned <= ids
