@@ -42,8 +42,9 @@ cores, prefetchers, non-LRU replacement, shared DRAM, token arbiters,
 timeline recording, attached span recorders) transparently run the
 oracle on the reconstructed op stream; see ``fallback_reasons``.
 Policies other than Never/Mapg/AdaptiveMapg (or non-table predictors)
-still take the batched memory path but call the real
-``MapgController.process_stall`` per off-chip stall.
+decide through their own ``decide()`` per off-chip stall; the kernel then
+resolves the stall with the same inlined wakeup algebra and bookkeeping
+as the MAPG path, and calls the policy's real ``observe``/``feedback``.
 """
 
 from __future__ import annotations
@@ -59,8 +60,9 @@ from repro.core.gating_constants import (
     AIMD_INCREASE_CYCLES, FALLBACK_DEV_BIAS, FALLBACK_DEV_FRACTION,
     GLOBAL_ALPHA, TABLE_BANK_MULT, TABLE_KIND_MASK, TABLE_KIND_MULT,
     TABLE_PC_SHIFT)
-from repro.core.policies import MapgPolicy, NeverPolicy
+from repro.core.policies import GatingPolicy, MapgPolicy, NeverPolicy
 from repro.core.token import TokenArbiter
+from repro.core.wakeup import WakeupPlan
 from repro.cpu.core import MLP_WINDOW_CYCLES
 from repro.errors import SimulationError
 from repro.fastsim.columnar import ColumnarTrace
@@ -157,7 +159,8 @@ class FastSimulator:
 
         Subclasses (other than the two known ones) may override hooks the
         inline path does not call, so anything unrecognized takes the
-        ``generic`` path: batched memory system, real controller call.
+        ``generic`` path: the policy's own ``decide()``, with the kernel
+        resolving the stall and calling its real ``observe``/``feedback``.
         """
         policy = self.sim.controller.policy
         if type(policy) is NeverPolicy:
@@ -244,9 +247,8 @@ class FastSimulator:
         self._p_sleep = powers[PowerState.SLEEP]
         self._p_sret = powers[PowerState.SLEEP_RETENTION]
         self._p_wake = powers[PowerState.WAKE]
-        self._p_token = powers[PowerState.TOKEN_WAIT]
         self._cfreq = sim.circuit.frequency_hz
-        # Controller / policy constants for the inline stall modes.
+        # Controller / policy constants for the inline stall resolution.
         analyzer = sim.controller.analyzer
         gating = config.gating
         self._drain = analyzer.drain_cycles
@@ -270,7 +272,6 @@ class FastSimulator:
         self._adaptive = isinstance(policy, AdaptiveMapgPolicy)
         if self._stall_mode == "mapg":
             assert isinstance(policy, MapgPolicy)
-            self._policy: Optional[MapgPolicy] = policy
             predictor = policy.predictor
             assert isinstance(predictor, HistoryTablePredictor)
             self._table: List[Any] = predictor._table
@@ -288,8 +289,6 @@ class FastSimulator:
                 * TABLE_KIND_MULT
                 for kind in ("", ROW_HIT, ROW_CLOSED, ROW_CONFLICT,
                              WRITE_BUFFERED)}
-        else:
-            self._policy = None
 
     def _reset_dram_histogram(self) -> None:
         # Stats ride in one list ([n, sum, min, max]) so the replay loop's
@@ -421,11 +420,9 @@ class FastSimulator:
         e_sret = 0.0
         wake_c = 0
         e_wake = 0.0
-        token_c = 0
-        e_token = 0.0
         ev_energy = 0.0
         ev_count = 0
-        # Controller counters (inline modes).
+        # Controller counters.
         cc_ungated = 0
         cc_aborted = 0
         cc_gated = 0
@@ -434,7 +431,7 @@ class FastSimulator:
         cc_sleep_sum = 0
         cc_penalty_sum = 0
         cc_idle_sum = 0
-        # Prediction-error Welford streams (inline mapg mode).
+        # Prediction-error Welford streams.
         pe_n = 0
         pe_mean = 0.0
         pe_m2 = 0.0
@@ -452,11 +449,20 @@ class FastSimulator:
         p_active = self._p_active
         p_stall = self._p_stall
         p_drain = self._p_drain
+        p_sleep = self._p_sleep
+        p_sret = self._p_sret
         p_wake = self._p_wake
         cfreq = self._cfreq
+        drain = self._drain
+        wake_full = self._wake_full
+        wake_ret = self._wake_ret
+        event_energy_fn = self._event_energy_fn
+        ee_full = self._ee_full
+        ee_ret = self._ee_ret
 
         mode_never = self._stall_mode == "never"
         mode_mapg = self._stall_mode == "mapg"
+        policy = sim.controller.policy
         if mode_mapg:
             table = self._table
             table_n = self._table_n
@@ -471,13 +477,9 @@ class FastSimulator:
             sleep_mode = self._sleep_mode
             th_full = self._th_full
             th_ret = self._th_ret
-            drain = self._drain
-            wake_full = self._wake_full
-            wake_ret = self._wake_ret
             early_wakeup = self._early_wakeup
             fixed_margin = self._fixed_margin
             adaptive = self._adaptive
-            policy = self._policy
             # Shared gating constants -> locals (one definition per value;
             # the oracle classes import the same names).
             pc_shift = TABLE_PC_SHIFT
@@ -491,12 +493,13 @@ class FastSimulator:
             aimd_idle = AIMD_IDLE_TOLERANCE_CYCLES
             # AIMD bias rides in a local; written back at flush.
             bias = policy._bias_cycles if adaptive else 0.0
-            p_sleep = self._p_sleep
-            p_sret = self._p_sret
-            event_energy_fn = self._event_energy_fn
-            ee_full = self._ee_full
-            ee_ret = self._ee_ret
-        process_stall = sim.controller.process_stall
+        elif not mode_never:
+            decide = policy.decide
+            observe = policy.observe
+            # Building a WakeupPlan per gate is skipped where feedback()
+            # is the base class's no-op.
+            feedback = (policy.feedback if type(policy).feedback
+                        is not GatingPolicy.feedback else None)
 
         busy = trace.busy_cycles_for(self._issue_width)
         blocks, idxs, tags = trace.block_keys_for(l1_off, self._l1_mask)
@@ -626,7 +629,7 @@ class FastSimulator:
                     open_row = d_open[bank]
                     if open_row == row:
                         n_d_hit += 1
-                        kind: Optional[str] = ROW_HIT
+                        kind = ROW_HIT
                         array_lat = d_tcas_ns
                     elif open_row == -1:
                         n_d_closed += 1
@@ -746,16 +749,14 @@ class FastSimulator:
             if stall > sh_max:
                 sh_max = stall
 
-            penalty = 0
-            if mode_never:
-                cc_ungated += 1
-                stall_c += stall
-                e_stall += p_stall * (stall / cfreq)
-            elif mode_mapg:
+            # Decision: gate mode (None = stay awake), planned wake offset
+            # (None = data-return trigger) and the estimate the controller
+            # scores.  MAPG's decide() is inlined; every other policy is
+            # consulted directly, exactly as the controller consults it.
+            if mode_mapg:
                 # --- MapgPolicy.decide, inlined ---
-                kstr = kind or ""
                 entry = table[((pc >> pc_shift) ^ (bank * bank_mult)
-                               ^ kind_mult[kstr]) % table_n]
+                               ^ kind_mult[kind]) % table_n]
                 if entry.valid:
                     pred_lat = int(round(entry.mean))
                     conf = entry.confidence_counter / conf_max
@@ -768,11 +769,11 @@ class FastSimulator:
                     wake_est = est - margin
                     confident = True
                 else:
-                    regs = fb.get(kstr)
+                    regs = fb.get(kind)
                     if regs is None:
                         regs = [float(static_est),
                                 float(static_est) * dev_frac]
-                        fb[kstr] = regs
+                        fb[kind] = regs
                     mean_reg = int(round(regs[0]))
                     est = mean_reg if mean_reg > 0 else 0
                     wake_est = int(round(regs[0] - dev_bias * regs[1]))
@@ -791,41 +792,66 @@ class FastSimulator:
                         gate_mode = "full"
                     else:
                         gate_mode = None
-                # --- controller._record_prediction, inlined ---
-                if est > 0:
-                    err = est - stall
-                    if err < 0:
-                        err = -err
-                    pe_n += 1
-                    d1 = err - pe_mean
-                    pe_mean += d1 / pe_n
-                    pe_m2 += d1 * (err - pe_mean)
-                    rel = err / (stall if stall > 1 else 1)
-                    pre_n += 1
-                    d2 = rel - pre_mean
-                    pre_mean += d2 / pre_n
-                    pre_m2 += d2 * (rel - pre_mean)
-                # --- outcome (resolve_wakeup inlined, token_delay 0) ---
-                gated_plan = None
-                if gate_mode is None:
-                    cc_ungated += 1
-                    stall_c += stall
-                    e_stall += p_stall * (stall / cfreq)
-                elif stall <= drain:
+                if gate_mode is not None and early_wakeup:
+                    # plan_wakeup, inlined.
+                    we = wake_est if wake_est > 0 else 0
+                    planned = we - (wake_full if gate_mode == "full"
+                                    else wake_ret)
+                    if planned < drain:
+                        planned = drain
+                else:
+                    planned = None
+            elif mode_never:
+                gate_mode = None
+                est = 0
+            else:
+                decision = decide(pc, bank, stall, kind, 0)
+                gate_mode = decision.mode if decision.gate else None
+                planned = decision.planned_wake_offset
+                est = decision.predicted_cycles
+            # --- controller._record_prediction, inlined ---
+            if est > 0:
+                err = est - stall
+                if err < 0:
+                    err = -err
+                pe_n += 1
+                d1 = err - pe_mean
+                pe_mean += d1 / pe_n
+                pe_m2 += d1 * (err - pe_mean)
+                rel = err / (stall if stall > 1 else 1)
+                pre_n += 1
+                d2 = rel - pre_mean
+                pre_mean += d2 / pre_n
+                pre_m2 += d2 * (rel - pre_mean)
+            # --- outcome (resolve_wakeup inlined, token_delay 0) ---
+            penalty = 0
+            gated = False
+            if gate_mode is None:
+                cc_ungated += 1
+                stall_c += stall
+                e_stall += p_stall * (stall / cfreq)
+            else:
+                if gate_mode == "full":
+                    wake_m = wake_full
+                elif gate_mode == "retention":
+                    wake_m = wake_ret
+                else:
+                    # Only a foreign policy gets here; the analyzer raises
+                    # the controller's ConfigError for the unknown mode.
+                    wake_m = sim.controller.analyzer.wake_cycles_for(
+                        gate_mode)
+                if planned is not None and planned < drain:
+                    raise SimulationError(
+                        f"planned wake offset {planned} precedes drain "
+                        f"end {drain}")
+                if stall <= drain:
                     # Abort: data returned during drain.
                     cc_aborted += 1
                     drain_c += stall
                     e_drain += p_drain * (stall / cfreq)
                 else:
-                    wake_m = wake_full if gate_mode == "full" else wake_ret
-                    if early_wakeup:
-                        we = wake_est if wake_est > 0 else 0
-                        offset = we - wake_m
-                        if offset < drain:
-                            offset = drain
-                        trigger = offset if offset < stall else stall
-                    else:
-                        trigger = stall
+                    trigger = (planned if planned is not None
+                               and planned < stall else stall)
                     sleep = trigger - drain
                     ready = trigger + wake_m
                     if ready >= stall:
@@ -839,6 +865,7 @@ class FastSimulator:
                         raise SimulationError(
                             f"outcome intervals tile {drain} cycles, "
                             f"expected stall {stall} + penalty 0")
+                    gated = True
                     cc_gated += 1
                     if gate_mode == "full":
                         cc_gated_full += 1
@@ -875,7 +902,9 @@ class FastSimulator:
                     if ee > 0.0:
                         ev_energy += ee
                         ev_count += 1
-                    gated_plan = (penalty, idle)
+            # Learning, in the controller's order: observe, then feedback
+            # on a completed gate.
+            if mode_mapg:
                 # --- policy.observe (predictor + fallback regs), inlined ---
                 if entry.valid:
                     obs_err = stall - entry.mean
@@ -893,53 +922,26 @@ class FastSimulator:
                     entry.mean = float(stall)
                     entry.confidence_counter = 1
                     entry.valid = True
-                regs = fb.get(kstr)
+                regs = fb.get(kind)
                 if regs is None:
-                    regs = [float(static_est), float(static_est) * 0.25]
-                    fb[kstr] = regs
+                    regs = [float(static_est), float(static_est) * dev_frac]
+                    fb[kind] = regs
                 reg_err = stall - regs[0]
                 regs[0] += g_alpha * reg_err
                 abs_err = reg_err if reg_err >= 0 else -reg_err
                 regs[1] += g_alpha * (abs_err - regs[1])
                 # --- AdaptiveMapgPolicy.feedback, inlined ---
-                if adaptive and gated_plan is not None:
-                    if gated_plan[0] > 0:
+                if adaptive and gated:
+                    if penalty > 0:
                         nb = bias + aimd_inc
                         bias = nb if nb < aimd_cap else aimd_cap
-                    elif gated_plan[1] > aimd_idle:
+                    elif idle > aimd_idle:
                         bias *= aimd_decay
-            else:
-                # Generic mode: the real controller handles the stall.
-                outcome = process_stall(
-                    pc=pc, bank=bank, actual_stall_cycles=stall,
-                    start_cycle=cyc, kind=kind or "", elapsed_cycles=0)
-                for state, icyc in outcome.intervals:
-                    if state is PowerState.STALL:
-                        stall_c += icyc
-                        e_stall += p_stall * (icyc / cfreq)
-                    elif state is PowerState.DRAIN:
-                        drain_c += icyc
-                        e_drain += p_drain * (icyc / cfreq)
-                    elif state is PowerState.SLEEP:
-                        sleep_c += icyc
-                        e_sleep += self._p_sleep * (icyc / cfreq)
-                    elif state is PowerState.SLEEP_RETENTION:
-                        sret_c += icyc
-                        e_sret += self._p_sret * (icyc / cfreq)
-                    elif state is PowerState.WAKE:
-                        wake_c += icyc
-                        e_wake += p_wake * (icyc / cfreq)
-                    elif state is PowerState.ACTIVE:
-                        active_c += icyc
-                        e_active += p_active * (icyc / cfreq)
-                    else:
-                        token_c += icyc
-                        e_token += self._p_token * (icyc / cfreq)
-                ee = outcome.event_energy_j
-                if ee > 0.0:
-                    ev_energy += ee
-                    ev_count += 1
-                penalty = outcome.penalty_cycles
+            elif not mode_never:
+                observe(pc, bank, stall, kind)
+                if gated and feedback is not None:
+                    feedback(WakeupPlan(drain=drain, sleep=sleep, wake=wake_m,
+                                        idle_awake=idle, penalty=penalty))
 
             # Penalty feeds the core clock (add_delay) before the stall
             # advance in the oracle; the sum is order-independent.
@@ -996,7 +998,6 @@ class FastSimulator:
         ledger.add_batch(PowerState.SLEEP, sleep_c, e_sleep)
         ledger.add_batch(PowerState.SLEEP_RETENTION, sret_c, e_sret)
         ledger.add_batch(PowerState.WAKE, wake_c, e_wake)
-        ledger.add_batch(PowerState.TOKEN_WAIT, token_c, e_token)
         ledger.add_events_batch(ev_energy, ev_count)
 
         core_counters = sim.core.counters
@@ -1051,8 +1052,6 @@ class FastSimulator:
         dh._max = dh_stats[3]
         self._reset_dram_histogram()
 
-        if not (mode_never or mode_mapg):
-            return  # generic mode: the real controller kept its own books
         if mode_mapg and adaptive:
             policy._bias_cycles = bias
         controller = sim.controller

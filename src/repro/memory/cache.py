@@ -53,14 +53,14 @@ class Cache:
         self._ways = config.associativity
         self._offset_bits = config.line_bytes.bit_length() - 1
         self._index_mask = self._num_sets - 1
-        self._sets: List[List[_Line]] = [
-            [_Line() for __ in range(self._ways)] for __ in range(self._num_sets)
-        ]
+        # Per-set state is built on a set's first access (see _build_set);
+        # None marks an untouched set, which holds no valid line.
+        self._sets: List[Optional[List[_Line]]] = [None] * self._num_sets
         # LRU: per-set list of way indices, most-recent last.
-        self._lru: List[List[int]] = [list(range(self._ways)) for __ in range(self._num_sets)]
+        self._lru: Dict[int, List[int]] = {}
         # Tree-PLRU: per-set bit array over a complete binary tree (ways must
         # be a power of two for PLRU; validated lazily on first use).
-        self._plru: List[List[int]] = [[0] * max(1, self._ways - 1) for __ in range(self._num_sets)]
+        self._plru: Dict[int, List[int]] = {}
         self._rng = random.Random(seed)
         self.counters = CounterSet()
 
@@ -84,6 +84,8 @@ class Cache:
         """
         index, tag = self._index_and_tag(address)
         lines = self._sets[index]
+        if lines is None:
+            lines = self._build_set(index)
         self.counters.add("accesses")
         if is_write:
             self.counters.add("writes")
@@ -97,7 +99,7 @@ class Cache:
                 return CacheAccessResult(hit=True)
 
         self.counters.add("misses")
-        way = self._choose_victim(index)
+        way = self._choose_victim(index, lines)
         victim = lines[way]
         writeback: Optional[int] = None
         if victim.valid and victim.dirty:
@@ -113,14 +115,15 @@ class Cache:
     def probe(self, address: int) -> bool:
         """Non-destructive lookup: True if the line is resident."""
         index, tag = self._index_and_tag(address)
-        return any(line.valid and line.tag == tag for line in self._sets[index])
+        return any(line.valid and line.tag == tag
+                   for line in self._sets[index] or ())
 
     def invalidate(self, address: int) -> bool:
         """Drop the line containing ``address`` if resident; True if dropped.
 
         Dirty data is discarded (used by failure-injection tests)."""
         index, tag = self._index_and_tag(address)
-        for line in self._sets[index]:
+        for line in self._sets[index] or ():
             if line.valid and line.tag == tag:
                 line.valid = False
                 line.dirty = False
@@ -131,13 +134,21 @@ class Cache:
         """Invalidate everything; returns addresses of dirty lines dropped."""
         dirty: List[int] = []
         for index, lines in enumerate(self._sets):
-            for line in lines:
+            for line in lines or ():
                 if line.valid and line.dirty:
                     block = (line.tag << self._index_mask.bit_length()) | index
                     dirty.append(block << self._offset_bits)
                 line.valid = False
                 line.dirty = False
         return dirty
+
+    def _build_set(self, index: int) -> List[_Line]:
+        """Create set ``index``'s lines and replacement state (all invalid)."""
+        lines = [_Line() for __ in range(self._ways)]
+        self._sets[index] = lines
+        self._lru[index] = list(range(self._ways))
+        self._plru[index] = [0] * max(1, self._ways - 1)
+        return lines
 
     # ---- replacement -------------------------------------------------------
 
@@ -151,9 +162,9 @@ class Cache:
             self._plru_touch(index, way)
         # random: stateless
 
-    def _choose_victim(self, index: int) -> int:
+    def _choose_victim(self, index: int, lines: List[_Line]) -> int:
         # Prefer an invalid way regardless of policy.
-        for way, line in enumerate(self._sets[index]):
+        for way, line in enumerate(lines):
             if not line.valid:
                 return way
         policy = self.config.replacement

@@ -1,9 +1,12 @@
 """Tests for the set-associative cache model."""
 
+import tracemalloc
+
 import pytest
 
-from repro.config import CacheConfig
+from repro.config import CacheConfig, SystemConfig
 from repro.memory.cache import Cache
+from repro.sim.simulator import Simulator
 
 
 def make_cache(sets=4, ways=2, line=64, replacement="lru", **kwargs):
@@ -44,6 +47,23 @@ class TestBasicHitMiss:
         assert cache.hit_rate == pytest.approx(1 / 3)
 
 
+def writeback_sequence(replacement):
+    """Writeback addresses of an all-write stream over 4 sets x 4 ways.
+
+    Set 0 overflows, then the untouched set 3 fills and overflows, then
+    set 0 again: each eviction's victim shows as its writeback address.
+    Sets 1 and 2 are never touched.
+    """
+    cache = Cache(CacheConfig(name="T", size_bytes=4 * 4 * 64, line_bytes=64,
+                              associativity=4, replacement=replacement),
+                  seed=7)
+    return [cache.access((tag * 4 + set_index) * 0x40,
+                         is_write=True).writeback_address
+            for set_index, tags in ((0, range(6)), (3, range(6)),
+                                    (0, (1, 6, 7, 8)))
+            for tag in tags]
+
+
 class TestLru:
     def test_lru_evicts_least_recently_used(self):
         cache = make_cache(sets=1, ways=2)
@@ -72,6 +92,11 @@ class TestPlru:
         cache.access(4 * 0x40)  # forces an eviction
         assert cache.probe(most_recent)
 
+    def test_plru_victims_across_untouched_sets(self):
+        assert writeback_sequence("plru") == [
+            None, None, None, None, 0x0, 0x200, None, None, None, None,
+            0xC0, 0x2C0, None, 0x300, 0x400, 0x500]
+
     def test_plru_hits_still_work(self):
         cache = make_cache(sets=2, ways=4, replacement="plru")
         cache.access(0x0)
@@ -89,6 +114,12 @@ class TestRandom:
             for i in range(20):
                 results.append(cache.access(i * 0x40 % 0x400).hit)
         assert results_a == results_b
+
+    def test_random_victims_across_untouched_sets(self):
+        # Pins the victim ways and therefore the _rng draw sequence.
+        assert writeback_sequence("random") == [
+            None, None, None, None, 0x200, 0x100, None, None, None, None,
+            0x3C0, 0xC0, 0x0, 0x100, 0x400, 0x600]
 
 
 class TestWriteback:
@@ -146,6 +177,31 @@ class TestMaintenance:
         assert dirty == [0x000]
         assert not cache.probe(0x000)
         assert not cache.probe(0x040)
+
+
+class TestLazySets:
+    def test_untouched_sets_are_empty(self):
+        cache = make_cache(sets=4, ways=2)
+        assert cache.probe(0x40) is False
+        assert cache.invalidate(0x40) is False
+        assert cache.flush() == []
+
+    def test_flush_skips_untouched_sets(self):
+        cache = make_cache(sets=4, ways=2)
+        cache.access(0xC0, is_write=True)
+        cache.access(0x40, is_write=True)
+        assert cache.flush() == [0x40, 0xC0]
+
+    def test_simulator_builds_no_tag_array_up_front(self):
+        Simulator(SystemConfig())  # one-time module caches are not counted
+        tracemalloc.start()
+        try:
+            simulator = Simulator(SystemConfig())
+            allocated, __ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert simulator.hierarchy.l2.probe(0) is False
+        assert allocated < 1 << 20
 
 
 class TestGeometry:

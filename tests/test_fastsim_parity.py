@@ -7,7 +7,9 @@ profile x policy matrix (cold and warmed up), push fast-engine cells
 through the SweepRunner at ``jobs`` 1 and 4, fuzz randomized segment
 traces, and fuzz the configuration itself: every ``SystemConfig`` leaf the
 kernel accepts is drawn at random, and every leaf it refuses must make it
-fall back.  Each comparison is the canonical JSON of every
+fall back.  Generic policies are also run with the controller's
+per-stall entry point disabled, since the kernel resolves their stalls
+itself.  Each comparison is the canonical JSON of every
 ``SimulationResult`` field.  Any diff is a kernel bug by definition.
 """
 
@@ -20,15 +22,20 @@ import pytest
 from repro.config import (
     CacheConfig, CoreConfig, DramConfig, GatingConfig, PrefetcherConfig,
     SystemConfig)
+from repro.core import policies as policies_module
+from repro.core.controller import MapgController
 from repro.core.crosscheck import crosscheck_engines, verify_engines
+from repro.core.policies import GatingDecision, GatingPolicy
 from repro.core.token import TokenArbiter
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SimulationError
 from repro.exec import JobSpec, SweepRunner
 from repro.fastsim import (
     ColumnarTrace, FastSimulator, shared_columnar_store, validate_engine)
+from repro.fastsim import kernel as kernel_module
 from repro.memory.dram import Dram
 from repro.power.technology import TECHNOLOGY_NODES
 from repro.sim.runner import run_workload, with_policy
+from repro.sim import simulator as simulator_module
 from repro.sim.simulator import Simulator
 from repro.trace.format import ComputeBlock, MemoryAccess
 from repro.units import GHZ
@@ -137,6 +144,126 @@ class TestRandomizedSegments:
             ColumnarTrace(ops))
         assert canonical(fast) == canonical(oracle), \
             f"diverged on fuzz case {case_seed} ({policy})"
+
+
+class RecordingPolicy(GatingPolicy):
+    """Gates by a pc hash (both depths, timer and return wakes); logs learning."""
+
+    def __init__(self, analyzer):
+        super().__init__(analyzer)
+        self.calls = []
+
+    def decide(self, pc, bank, actual_stall_cycles, kind="",
+               elapsed_cycles=0):
+        key = pc >> 2
+        if key % 3 == 0:
+            return GatingDecision(gate=False, predicted_cycles=key % 7)
+        offset = None if key % 5 == 0 else \
+            self.analyzer.drain_cycles + key % 97
+        return GatingDecision(
+            gate=True, planned_wake_offset=offset,
+            predicted_cycles=key % 300,
+            mode="full" if key % 2 else "retention")
+
+    def observe(self, pc, bank, actual_stall_cycles, kind=""):
+        self.calls.append(("observe", pc, bank, actual_stall_cycles, kind))
+
+    def feedback(self, plan):
+        self.calls.append(("feedback", dataclasses.asdict(plan)))
+
+
+def fixed_plan_policy(offset_from_drain_end, mode):
+    """A policy class gating every stall with one fixed wake plan."""
+
+    class FixedPlanPolicy(GatingPolicy):
+        def decide(self, pc, bank, actual_stall_cycles, kind="",
+                   elapsed_cycles=0):
+            return GatingDecision(
+                gate=True, mode=mode, planned_wake_offset=(
+                    self.analyzer.drain_cycles + offset_from_drain_end))
+
+    return FixedPlanPolicy
+
+
+class TestKernelResolvesEveryStall:
+    """Every policy's off-chip stalls resolve inside the kernel.
+
+    The fast engine consults the policy itself and never routes a stall
+    through ``MapgController.process_stall``; these cells run the oracle
+    normally, then the fast engine with that method made to raise.
+    """
+
+    CELLS = (("naive", {}), ("bet_guard", {}), ("oracle", {}),
+             ("mapg", {"predictor": "ewma"}),
+             ("mapg_adaptive", {"predictor": "last_value"}))
+
+    @staticmethod
+    def _forbid_controller(monkeypatch):
+        def process_stall(self, *args, **kwargs):
+            raise AssertionError("fast path called the controller per stall")
+        monkeypatch.setattr(MapgController, "process_stall", process_stall)
+
+    @staticmethod
+    def _run(engine, policy_class=None, monkeypatch=None, config=None):
+        """One warmed-up cell; ``policy_class`` replaces the built policy."""
+        made = []
+        if policy_class is not None:
+            def make_policy(gating, analyzer, predictor, static_estimate):
+                made.append(policy_class(analyzer))
+                return made[-1]
+            monkeypatch.setattr(simulator_module, "make_policy", make_policy)
+        result = run_workload(config or SystemConfig(), "mcf_like", 1500,
+                              seed=11, warmup_ops=300, engine=engine)
+        return result, made
+
+    @pytest.mark.parametrize("policy, overrides", CELLS,
+                             ids=[name for name, __ in CELLS])
+    def test_generic_policies_skip_the_controller(self, monkeypatch, policy,
+                                                  overrides):
+        config = with_policy(SystemConfig(), policy, **overrides)
+        oracle, __ = self._run("oracle", config=config)
+        self._forbid_controller(monkeypatch)
+        fast, __ = self._run("fast", config=config)
+        assert canonical(fast) == canonical(oracle)
+
+    def test_observe_and_feedback_calls_match(self, monkeypatch):
+        oracle, (oracle_policy,) = self._run(
+            "oracle", RecordingPolicy, monkeypatch)
+        self._forbid_controller(monkeypatch)
+        fast, (fast_policy,) = self._run("fast", RecordingPolicy, monkeypatch)
+        assert canonical(fast) == canonical(oracle)
+        kinds = {call[0] for call in oracle_policy.calls}
+        assert kinds == {"observe", "feedback"}
+        assert fast_policy.calls == oracle_policy.calls
+
+    @pytest.mark.parametrize("offset, mode, wake_scale, error, message", (
+        (-1, "full", 1.0, SimulationError, "precedes drain end"),
+        (0, "full", 0.0, SimulationError, "outcome intervals tile"),
+        (0, "deep", 1.0, ConfigError, "unknown sleep mode"),
+    ), ids=["offset-before-drain-end", "mis-tiled-abort", "unknown-mode"])
+    def test_refused_plans_raise_alike_on_both_engines(
+            self, monkeypatch, offset, mode, wake_scale, error, message):
+        config = with_policy(SystemConfig(), "naive", wake_scale=wake_scale)
+        policy_class = fixed_plan_policy(offset, mode)
+        messages = []
+        for engine in ("oracle", "fast"):
+            if engine == "fast":
+                self._forbid_controller(monkeypatch)
+            with pytest.raises(error) as raised:
+                self._run(engine, policy_class, monkeypatch, config)
+            messages.append(str(raised.value))
+        assert message in messages[0]
+        assert messages[1] == messages[0]
+
+    def test_fallback_dev_fraction_is_shared(self, monkeypatch):
+        # A confident first decision on a row-buffer kind leaves the
+        # fallback registers to be seeded by observe(); both engines must
+        # seed them from the one shared constant.
+        for module in (policies_module, kernel_module):
+            monkeypatch.setattr(module, "FALLBACK_DEV_FRACTION", 0.4)
+        assert_identical(with_policy(SystemConfig(), "mapg",
+                                     min_confidence=0.05),
+                         "lbm_like", 1500, seed=3)
 
 
 class TestEngineContract:
