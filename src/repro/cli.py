@@ -13,9 +13,6 @@ downstream user can reproduce results without writing Python:
 * ``multicore`` — a multiprogrammed mix with optional TAP wake tokens
 * ``profiles``  — list the built-in workload profiles
 * ``trace``     — generate a trace file, or summarize an existing one
-* ``watch-perf``— compare a bench scorecard / self-profile / sweep
-                  manifest against ``BENCH_sim_throughput.json`` and emit
-                  ``anomaly_report.json`` (see ``docs/PERFORMANCE.md``)
 * ``lint``      — mapglint static analysis (unit safety, determinism,
                   FSM legality, float equality); see ``docs/LINTING.md``
 
@@ -167,39 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--seed", type=int, default=1)
     info = trace_actions.add_parser("info", help="summarize a trace file")
     info.add_argument("path")
-
-    watch_cmd = commands.add_parser(
-        "watch-perf",
-        help="compare observed perf against the bench baseline and emit "
-             "anomaly_report.json")
-    watch_cmd.add_argument("observed",
-                           help="JSON document to judge: a bench scorecard "
-                                "(scripts/bench_perf.py output), a "
-                                "self-profile report, or a sweep manifest "
-                                "(sweep --telemetry-out)")
-    watch_cmd.add_argument("--baseline", default="BENCH_sim_throughput.json",
-                           help="baseline scorecard (default: the "
-                                "checked-in BENCH_sim_throughput.json)")
-    watch_cmd.add_argument("--report", default="anomaly_report.json",
-                           metavar="PATH",
-                           help="where to write the machine-readable "
-                                "anomaly report (atomic)")
-    watch_cmd.add_argument("--band", action="append", default=None,
-                           metavar="METRIC=TOL[:higher|lower]",
-                           help="override the watch list, e.g. "
-                                "single_core.ops_per_sec=0.3 or "
-                                "sweep_serial.wall_s=0.5:lower; repeatable")
-    watch_cmd.add_argument("--anomalies-log", default=None, metavar="PATH",
-                           help="on regression, append one issue row per "
-                                "anomaly to this local JSONL history "
-                                "(e.g. ANOMALIES.jsonl)")
-    watch_cmd.add_argument("--archive-trace", default=None, metavar="TRACE",
-                           help="on regression, copy this Perfetto trace "
-                                "into --archive-dir as evidence")
-    watch_cmd.add_argument("--archive-dir", default="anomaly-artifacts",
-                           help="destination for archived traces")
-    watch_cmd.add_argument("--json", action="store_true",
-                           help="print the anomaly report JSON to stdout")
 
     # ``lint`` is declared for --help discoverability; its arguments are
     # forwarded verbatim to repro.lint.cli in main() before parsing, since
@@ -495,48 +459,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_watch_perf(args: argparse.Namespace) -> int:
-    from repro.obs import (append_anomaly_rows, archive_trace,
-                           compare_to_baseline, load_perf_document,
-                           parse_band, write_anomaly_report)
-
-    observed = load_perf_document(args.observed)
-    baseline = load_perf_document(args.baseline)
-    bands = ([parse_band(text) for text in args.band]
-             if args.band else None)
-    report = compare_to_baseline(observed, baseline, bands=bands)
-    report_path = write_anomaly_report(report, args.report)
-    for warning in report["warnings"]:
-        print(f"warning: {warning}", file=sys.stderr)
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    if report["ok"]:
-        checked = ", ".join(report["checked"]) or "none"
-        if not args.json:
-            print(f"perf ok: metrics within bands ({checked}); "
-                  f"report -> {report_path}")
-        return 0
-    for anomaly in report["anomalies"]:
-        print(f"ANOMALY {anomaly['metric']}: baseline "
-              f"{anomaly['baseline']:g} -> observed "
-              f"{anomaly['observed']:g} (ratio {anomaly['ratio']:.3f}, "
-              f"band {anomaly['band']:g}, {anomaly['direction']} is "
-              f"better)", file=sys.stderr)
-    if args.anomalies_log:
-        appended = append_anomaly_rows(report, args.anomalies_log)
-        print(f"appended {appended} row(s) to {args.anomalies_log}",
-              file=sys.stderr)
-    if args.archive_trace:
-        destination = archive_trace(args.archive_trace, args.archive_dir)
-        if destination is not None:
-            print(f"archived trace to {destination}", file=sys.stderr)
-        else:
-            print(f"warning: trace {args.archive_trace} not found; "
-                  f"nothing archived", file=sys.stderr)
-    print(f"anomaly report -> {report_path}", file=sys.stderr)
-    return 1
-
-
 def _cmd_multicore(args: argparse.Namespace) -> int:
     token_config = TokenConfig(enabled=args.tokens > 0,
                                wake_tokens=max(1, args.tokens))
@@ -649,7 +571,6 @@ _COMMANDS = {
     "profiles": _cmd_profiles,
     "variation": _cmd_variation,
     "trace": _cmd_trace,
-    "watch-perf": _cmd_watch_perf,
 }
 
 

@@ -16,14 +16,13 @@ sources of hidden nondeterminism are flagged:
    host time into simulated time (for ``repro/exec`` it could leak into
    scheduling, which must stay content-addressed; the batched kernel in
    ``repro/fastsim`` claims bit-identity with the oracle, so host time
-   anywhere inside it voids that contract).  Three modules are
+   anywhere inside it voids that contract).  Two modules are
    allowlisted: ``repro/obs/profile.py`` *is* the self-profiling harness,
    whose whole job is measuring the simulator's own wall time and memory;
-   ``repro/obs/sweep.py`` timestamps sweep lifecycle events (cells/sec,
-   ETA) the same way; and ``repro/obs/anomaly.py`` judges those host
-   measurements against the bench baseline.  All three report *about*
-   the host, never into the simulation (see docs/OBSERVABILITY.md) —
-   OBS01 separately proves their values cannot reach results.
+   and ``repro/obs/sweep.py`` timestamps sweep lifecycle events
+   (cells/sec, ETA) the same way.  Both report *about* the host, never
+   into the simulation (see docs/OBSERVABILITY.md) — OBS01 separately
+   proves their values cannot reach results.
 
 3. **Set iteration** (``repro/sim``, ``repro/core``, ``repro/exec``, and
    ``repro/fastsim``)
@@ -71,10 +70,9 @@ _WALL_CLOCK = {
 _SIM_PACKAGES = ("repro/sim", "repro/core", "repro/cpu", "repro/memory",
                  "repro/obs", "repro/exec", "repro/fastsim")
 # Modules exempt from the wall-clock check: the self-profiler and the
-# sweep/anomaly telemetry measure the host on purpose — the blessed homes
-# for perf_counter et al.  Everything else in obs/exec stays clock-free.
-_WALL_CLOCK_ALLOWLIST = ("repro/obs/profile.py", "repro/obs/sweep.py",
-                         "repro/obs/anomaly.py")
+# sweep telemetry measure the host on purpose — the blessed homes for
+# perf_counter et al.  Everything else in obs/exec stays clock-free.
+_WALL_CLOCK_ALLOWLIST = ("repro/obs/profile.py", "repro/obs/sweep.py")
 _SET_SCOPE = ("repro/sim", "repro/core", "repro/exec", "repro/fastsim")
 
 
@@ -101,8 +99,8 @@ def _is_numpy_random_chain(node: ast.Attribute) -> bool:
 class DeterminismRule(LintRule):
     rule_id = "DET01"
     summary = ("no global-RNG calls, no wall-clock reads in "
-               "sim/obs/exec/fastsim code (obs profile/sweep/anomaly "
-               "modules allowlisted), no set iteration in repro/sim, "
+               "sim/obs/exec/fastsim code (obs profile/sweep modules "
+               "allowlisted), no set iteration in repro/sim, "
                "repro/core, repro/exec, and repro/fastsim")
     default_severity = Severity.ERROR
 

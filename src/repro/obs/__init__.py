@@ -17,48 +17,24 @@ The simulator's evidence layer (see ``docs/OBSERVABILITY.md``):
   per-cell lifecycle events, JSONL event stream, sweep manifest, live
   progress; ``NULL_SWEEP_RECORDER`` is the free disabled default.
   Wall-clock allowed — host telemetry, outside the cycle domain.
-* :mod:`repro.obs.anomaly`  — perf-anomaly watcher: tolerance-band
-  comparison of profiles/scorecards/sweeps against the checked-in
-  baseline, ``anomaly_report.json`` + quick actions.
 """
 
-from repro.obs.anomaly import (
-    ANOMALY_SCHEMA,
-    DEFAULT_BANDS,
-    ToleranceBand,
-    append_anomaly_rows,
-    archive_trace,
-    compare_to_baseline,
-    environment_warnings,
-    flatten_metrics,
-    load_perf_document,
-    parse_band,
-    write_anomaly_report,
-)
 from repro.obs.manifest import (
     MANIFEST_SCHEMA,
     build_manifest,
     config_digest,
     environment_manifest,
-    git_revision,
     read_manifest,
     write_manifest,
 )
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricError,
-    Registry,
-    default_registry,
-)
+from repro.obs.metrics import Counter, Histogram, MetricError, Registry
 from repro.obs.perfetto import (
     artifact_paths,
     to_chrome_trace,
     validate_chrome_trace,
     write_chrome_trace,
 )
-from repro.obs.profile import PROFILE_SCHEMA, SelfProfiler, StageTimer, peak_rss_bytes
+from repro.obs.profile import PROFILE_SCHEMA, SelfProfiler, peak_rss_bytes
 from repro.obs.runlog import (
     JsonlWriter,
     metrics_to_jsonl,
@@ -79,14 +55,11 @@ from repro.obs.sweep import (
 )
 
 __all__ = [
-    "ANOMALY_SCHEMA",
-    "DEFAULT_BANDS",
     "MANIFEST_SCHEMA",
     "PROFILE_SCHEMA",
     "SWEEP_EVENTS_SCHEMA",
     "SWEEP_MANIFEST_SCHEMA",
     "Counter",
-    "Gauge",
     "Histogram",
     "JsonlWriter",
     "MetricError",
@@ -97,23 +70,12 @@ __all__ = [
     "Registry",
     "SelfProfiler",
     "SpanRecorder",
-    "StageTimer",
     "SweepRecorder",
-    "ToleranceBand",
-    "append_anomaly_rows",
-    "archive_trace",
     "artifact_paths",
     "build_manifest",
-    "compare_to_baseline",
     "config_digest",
-    "default_registry",
     "environment_manifest",
-    "environment_warnings",
-    "flatten_metrics",
-    "git_revision",
-    "load_perf_document",
     "metrics_to_jsonl",
-    "parse_band",
     "peak_rss_bytes",
     "read_jsonl",
     "read_manifest",
@@ -122,7 +84,6 @@ __all__ = [
     "validate_chrome_trace",
     "validate_sweep_events",
     "validate_sweep_manifest",
-    "write_anomaly_report",
     "write_chrome_trace",
     "write_jsonl",
     "write_manifest",

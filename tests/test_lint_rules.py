@@ -141,12 +141,11 @@ class TestDet01WallClock:
         assert rule_ids(findings) == ["DET01"]
 
     def test_silent_in_allowlisted_obs_modules(self):
-        # The self-profiler and the sweep/anomaly telemetry measure the
-        # host on purpose; they are the only obs/exec modules allowed
+        # The self-profiler and the sweep telemetry measure the host on
+        # purpose; they are the only obs/exec modules allowed
         # perf_counter et al.
         source = "import time\nstart = time.perf_counter()\n"
-        for module in ("src/repro/obs/profile.py", "src/repro/obs/sweep.py",
-                       "src/repro/obs/anomaly.py"):
+        for module in ("src/repro/obs/profile.py", "src/repro/obs/sweep.py"):
             assert run_lint(source, path=module) == []
 
     def test_other_obs_modules_stay_clock_free(self):

@@ -10,13 +10,13 @@ from repro.obs import (
     build_manifest,
     config_digest,
     environment_manifest,
-    git_revision,
     metrics_to_jsonl,
     read_jsonl,
     read_manifest,
     write_jsonl,
     write_manifest,
 )
+from repro.obs.manifest import git_revision
 from repro.sim.runner import with_policy
 from repro.version import __version__
 

@@ -5,14 +5,8 @@ import threading
 import pytest
 
 from repro.errors import ReproError
-from repro.obs import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricError,
-    Registry,
-    default_registry,
-)
+from repro.obs import Counter, Histogram, MetricError, Registry
+from repro.obs.metrics import Gauge, default_registry
 
 
 class TestCounter:

@@ -5,7 +5,8 @@ clock — so the tests assert structure and monotonicity, never absolute
 times.
 """
 
-from repro.obs import PROFILE_SCHEMA, SelfProfiler, StageTimer, peak_rss_bytes
+from repro.obs import PROFILE_SCHEMA, SelfProfiler, peak_rss_bytes
+from repro.obs.profile import StageTimer
 
 
 class TestStageTimer:
