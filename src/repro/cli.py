@@ -29,6 +29,7 @@ from typing import List, Optional, Sequence
 from repro.analysis.tables import format_fraction_pct, format_table
 from repro.config import SystemConfig, TokenConfig
 from repro.errors import ReproError
+from repro.fastsim import DEFAULT_ENGINE, validate_engine
 from repro.power.gating import SleepTransistorNetwork
 from repro.power.technology import TECHNOLOGY_NODES, get_technology
 from repro.sim.results import SimulationResult
@@ -57,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_cmd.add_argument("--policy", choices=_POLICIES, default="mapg")
     run_cmd.add_argument("--ops", type=int, default=20_000)
     run_cmd.add_argument("--seed", type=int, default=1)
-    run_cmd.add_argument("--engine", default="oracle",
+    run_cmd.add_argument("--engine", default=DEFAULT_ENGINE,
                          help="execution kernel: 'oracle' (reference "
                               "event-driven simulator) or 'fast' (columnar "
                               "batched kernel, bit-identical results); "
@@ -93,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare_cmd.add_argument("--policies", nargs="+", default=list(_POLICIES))
     compare_cmd.add_argument("--ops", type=int, default=10_000)
     compare_cmd.add_argument("--seed", type=int, default=1)
-    compare_cmd.add_argument("--engine", default="oracle",
+    compare_cmd.add_argument("--engine", default=DEFAULT_ENGINE,
                              help="execution kernel per cell "
                                   "('oracle' or 'fast'; see `run --help`)")
 
@@ -112,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="sweep points (scale factors, or C for temperature)")
     sweep_cmd.add_argument("--ops", type=int, default=10_000)
     sweep_cmd.add_argument("--seed", type=int, default=1)
-    sweep_cmd.add_argument("--engine", default="oracle",
+    sweep_cmd.add_argument("--engine", default=DEFAULT_ENGINE,
                            help="execution kernel per cell "
                                 "('oracle' or 'fast'; see `run --help`)")
     sweep_cmd.add_argument("--jobs", type=int, default=1,
@@ -195,9 +196,7 @@ def _result_rows(result: SimulationResult) -> List[List[str]]:
 def _run_one(config: SystemConfig, args: argparse.Namespace,
              recorder: object = None) -> SimulationResult:
     """One simulation of the run command's workload (profile or trace file)."""
-    from repro.fastsim import validate_engine
-
-    engine = getattr(args, "engine", "oracle")
+    engine = getattr(args, "engine", DEFAULT_ENGINE)
     validate_engine(engine)
     if args.workload.endswith((".jsonl", ".bin")):
         from repro.sim.simulator import Simulator
@@ -386,7 +385,7 @@ _SWEEP_DEFAULTS = {
 
 def _sweep_specs(axis: str, values: Sequence[float], workload: str,
                  num_ops: int, seed: int,
-                 engine: str = "oracle") -> List["object"]:
+                 engine: str = DEFAULT_ENGINE) -> List["object"]:
     """The sweep as JobSpecs: per value, a never-gate cell then a mapg
     cell, with the swept knob applied exactly as the table expects."""
     from repro.exec import JobSpec

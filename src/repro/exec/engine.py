@@ -9,10 +9,12 @@ cells and returns their results **in input order**, built in three steps:
 2. **Execution** — cache misses run either inline (``jobs=1``, sharing
    one :class:`~repro.exec.tracestore.TraceStore` so identical traces are
    generated once per process) or over a spawn-safe ``multiprocessing``
-   pool.  Workers receive plain-dict payloads (no pickled code objects),
-   rebuild the spec, and keep a module-level trace store of their own, so
-   a worker simulating several policies of one workload also generates
-   its trace once.
+   pool of at most one worker per CPU.  Workers receive plain-dict
+   payloads (no pickled code objects), rebuild the spec, and keep a
+   module-level trace store of their own, so a worker simulating several
+   policies of one workload also generates its trace once.  Both
+   executors yield the same ``(key, result, worker)`` outcomes into one
+   merge loop.
 3. **Deterministic merge** — results are keyed by the spec's sha256 job
    key and emitted in the caller's spec order, so sweep output is
    byte-identical at any worker count and any completion order.
@@ -22,9 +24,10 @@ cannot leak into results because every cell is hermetic by construction.
 Sweep telemetry (``recorder=``) keeps that contract: every emission is
 behind a single ``self._obs.enabled`` attribute check, all timestamps
 live inside :mod:`repro.obs.sweep` (this module stays clock-free under
-DET01), and worker identities ride back as plain dicts the parent strips
-before results merge — so output is byte-identical with the recorder
-attached or not, at any ``jobs`` count.
+DET01), worker pids ride back beside results (never inside them), and
+each cell's engine and fallback reasons are computed in the parent from
+its spec — so output is byte-identical with the recorder attached or
+not, at any ``jobs`` count.
 """
 
 from __future__ import annotations
@@ -32,27 +35,43 @@ from __future__ import annotations
 import multiprocessing
 import os
 from collections import OrderedDict
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from contextlib import closing
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError, SweepError
 from repro.exec.cache import ResultCache, result_from_dict, result_to_dict
 from repro.exec.jobspec import JobSpec
 from repro.exec.tracestore import TraceStore
 from repro.exec.version import simulation_version
+from repro.fastsim import fallback_reasons
 from repro.obs.sweep import NULL_SWEEP_RECORDER, NullSweepRecorder
 from repro.sim.results import SimulationResult
+
+# Workers are started fresh (never forked), so they inherit no parent state.
+_START_METHOD = "spawn"
 
 # One trace store per pool worker, lazily built on the first task so the
 # parent never ships trace data across the process boundary.
 _WORKER_STORE: Optional[TraceStore] = None  # mapglint: declared-cache
 
+# (job key, result or error record, worker pid; 0 = the parent process)
+_Outcome = Tuple[str, Any, int]
+
+
+def _error_record(exc: Exception) -> Dict[str, str]:
+    return {"__mapg_error__": f"{type(exc).__name__}: {exc}"}
+
 
 def _execute_payload(item: "Tuple[str, Dict[str, Any]]"  # mapglint: error-boundary
-                     ) -> "Tuple[str, Dict[str, Any]]":
-    """Pool worker: rebuild one spec, simulate it, return (key, result).
+                     ) -> _Outcome:
+    """Pool worker: rebuild one spec, simulate it, return (key, result, pid).
 
     Module-level (not a closure) so it pickles under the ``spawn`` start
     method; the result travels back as a plain dict for the same reason.
+    The worker's pid rides beside the result, never inside it, so sweep
+    telemetry can attribute cells to workers while the pid cannot reach
+    a :class:`~repro.sim.results.SimulationResult`; an unobserved parent
+    ignores it.
 
     Nothing may escape a pool worker — an uncaught exception surfaces as
     a bare re-raise at the pool join and discards every in-flight cell —
@@ -68,37 +87,20 @@ def _execute_payload(item: "Tuple[str, Dict[str, Any]]"  # mapglint: error-bound
         result = JobSpec.from_payload(payload).execute(
             trace_store=_WORKER_STORE)
     except Exception as exc:
-        return key, {"__mapg_error__": f"{type(exc).__name__}: {exc}"}
-    return key, result_to_dict(result)
+        return key, _error_record(exc), os.getpid()
+    return key, result_to_dict(result), os.getpid()
 
 
-def _execute_payload_observed(item: "Tuple[str, Dict[str, Any]]"  # mapglint: error-boundary
-                              ) -> "Tuple[str, Dict[str, Any]]":
-    """Telemetry variant of :func:`_execute_payload`: same execution, plus
-    the worker's identity and engine telemetry riding back under
-    ``__mapg_obs__`` — a plain dict, so the payload stays
-    PAR01-picklable.  The parent pops the key before rebuilding the
-    result, so telemetry can never reach a
-    :class:`~repro.sim.results.SimulationResult`; it exists only so the
-    sweep manifest can attribute cells to workers (utilization) and to
-    engines (fast-path coverage with fallback reasons).
-    """
-    global _WORKER_STORE
-    if _WORKER_STORE is None:
-        _WORKER_STORE = TraceStore()
-    key, payload = item
-    obs: Dict[str, Any] = {"worker": os.getpid()}
-    try:
-        result, telemetry = JobSpec.from_payload(payload) \
-            .execute_with_telemetry(trace_store=_WORKER_STORE)
-    except Exception as exc:
-        return key, {"__mapg_error__": f"{type(exc).__name__}: {exc}",
-                     "__mapg_obs__": obs}
-    obs["engine"] = telemetry["engine"]
-    obs["fallback_reasons"] = list(telemetry["fallback_reasons"])
-    out = result_to_dict(result)
-    out["__mapg_obs__"] = obs
-    return key, out
+def _pool_outcomes(missing: "List[Tuple[str, JobSpec]]",
+                   workers: int) -> Iterator[_Outcome]:
+    """The pool executor: ``missing`` fanned over ``workers`` processes."""
+    payloads = [(key, spec.to_payload()) for key, spec in missing]
+    with multiprocessing.get_context(_START_METHOD).Pool(
+            processes=workers) as pool:
+        # The worker's only effect beyond its payload is os.getpid() for
+        # the telemetry side channel; the pid never reaches a result.
+        yield from pool.imap_unordered(  # mapglint: disable=PURE01
+            _execute_payload, payloads, chunksize=1)
 
 
 class SweepRunner:
@@ -110,15 +112,12 @@ class SweepRunner:
     """
 
     def __init__(self, jobs: int = 1, cache: Optional[ResultCache] = None,
-                 mp_start_method: str = "spawn",
-                 trace_store: Optional[TraceStore] = None,
                  recorder: Optional[NullSweepRecorder] = None) -> None:
         if jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {jobs}")
         self.jobs = jobs
         self.cache = cache
-        self.mp_start_method = mp_start_method
-        self.trace_store = trace_store if trace_store is not None else TraceStore()
+        self.trace_store = TraceStore()
         self._obs = recorder if recorder is not None else NULL_SWEEP_RECORDER
         self.executed = 0
         self.cache_hits = 0
@@ -168,68 +167,31 @@ class SweepRunner:
             key=lambda item: (item[1].profile, item[1].seed,
                               item[1].warmup_ops, item[1].num_ops, item[0]))
         failures: Dict[str, str] = {}
-        if self.jobs > 1 and len(missing) > 1:
-            payloads = [(key, spec.to_payload()) for key, spec in missing]
-            context = multiprocessing.get_context(self.mp_start_method)
-            workers = min(self.jobs, len(payloads))
-            if self._obs.enabled:
-                self._obs.dispatch(cells=len(payloads), workers=workers,
-                                   mode="pool")
-            with context.Pool(processes=workers) as pool:
-                if self._obs.enabled:
-                    # The observed worker's only extra effect over the pure
-                    # one is os.getpid() for the telemetry side channel; it
-                    # is stripped below before any result is rebuilt, so the
-                    # PROCESS effect cannot reach simulation output.
-                    result_iter = pool.imap_unordered(  # mapglint: disable=PURE01
-                        _execute_payload_observed, payloads, chunksize=1)
-                else:
-                    result_iter = pool.imap_unordered(
-                        _execute_payload, payloads, chunksize=1)
-                for key, result_dict in result_iter:
-                    obs_info = result_dict.pop("__mapg_obs__", None) or {}
-                    worker_id = int(obs_info.get("worker", 0))
-                    error = result_dict.get("__mapg_error__")
+        pooled = self.jobs > 1 and len(missing) > 1
+        workers = min(self.jobs, len(missing), os.cpu_count() or 1) \
+            if pooled else 1
+        if missing and self._obs.enabled:
+            self._obs.dispatch(cells=len(missing), workers=workers,
+                               mode="pool" if pooled else "serial")
+        outcomes = (_pool_outcomes(missing, workers) if pooled
+                    else self._inline_outcomes(missing))
+        with closing(outcomes):  # an escaping error still shuts the pool
+            for key, outcome, worker in outcomes:
+                if isinstance(outcome, dict):
+                    error = outcome.get("__mapg_error__")
                     if error is not None:
-                        failures[key] = str(error)
+                        failures[key] = error
                         if self._obs.enabled:
-                            self._obs.cell_failed(key, failures[key],
-                                                  worker=worker_id)
-                    else:
-                        results[key] = result_from_dict(result_dict)
-                        if self._obs.enabled:
-                            self._obs.cell_done(
-                                key, worker=worker_id,
-                                engine=obs_info.get("engine"),
-                                fallback_reasons=obs_info.get(
-                                    "fallback_reasons", ()))
-        else:
-            if missing and self._obs.enabled:
-                self._obs.dispatch(cells=len(missing), workers=1,
-                                   mode="serial")
-            for key, spec in missing:
+                            self._obs.cell_failed(key, error, worker=worker)
+                        continue
+                    outcome = result_from_dict(outcome)
+                results[key] = outcome
                 if self._obs.enabled:
-                    self._obs.cell_start(key)
-                try:
-                    # The telemetry variant runs the identical simulation;
-                    # the extra tuple element is observation only, so the
-                    # unobserved path keeps the plain call.
-                    if self._obs.enabled:
-                        results[key], telemetry = spec.execute_with_telemetry(
-                            trace_store=self.trace_store)
-                    else:
-                        results[key] = spec.execute(
-                            trace_store=self.trace_store)
-                        telemetry = None
-                except Exception as exc:
-                    failures[key] = f"{type(exc).__name__}: {exc}"
-                    if self._obs.enabled:
-                        self._obs.cell_failed(key, failures[key])
-                else:
-                    if self._obs.enabled and telemetry is not None:
-                        self._obs.cell_done(
-                            key, engine=telemetry["engine"],
-                            fallback_reasons=telemetry["fallback_reasons"])
+                    spec = unique[key]
+                    self._obs.cell_done(
+                        key, worker=worker, engine=spec.engine,
+                        fallback_reasons=(fallback_reasons(spec.config)
+                                          if spec.engine == "fast" else ()))
         self.executed += len(missing)
 
         if self.cache is not None:
@@ -241,6 +203,22 @@ class SweepRunner:
         if failures:
             raise SweepError(failures)
         return [results[spec.key] for spec in specs]
+
+    def _inline_outcomes(self, missing: "List[Tuple[str, JobSpec]]"  # mapglint: error-boundary
+                         ) -> Iterator[_Outcome]:
+        """The in-process executor: the pool worker's outcomes, no pool.
+
+        Results stay objects (no dict round trip), and ``cell_start`` is
+        emitted right before each cell, so serial ``wall_s`` is exact.
+        """
+        for key, spec in missing:
+            if self._obs.enabled:
+                self._obs.cell_start(key)
+            try:
+                outcome: Any = spec.execute(trace_store=self.trace_store)
+            except Exception as exc:
+                outcome = _error_record(exc)
+            yield key, outcome, 0
 
     def stats(self) -> Dict[str, int]:
         """Lifetime counters: cells executed vs served from the cache."""

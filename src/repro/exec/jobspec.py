@@ -14,11 +14,13 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
 from repro.config import SystemConfig
 from repro.errors import ConfigError
+from repro.fastsim import DEFAULT_ENGINE, validate_engine
 from repro.obs.manifest import config_digest
+from repro.sim.runner import simulate_cell
 
 JOB_SCHEMA = "mapg.job-spec/1"
 
@@ -33,11 +35,9 @@ class JobSpec:
     seed: int = 1
     warmup_ops: int = 0
     temperature_c: Optional[float] = None
-    engine: str = "oracle"
+    engine: str = DEFAULT_ENGINE
 
     def __post_init__(self) -> None:
-        from repro.fastsim import validate_engine
-
         if not self.profile:
             raise ConfigError("JobSpec needs a workload profile name")
         if self.num_ops < 0:
@@ -99,77 +99,16 @@ class JobSpec:
             seed=payload["seed"],
             warmup_ops=payload["warmup_ops"],
             temperature_c=payload["temperature_c"],
-            engine=payload.get("engine", "oracle"),
+            engine=payload.get("engine", DEFAULT_ENGINE),
         )
 
     def execute(self, trace_store: Optional[Any] = None) -> Any:
         """Run this cell and return its ``SimulationResult``.
 
-        Exactly ``run_workload`` semantics: with a
-        :class:`~repro.exec.tracestore.TraceStore` the (warmup, measured)
-        traces come memoized from the store; without one the generator is
-        streamed straight into the simulator, never materializing the op
-        list.  ``engine="fast"`` routes through the columnar batched
-        kernel (bit-identical by contract; memoized per-process in
-        :func:`~repro.fastsim.columnar.shared_columnar_store`).
+        A thin call to :func:`repro.sim.runner.simulate_cell`, which says
+        how ``engine`` and ``trace_store`` choose the trace source.
         """
-        return self.execute_with_telemetry(trace_store=trace_store)[0]
-
-    def execute_with_telemetry(
-            self, trace_store: Optional[Any] = None
-    ) -> Tuple[Any, Dict[str, Any]]:
-        """:meth:`execute`, plus how the cell actually ran.
-
-        Returns ``(result, telemetry)`` where telemetry is::
-
-            {"engine": "oracle" | "fast",
-             "used_fast_path": bool,
-             "fallback_reasons": [str, ...]}
-
-        ``engine`` is the *requested* engine.  A fast-engine cell that the
-        kernel refused (see ``FastSimulator.fallback_reasons``) still runs
-        bit-identically through oracle delegation, but reports
-        ``used_fast_path=False`` and the eligibility reasons — this is the
-        ground truth the sweep recorder aggregates so a sweep manifest can
-        show how much of the grid actually took the fast path.  The result
-        object is byte-for-byte the one :meth:`execute` returns; telemetry
-        is read-only observation, never an input to the simulation.
-        """
-        from repro.sim.simulator import Simulator
-        from repro.workloads.profiles import get_profile
-        from repro.workloads.synthetic import SyntheticTraceGenerator
-
-        kwargs = ({} if self.temperature_c is None
-                  else {"temperature_c": self.temperature_c})
-        if self.engine == "fast":
-            from repro.fastsim import FastSimulator, shared_columnar_store
-
-            fast = FastSimulator(self.config, workload=self.profile,
-                                 seed=self.seed, **kwargs)
-            warm_trace, measured_trace = shared_columnar_store().traces(
-                self.profile, self.num_ops, seed=self.seed,
-                warmup_ops=self.warmup_ops)
-            if self.warmup_ops:
-                fast.warm_up(warm_trace)
-            result = fast.run(measured_trace)
-            return result, {
-                "engine": "fast",
-                "used_fast_path": fast.used_fast_path,
-                "fallback_reasons": list(fast.fallback_reasons),
-            }
-        telemetry = {"engine": "oracle", "used_fast_path": False,
-                     "fallback_reasons": []}
-        simulator = Simulator(self.config, workload=self.profile,
-                              seed=self.seed, **kwargs)
-        if trace_store is not None:
-            warm_trace, measured_trace = trace_store.traces(
-                self.profile, self.num_ops, seed=self.seed,
-                warmup_ops=self.warmup_ops)
-            if self.warmup_ops:
-                simulator.warm_up(warm_trace)
-            return simulator.run(measured_trace), telemetry
-        generator = SyntheticTraceGenerator(get_profile(self.profile),
-                                            seed=self.seed)
-        if self.warmup_ops:
-            simulator.warm_up(generator.operations(self.warmup_ops))
-        return simulator.run(generator.operations(self.num_ops)), telemetry
+        return simulate_cell(self.config, self.profile, self.num_ops,
+                             seed=self.seed, warmup_ops=self.warmup_ops,
+                             temperature_c=self.temperature_c,
+                             engine=self.engine, trace_store=trace_store)

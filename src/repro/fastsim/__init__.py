@@ -6,9 +6,10 @@ Public surface:
   trace representation and its per-process memo.
 * :class:`FastSimulator` — the batched kernel, bit-identical to the
   oracle :class:`~repro.sim.simulator.Simulator` (falls back to it for
-  unsupported configurations).
-* :data:`ENGINES` / :func:`validate_engine` — the engine-selection
-  vocabulary shared by the CLI, the runner, and the exec layer.
+  unsupported configurations; :func:`fallback_reasons` says when).
+* :data:`ENGINES` / :data:`DEFAULT_ENGINE` / :func:`validate_engine` —
+  the engine-selection vocabulary shared by the CLI, the runner, and the
+  exec layer.
 """
 
 from __future__ import annotations
@@ -16,9 +17,10 @@ from __future__ import annotations
 from repro.errors import ConfigError
 from repro.fastsim.columnar import (ColumnarTrace, ColumnarTraceStore,
                                     shared_columnar_store)
-from repro.fastsim.kernel import FastSimulator
+from repro.fastsim.kernel import FastSimulator, fallback_reasons
 
 ENGINES = ("oracle", "fast")
+DEFAULT_ENGINE = "oracle"
 
 
 def validate_engine(engine: str) -> str:
@@ -32,8 +34,10 @@ def validate_engine(engine: str) -> str:
 __all__ = [
     "ColumnarTrace",
     "ColumnarTraceStore",
+    "DEFAULT_ENGINE",
     "ENGINES",
     "FastSimulator",
+    "fallback_reasons",
     "shared_columnar_store",
     "validate_engine",
 ]

@@ -40,7 +40,7 @@ then run unmodified, so the result path is shared with the oracle.
 Fallback: configurations the kernel does not replicate (miss-window
 cores, prefetchers, non-LRU replacement, shared DRAM, token arbiters,
 timeline recording, attached span recorders) transparently run the
-oracle on the reconstructed op stream; see ``fallback_reasons``.
+oracle on the reconstructed op stream; see :func:`fallback_reasons`.
 Policies other than Never/Mapg/AdaptiveMapg (or non-table predictors)
 decide through their own ``decide()`` per off-chip stall; the kernel then
 resolves the stall with the same inlined wakeup algebra and bookkeeping
@@ -91,6 +91,42 @@ _MC_SLOTS = 24
 _MISSING = object()
 
 
+def fallback_reasons(config: SystemConfig, *,
+                     shared_dram: Optional[Dram] = None,
+                     token_arbiter: Optional[TokenArbiter] = None,
+                     record_timeline: bool = False,
+                     recorder: Optional[NullRecorder] = None) -> List[str]:
+    """Why the batched kernel cannot run this cell (empty = it can).
+
+    A pure function of the :class:`FastSimulator` constructor's inputs,
+    so callers can learn whether a cell takes the fast path without
+    building or running it.
+    """
+    reasons: List[str] = []
+    if config.core.miss_window > 1:
+        # WindowedCore's overlap accounting (and its counters) exists
+        # only on the oracle path; the fast engine refuses it here.
+        reasons.append("miss_window > 1 (WindowedCore)")
+    if config.prefetcher.enabled:
+        # The whole prefetcher subsystem sits outside the fast
+        # envelope: its config knobs and counters never occur on a
+        # fast-path run because this check falls back first.
+        reasons.append("prefetcher enabled")
+    if config.l1.replacement != "lru":
+        reasons.append(f"l1 replacement {config.l1.replacement!r}")
+    if config.l2.replacement != "lru":
+        reasons.append(f"l2 replacement {config.l2.replacement!r}")
+    if shared_dram is not None:
+        reasons.append("shared DRAM (multi-core contention)")
+    if token_arbiter is not None:
+        reasons.append("token arbiter (TAP mode)")
+    if record_timeline:
+        reasons.append("timeline recording requested")
+    if recorder is not None and recorder.enabled:
+        reasons.append("span recorder attached")
+    return reasons
+
+
 class FastSimulator:
     """Columnar batched replay of one core domain, oracle-identical.
 
@@ -116,43 +152,13 @@ class FastSimulator:
             core_id=core_id, seed=seed, record_timeline=record_timeline,
             recorder=recorder)
         self.config = config
-        self.fallback_reasons = self._eligibility(
-            config, shared_dram, token_arbiter, record_timeline)
+        self.fallback_reasons = fallback_reasons(
+            config, shared_dram=shared_dram, token_arbiter=token_arbiter,
+            record_timeline=record_timeline, recorder=recorder)
         self.used_fast_path = not self.fallback_reasons
         if self.used_fast_path:
             self._select_stall_mode()
             self._setup_state(config)
-
-    # ---- eligibility -----------------------------------------------------------
-
-    def _eligibility(self, config: SystemConfig,
-                     shared_dram: Optional[Dram],
-                     token_arbiter: Optional[TokenArbiter],
-                     record_timeline: bool) -> List[str]:
-        """Why the batched kernel cannot run this configuration (empty = can)."""
-        reasons: List[str] = []
-        if config.core.miss_window > 1:
-            # WindowedCore's overlap accounting (and its counters) exists
-            # only on the oracle path; the fast engine refuses it here.
-            reasons.append("miss_window > 1 (WindowedCore)")
-        if self.sim.hierarchy.prefetcher is not None:
-            # The whole prefetcher subsystem sits outside the fast
-            # envelope: its config knobs and counters never occur on a
-            # fast-path run because this check falls back first.
-            reasons.append("prefetcher enabled")
-        if config.l1.replacement != "lru":
-            reasons.append(f"l1 replacement {config.l1.replacement!r}")
-        if config.l2.replacement != "lru":
-            reasons.append(f"l2 replacement {config.l2.replacement!r}")
-        if shared_dram is not None:
-            reasons.append("shared DRAM (multi-core contention)")
-        if token_arbiter is not None:
-            reasons.append("token arbiter (TAP mode)")
-        if record_timeline:
-            reasons.append("timeline recording requested")
-        if self.sim._obs.enabled:
-            reasons.append("span recorder attached")
-        return reasons
 
     def _select_stall_mode(self) -> None:
         """Pick how off-chip stalls are handled (exact-type dispatch).

@@ -106,7 +106,7 @@ class NullSweepRecorder:
         """Record nothing."""
 
     def cell_queued(self, key: str, profile: str, policy: str, seed: int,
-                    num_ops: int, engine: str = "oracle") -> None:
+                    num_ops: int, engine: str) -> None:
         """Record nothing."""
 
     def cell_cache_hit(self, key: str) -> None:
@@ -121,8 +121,7 @@ class NullSweepRecorder:
     def cell_start(self, key: str) -> None:
         """Record nothing."""
 
-    def cell_done(self, key: str, worker: int = 0,
-                  engine: Optional[str] = None,
+    def cell_done(self, key: str, engine: str, worker: int = 0,
                   fallback_reasons: Sequence[str] = ()) -> None:
         """Record nothing."""
 
@@ -208,13 +207,12 @@ class SweepRecorder(NullSweepRecorder):
             simulation_version=simulation_version, cache=cache_attached)
 
     def cell_queued(self, key: str, profile: str, policy: str, seed: int,
-                    num_ops: int, engine: str = "oracle") -> None:
+                    num_ops: int, engine: str) -> None:
         """Announce one distinct cell of the sweep (first-seen order).
 
         ``engine`` is the engine the spec *requests*; whether a fast
-        cell actually took the fast path is only known at
-        :meth:`cell_done`, which overwrites the record with the
-        telemetry-reported engine and fallback reasons.
+        cell takes the fast path is reported at :meth:`cell_done`, which
+        adds the cell's fallback reasons to the record.
         """
         self._emit("cell_queued", key=key, profile=profile, policy=policy,
                    seed=seed, num_ops=num_ops, engine=engine)
@@ -249,22 +247,18 @@ class SweepRecorder(NullSweepRecorder):
         """Serial path only: this cell starts executing right now."""
         self._start_t[key] = self._emit("cell_start", key=key)
 
-    def cell_done(self, key: str, worker: int = 0,
-                  engine: Optional[str] = None,
+    def cell_done(self, key: str, engine: str, worker: int = 0,
                   fallback_reasons: Sequence[str] = ()) -> None:
         """One cell finished; ``worker`` is 0 on the serial path.
 
-        ``engine``/``fallback_reasons`` come from
-        :meth:`~repro.exec.jobspec.JobSpec.execute_with_telemetry`; a
-        caller without telemetry (``engine=None``) falls back to the
-        engine announced at :meth:`cell_queued`.
+        ``engine`` is the spec's engine and ``fallback_reasons``, for a
+        fast cell, :func:`repro.fastsim.fallback_reasons` of its config;
+        the runner computes both in the parent.
         """
         now = self._now()
         wall = self._cell_wall(key, now)
         self.completed += 1
         record = self._cells.get(key)
-        if engine is None:
-            engine = record["engine"] if record is not None else "oracle"
         reasons = list(fallback_reasons)
         bucket = _engine_bucket(engine, reasons)
         self._engine_counts[bucket] = self._engine_counts.get(bucket, 0) + 1

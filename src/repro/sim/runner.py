@@ -12,20 +12,24 @@ import dataclasses
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 if TYPE_CHECKING:  # circularity guard: repro.exec executes via this layer
-    from repro.exec import ResultCache, SweepRunner
+    from repro.exec import ResultCache, SweepRunner, TraceStore
 
 from repro.config import SystemConfig
 from repro.core.token import TokenArbiter
 from repro.cpu.multicore import MultiCoreScheduler
 from repro.errors import ConfigError
+from repro.fastsim import (DEFAULT_ENGINE, FastSimulator,
+                           shared_columnar_store, validate_engine)
 from repro.memory.dram import Dram
 from repro.obs.spans import NullRecorder
 from repro.sim.results import MulticoreResult, SimulationResult
 from repro.sim.simulator import Simulator, static_offchip_latency_cycles
-from repro.workloads.synthetic import generate_trace
+from repro.workloads.profiles import get_profile
+from repro.workloads.synthetic import SyntheticTraceGenerator, generate_trace
 
 __all__ = [
     "run_workload",
+    "simulate_cell",
     "run_policy_comparison",
     "run_multicore",
     "run_seed_study",
@@ -45,7 +49,7 @@ def run_workload(config: SystemConfig, profile_name: str, num_ops: int,
                  seed: int = 1, temperature_c: Optional[float] = None,
                  warmup_ops: int = 0,
                  recorder: Optional[NullRecorder] = None,
-                 engine: str = "oracle") -> SimulationResult:
+                 engine: str = DEFAULT_ENGINE) -> SimulationResult:
     """Generate a trace for ``profile_name`` and run it through ``config``.
 
     ``warmup_ops`` extra ops are replayed first and excluded from every
@@ -66,24 +70,46 @@ def run_workload(config: SystemConfig, profile_name: str, num_ops: int,
     however long the run is.  The fast path ingests the trace into
     memoized columnar arrays (a few bytes per op) instead.
     """
-    from repro.workloads.synthetic import SyntheticTraceGenerator
-    from repro.workloads.profiles import get_profile
-    from repro.fastsim import validate_engine
+    return simulate_cell(config, profile_name, num_ops, seed=seed,
+                         temperature_c=temperature_c, warmup_ops=warmup_ops,
+                         recorder=recorder, engine=engine)
 
+
+def simulate_cell(config: SystemConfig, profile_name: str, num_ops: int, *,
+                  seed: int = 1, temperature_c: Optional[float] = None,
+                  warmup_ops: int = 0,
+                  recorder: Optional[NullRecorder] = None,
+                  engine: str = DEFAULT_ENGINE,
+                  trace_store: "Optional[TraceStore]" = None
+                  ) -> SimulationResult:
+    """Run one single-core cell: the one place that picks the engine.
+
+    Builds a :class:`~repro.fastsim.FastSimulator` (``engine="fast"``) or
+    an oracle :class:`~repro.sim.simulator.Simulator` and feeds it the
+    (warmup, measured) traces.  The fast engine takes them from the
+    per-process :func:`~repro.fastsim.shared_columnar_store`; the oracle
+    from ``trace_store`` (a :class:`repro.exec.TraceStore`) when one is
+    given, otherwise the generator streams straight into the simulator.
+    :func:`run_workload` and :meth:`repro.exec.JobSpec.execute` are thin
+    calls to this; neither calls the other, so each cell is timed once.
+    """
     validate_engine(engine)
     kwargs = {} if temperature_c is None else {"temperature_c": temperature_c}
+    simulator: "Simulator | FastSimulator"
     if engine == "fast":
-        from repro.fastsim import FastSimulator, shared_columnar_store
-
-        fast = FastSimulator(config, workload=profile_name, seed=seed,
-                             recorder=recorder, **kwargs)
-        warm_trace, measured_trace = shared_columnar_store().traces(
+        simulator = FastSimulator(config, workload=profile_name, seed=seed,
+                                  recorder=recorder, **kwargs)
+        store = shared_columnar_store()
+    else:
+        simulator = Simulator(config, workload=profile_name, seed=seed,
+                              recorder=recorder, **kwargs)
+        store = trace_store
+    if store is not None:
+        warm_trace, measured_trace = store.traces(
             profile_name, num_ops, seed=seed, warmup_ops=warmup_ops)
         if warmup_ops:
-            fast.warm_up(warm_trace)
-        return fast.run(measured_trace)
-    simulator = Simulator(config, workload=profile_name, seed=seed,
-                          recorder=recorder, **kwargs)
+            simulator.warm_up(warm_trace)
+        return simulator.run(measured_trace)
     generator = SyntheticTraceGenerator(get_profile(profile_name), seed=seed)
     if warmup_ops:
         simulator.warm_up(generator.operations(warmup_ops))
@@ -94,7 +120,7 @@ def run_policy_comparison(config: SystemConfig, profile_names: Sequence[str],
                           policies: Sequence[str], num_ops: int,
                           seed: int = 1, jobs: int = 1,
                           cache: "Optional[ResultCache]" = None,
-                          engine: str = "oracle"
+                          engine: str = DEFAULT_ENGINE
                           ) -> Dict[str, Dict[str, SimulationResult]]:
     """The F2/T3 matrix: results[workload][policy].
 
@@ -126,7 +152,7 @@ def run_seed_study(config: SystemConfig, profile_name: str, num_ops: int,
                    seeds: Sequence[int],
                    baseline_policy: str = "never", jobs: int = 1,
                    cache: "Optional[ResultCache]" = None,
-                   engine: str = "oracle") -> "SeedStudy":
+                   engine: str = DEFAULT_ENGINE) -> "SeedStudy":
     """Replicate one (workload, policy) comparison across trace seeds.
 
     Every seed generates an independent trace instance of the same

@@ -138,6 +138,51 @@ class TestTraceFileRun:
         assert "error:" in capsys.readouterr().err
 
 
+class TestEngineFlag:
+    """``--engine fast`` prints exactly what ``--engine oracle`` prints."""
+
+    @staticmethod
+    def _both_engines(capsys, argv):
+        outputs = []
+        for engine in ("oracle", "fast"):
+            assert main(argv + ["--engine", engine]) == 0
+            outputs.append(capsys.readouterr().out)
+        return outputs
+
+    def test_run_json_on_a_profile(self, capsys):
+        oracle, fast = self._both_engines(
+            capsys, ["run", "gcc_like", "--ops", "800", "--json", "--baseline"])
+        assert json.loads(fast) == json.loads(oracle)
+
+    def test_run_json_on_a_trace_file(self, capsys, tmp_path):
+        path = str(tmp_path / "t.jsonl")
+        assert main(["trace", "generate", "mcf_like", path, "--ops", "600"]) == 0
+        capsys.readouterr()
+        oracle, fast = self._both_engines(
+            capsys, ["run", path, "--json", "--baseline"])
+        assert json.loads(fast) == json.loads(oracle)
+        assert json.loads(fast)["workload"] == path
+
+    def test_compare_table(self, capsys):
+        oracle, fast = self._both_engines(
+            capsys, ["compare", "--workloads", "gcc_like", "mcf_like",
+                     "--policies", "never", "mapg", "--ops", "600"])
+        assert fast == oracle and "mcf_like" in fast
+
+    def test_sweep_table(self, capsys):
+        oracle, fast = self._both_engines(
+            capsys, ["sweep", "bet", "--workload", "gcc_like", "--ops", "500",
+                     "--values", "0.5", "2.0"])
+        assert fast == oracle and "sweep on gcc_like" in fast
+
+    def test_unknown_engine_is_clean_error(self, capsys):
+        assert main(["run", "gcc_like", "--ops", "100",
+                     "--engine", "bogus"]) == 2
+        err = capsys.readouterr().err
+        assert "error: unknown engine 'bogus'" in err
+        assert "Traceback" not in err
+
+
 class TestVariation:
     def test_population_table(self, capsys):
         assert main(["variation", "--dies", "6", "--sigma", "0.4"]) == 0

@@ -7,6 +7,7 @@ they exercise plumbing, not throughput.
 """
 
 import json
+import os
 
 import pytest
 
@@ -14,7 +15,7 @@ import repro.exec.tracestore as tracestore_module
 from repro.config import SystemConfig
 from repro.errors import ConfigError, ReproError, SweepError
 from repro.exec import JobSpec, ResultCache, SweepRunner, result_to_dict
-from repro.obs import SelfProfiler
+from repro.obs import SelfProfiler, SweepRecorder
 from repro.sim.runner import (
     run_policy_comparison,
     run_seed_study,
@@ -162,6 +163,19 @@ class TestWorkerCountInvariance:
         serial = run_seed_study(config, "gcc_like", 250, (3, 5))
         parallel = run_seed_study(config, "gcc_like", 250, (3, 5), jobs=4)
         assert serial == parallel  # float tuples compare bit-exactly
+
+    def test_pool_capped_at_cpu_count(self, monkeypatch):
+        # jobs=64 on a 2-vCPU host used to spawn 64 interpreters.
+        specs = tiny_specs()
+        serial = SweepRunner(jobs=1).run(specs)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        recorder = SweepRecorder()
+        parallel = SweepRunner(jobs=8, recorder=recorder).run(specs)
+        dispatch = [event for event in recorder.events()
+                    if event["event"] == "dispatch"]
+        assert [(event["mode"], event["workers"]) for event in dispatch] \
+            == [("pool", 2)]
+        assert canonical_bytes(parallel) == canonical_bytes(serial)
 
 
 class TestTraceMemoization:

@@ -30,7 +30,8 @@ from repro.core.token import TokenArbiter
 from repro.errors import ConfigError, SimulationError
 from repro.exec import JobSpec, SweepRunner
 from repro.fastsim import (
-    ColumnarTrace, FastSimulator, shared_columnar_store, validate_engine)
+    ColumnarTrace, FastSimulator, fallback_reasons, shared_columnar_store,
+    validate_engine)
 from repro.fastsim import kernel as kernel_module
 from repro.memory.dram import Dram
 from repro.power.technology import TECHNOLOGY_NODES
@@ -465,6 +466,7 @@ class TestFuzzedConfigs:
                                  temperature_c=temperature)
             assert fast.used_fast_path, \
                 f"fuzz seed {seed} fell back: {fast.fallback_reasons}"
+            assert fallback_reasons(config) == fast.fallback_reasons
             modes.add(fast._stall_mode)
             warm_trace, trace = shared_columnar_store().traces(
                 profile, FUZZ_OPS, seed=trace_seed, warmup_ops=warmup)
@@ -499,6 +501,7 @@ class TestFuzzedConfigs:
         assert reason
         config = with_leaf(SystemConfig(), leaf, value)
         assert FastSimulator(config).fallback_reasons, leaf
+        assert fallback_reasons(config) == FastSimulator(config).fallback_reasons
 
     def test_multi_core_leaves_reach_the_kernel_only_as_refused_objects(self):
         assert all(MULTI_CORE_LEAVES.values())
@@ -506,3 +509,7 @@ class TestFuzzedConfigs:
         shared = FastSimulator(config, shared_dram=Dram(config.dram))
         tap = FastSimulator(config, token_arbiter=TokenArbiter(config.token))
         assert shared.fallback_reasons and tap.fallback_reasons
+        assert (fallback_reasons(config, shared_dram=Dram(config.dram)),
+                fallback_reasons(config,
+                                 token_arbiter=TokenArbiter(config.token))) \
+            == (shared.fallback_reasons, tap.fallback_reasons)
