@@ -9,12 +9,16 @@ cells and returns their results **in input order**, built in three steps:
 2. **Execution** — cache misses run either inline (``jobs=1``, sharing
    one :class:`~repro.exec.tracestore.TraceStore` so identical traces are
    generated once per process) or over a spawn-safe ``multiprocessing``
-   pool of at most one worker per CPU.  Workers receive plain-dict
-   payloads (no pickled code objects), rebuild the spec, and keep a
-   module-level trace store of their own, so a worker simulating several
-   policies of one workload also generates its trace once.  Both
-   executors yield the same ``(key, result, worker)`` outcomes into one
-   merge loop.
+   pool of at most one worker per CPU.  The pool is one per process:
+   built by the first pooled run, reused by every later one, rebuilt
+   when a run needs another worker count, and terminated at interpreter
+   exit (or at once, if a run is abandoned with cells in flight).
+   Workers receive plain-dict payloads (no pickled code objects),
+   rebuild the spec, and keep a module-level trace store of their own
+   that outlives each run, so a worker simulating several policies of
+   one workload — in one run or across runs — generates its trace once.
+   Both executors yield the same ``(key, result, worker)`` outcomes into
+   one merge loop.
 3. **Deterministic merge** — results are keyed by the spec's sha256 job
    key and emitted in the caller's spec order, so sweep output is
    byte-identical at any worker count and any completion order.
@@ -32,6 +36,7 @@ not, at any ``jobs`` count.
 
 from __future__ import annotations
 
+import atexit
 import multiprocessing
 import os
 from collections import OrderedDict
@@ -53,6 +58,10 @@ _START_METHOD = "spawn"
 # One trace store per pool worker, lazily built on the first task so the
 # parent never ships trace data across the process boundary.
 _WORKER_STORE: Optional[TraceStore] = None  # mapglint: declared-cache
+
+# The parent's pool, kept across runs: {worker count: pool}, at most one
+# entry.  It holds processes, not results, so it cannot change any output.
+_POOLS: Dict[int, Any] = {}  # mapglint: declared-cache
 
 # (job key, result or error record, worker pid; 0 = the parent process)
 _Outcome = Tuple[str, Any, int]
@@ -91,16 +100,49 @@ def _execute_payload(item: "Tuple[str, Dict[str, Any]]"  # mapglint: error-bound
     return key, result_to_dict(result), os.getpid()
 
 
+def _shared_pool(workers: int) -> Any:
+    """The process's pool of ``workers`` spawn workers, built on first use.
+
+    A different worker count terminates the current pool first, so the
+    holder never keeps more than one.
+    """
+    pool = _POOLS.get(workers)
+    if pool is None:
+        _drop_pool()
+        pool = multiprocessing.get_context(_START_METHOD).Pool(
+            processes=workers)
+        _POOLS[workers] = pool
+    return pool
+
+
+def _drop_pool() -> None:
+    """Terminate the process's pool, if there is one."""
+    for pool in _POOLS.values():
+        pool.terminate()
+        pool.join()
+    _POOLS.clear()
+
+
+# Terminate before interpreter teardown: a pool still running then warns
+# from Pool.__del__, which can also raise once the modules it needs are gone.
+atexit.register(_drop_pool)
+
+
 def _pool_outcomes(missing: "List[Tuple[str, JobSpec]]",
                    workers: int) -> Iterator[_Outcome]:
     """The pool executor: ``missing`` fanned over ``workers`` processes."""
     payloads = [(key, spec.to_payload()) for key, spec in missing]
-    with multiprocessing.get_context(_START_METHOD).Pool(
-            processes=workers) as pool:
+    pool = _shared_pool(workers)
+    try:
         # The worker's only effect beyond its payload is os.getpid() for
         # the telemetry side channel; the pid never reaches a result.
         yield from pool.imap_unordered(  # mapglint: disable=PURE01
             _execute_payload, payloads, chunksize=1)
+    except BaseException:
+        # Closed early (GeneratorExit) or broken: cells may still be in
+        # flight, and they must not hold the next run's workers.
+        _drop_pool()
+        raise
 
 
 class SweepRunner:
@@ -175,7 +217,7 @@ class SweepRunner:
                                mode="pool" if pooled else "serial")
         outcomes = (_pool_outcomes(missing, workers) if pooled
                     else self._inline_outcomes(missing))
-        with closing(outcomes):  # an escaping error still shuts the pool
+        with closing(outcomes):  # an escaping error drops the pool
             for key, outcome, worker in outcomes:
                 if isinstance(outcome, dict):
                     error = outcome.get("__mapg_error__")

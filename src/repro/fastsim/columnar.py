@@ -36,11 +36,6 @@ from array import array
 from collections import OrderedDict
 from typing import Dict, Iterable, Iterator, List, Tuple
 
-try:  # vectorized key precompute; the pure-python fallback is equivalent
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is in the reference image
-    _np = None  # type: ignore[assignment]
-
 from repro.errors import ConfigError, TraceError
 from repro.trace.format import ComputeBlock, MemoryAccess, TraceOp
 from repro.workloads.profiles import get_profile
@@ -129,24 +124,17 @@ class ColumnarTrace:
 
         Precomputed once per (offset_bits, index_mask) pair and memoized —
         the batched kernel's hottest per-access work is exactly these three
-        integer ops, so folding them out of the loop (vectorized when numpy
-        is available; the scalar fallback computes identical values) buys a
-        measurable share of the speedup.
+        integer ops, so folding them out of the loop (three plain list
+        comprehensions) buys a measurable share of the speedup.
         """
         geometry = (offset_bits, index_mask)
         cached = self._keys_by_geometry.get(geometry)
         if cached is not None:
             return cached
         index_bits = index_mask.bit_length()
-        if _np is not None and self.num_memory_ops:
-            raw = _np.frombuffer(self.addresses, dtype=_np.int64)
-            block_v = raw >> offset_bits
-            keys = (block_v.tolist(), (block_v & index_mask).tolist(),
-                    (block_v >> index_bits).tolist())
-        else:
-            blocks = [address >> offset_bits for address in self.addresses]
-            keys = (blocks, [block & index_mask for block in blocks],
-                    [block >> index_bits for block in blocks])
+        blocks = [address >> offset_bits for address in self.addresses]
+        keys = (blocks, [block & index_mask for block in blocks],
+                [block >> index_bits for block in blocks])
         self._keys_by_geometry[geometry] = keys
         return keys
 

@@ -7,7 +7,10 @@ they exercise plumbing, not throughput.
 """
 
 import json
+import multiprocessing
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -176,6 +179,93 @@ class TestWorkerCountInvariance:
         assert [(event["mode"], event["workers"]) for event in dispatch] \
             == [("pool", 2)]
         assert canonical_bytes(parallel) == canonical_bytes(serial)
+
+
+class TestPoolReuse:
+    """One spawn pool per process, kept across ``SweepRunner.run`` calls."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+    @staticmethod
+    def pool_pids():
+        return {child.pid for child in multiprocessing.active_children()}
+
+    @staticmethod
+    def pooled_run(specs, recorder=None):
+        recorder = recorder if recorder is not None else SweepRecorder()
+        results = SweepRunner(jobs=2, recorder=recorder).run(specs)
+        return results, {int(pid) for pid in recorder.summary()["per_worker"]}
+
+    def test_consecutive_runs_share_one_pool(self):
+        specs = tiny_specs()
+        serial = canonical_bytes(SweepRunner(jobs=1).run(specs))
+        first, first_workers = self.pooled_run(specs)
+        pool = self.pool_pids()
+        second, second_workers = self.pooled_run(specs)
+        assert canonical_bytes(first) == serial
+        assert canonical_bytes(second) == serial
+        # Either run may hand every tiny cell to one worker, so both are
+        # checked against the pool the first run left behind.
+        assert len(pool) == 2
+        assert first_workers <= pool and second_workers <= pool
+        assert self.pool_pids() == pool
+
+    def test_failed_cell_keeps_the_pool(self):
+        specs = tiny_specs()
+        poison = JobSpec(config=SystemConfig(), profile="no_such_profile",
+                         num_ops=100, seed=3)
+        with pytest.raises(SweepError) as excinfo:
+            self.pooled_run(specs + [poison])
+        assert excinfo.value.failures.keys() == {poison.key}
+        pool = self.pool_pids()
+        results, workers = self.pooled_run(specs)
+        assert canonical_bytes(results) \
+            == canonical_bytes(SweepRunner(jobs=1).run(specs))
+        assert workers <= pool and self.pool_pids() == pool
+
+    def test_escaping_error_drops_the_pool(self):
+        class BrokenRecorder(SweepRecorder):
+            def cell_done(self, *args, **kwargs):
+                raise RuntimeError("recorder broke")
+
+        specs = tiny_specs()
+        self.pooled_run(specs)
+        old_pool = self.pool_pids()
+        with pytest.raises(RuntimeError, match="recorder broke"):
+            self.pooled_run(specs, recorder=BrokenRecorder())
+        # The abandoned pool is gone: no worker of it is still alive.
+        assert not self.pool_pids()
+        results, workers = self.pooled_run(specs)
+        assert workers and workers <= self.pool_pids()
+        assert not workers & old_pool
+        assert canonical_bytes(results) \
+            == canonical_bytes(SweepRunner(jobs=1).run(specs))
+
+    def test_interpreter_exits_cleanly_with_a_live_pool(self, tmp_path):
+        # Spawn workers re-import __main__, so the sweep runs from a file.
+        script = tmp_path / "pooled_sweep.py"
+        script.write_text(
+            "from repro.config import SystemConfig\n"
+            "from repro.exec import JobSpec, SweepRunner\n"
+            "from repro.sim.runner import with_policy\n"
+            "if __name__ == '__main__':\n"
+            "    specs = [JobSpec(config=with_policy(SystemConfig(), p),\n"
+            "                     profile='gcc_like', num_ops=200, seed=3)\n"
+            "             for p in ('never', 'mapg')]\n"
+            "    SweepRunner(jobs=2).run(specs)\n"
+            "    SweepRunner(jobs=2).run(specs)\n",
+            encoding="utf-8")
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        # ResourceWarning shows a pool still running at teardown.
+        proc = subprocess.run(
+            [sys.executable, "-W", "always::ResourceWarning", str(script)],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            text=True, timeout=120)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
 
 
 class TestTraceMemoization:

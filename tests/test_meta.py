@@ -7,8 +7,11 @@ item in the library carries a docstring.
 
 import importlib
 import inspect
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import repro
@@ -84,3 +87,21 @@ class TestDocstrings:
                 undocumented.append(info.name)
         assert not undocumented, \
             f"modules without docstrings: {undocumented}"
+
+
+class TestImportFootprint:
+    def test_simulator_never_imports_numpy(self):
+        # numpy costs every fresh process and every spawn worker ~150 ms
+        # of import and ~12 MiB of RSS; the simulator needs none of it.
+        script = (
+            "import sys\n"
+            "import repro, repro.exec, repro.sim.runner\n"
+            "from repro.config import SystemConfig\n"
+            "repro.sim.runner.run_workload(SystemConfig(), 'gcc_like', 500,\n"
+            "                              seed=3, engine='fast')\n"
+            "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
