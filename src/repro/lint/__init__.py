@@ -37,11 +37,9 @@ Whole-program rules:
 * **CACHE01 / PURE01 / OBS01 / PAR01** — effect rules over the inferred
   effect closure: cache-key soundness, pool-worker purity, observability
   neutrality, and picklable pool payloads.
-* **CONC01–CONC04** — concurrency safety over the extracted concurrency
-  model: shared-state races (with the ``# mapglint: guarded-by=<lock>``
-  pragma), lock discipline and project-wide lock order, fork/spawn
-  hygiene for pool payloads, and atomic temp-file + ``os.replace``
-  publication of digest-keyed cache entries.
+* **CONC01** — shared-state races over the extracted concurrency model:
+  guarded fields (the ``# mapglint: guarded-by=<lock>`` pragma) and
+  unsynchronized writes reachable from a thread, task or pool worker.
 
 Run it as ``python -m repro.lint [paths]`` or ``python -m repro lint``.
 Per-file results are cached under ``.mapglint-cache/`` and recomputed in

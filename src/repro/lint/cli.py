@@ -47,10 +47,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="worker processes for per-file analysis "
                              "(default: 1)")
     parser.add_argument("--fix", action="store_true",
-                        help="apply mechanical fixes (float equality -> "
-                             "math.isclose, raw scale literals -> "
-                             "repro.units constants, duplicated engine "
-                             "constants -> their shared definition) "
+                        help="apply the FLT01 and UNIT01 mechanical "
+                             "fixes (float equality -> math.isclose, raw "
+                             "scale literals -> repro.units constants) "
                              "before linting")
     parser.add_argument("--no-cache", action="store_true",
                         help="disable the per-file result cache")

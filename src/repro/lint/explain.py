@@ -85,28 +85,6 @@ _EXAMPLES: Dict[str, Tuple[str, str]] = {
         "    with _LOCK:\n"
         "        _STATE['tick'] += 1  # binding lock held at the write",
     ),
-    "CONC02": (
-        "lock.acquire()\n"
-        "do_work()                   # an exception leaks the lock\n"
-        "lock.release()",
-        "with lock:\n"
-        "    do_work()               # released on every exit edge",
-    ),
-    "CONC03": (
-        "with state_lock:\n"
-        "    pool.map(_worker, cells)   # submission under a held lock",
-        "pool.map(_worker, cells)\n"
-        "with state_lock:\n"
-        "    merge(results)             # lock around the merge only",
-    ),
-    "CONC04": (
-        "with open(entry_path, 'wb') as fh:\n"
-        "    fh.write(payload)       # readers can see the torn entry",
-        "tmp = f'{entry_path}.{os.getpid()}.tmp'\n"
-        "with open(tmp, 'wb') as fh:\n"
-        "    fh.write(payload)\n"
-        "os.replace(tmp, entry_path)  # atomic publication",
-    ),
     "ERR01": (
         "def _worker(item):\n"
         "    return simulate(item)   # ConfigError escapes, pool join dies",

@@ -1,7 +1,6 @@
-"""Shared substrate for the CONC rules: roots, lock identity, bindings.
+"""Shared substrate for CONC01: concurrent roots and guarded bindings.
 
-The four concurrency rules (CONC01–CONC04) all reason from the same
-three questions, answered here so they answer them identically:
+CONC01 (shared-state race) reasons from two questions, answered here:
 
 * **What are the concurrent roots?** Every spawn site (thread, timer,
   async task) and every pool submission whose worker resolves — by the
@@ -12,13 +11,6 @@ three questions, answered here so they answer them identically:
   bindings are per-module facts; :func:`binding_locks` looks them up in
   the module that *defines* the symbol (where phase 1 emitted the
   guarded-write effect), so a rule never has to rediscover the pragma.
-
-* **When are two lock spellings the same lock?** Spellings are only
-  comparable within a scope: ``self._lock`` in two different classes is
-  two locks, a bare ``_lock`` parameter in two functions likewise, but a
-  lock-typed module global is one lock everywhere in its module.
-  :func:`qualify_lock` canonicalizes a spelling to a project-wide
-  identity so CONC02's order graph never aliases unrelated locks.
 """
 
 from __future__ import annotations
@@ -93,33 +85,6 @@ def binding_locks(model: ProjectModel, path: str,
         return frozenset()
     return frozenset(binding.lock for binding in effects.guarded_bindings
                      if binding.symbol == symbol)
-
-
-def lock_globals_of(model: ProjectModel, path: str) -> FrozenSet[str]:
-    """Lock-typed module globals defined by the module at ``path``."""
-    summary = model.summary_for(path)
-    effects = getattr(summary, "module_effects", None)
-    if effects is None:
-        return frozenset()
-    return effects.lock_globals
-
-
-def qualify_lock(path: str, function_qualname: str, lock: str,
-                 module_locks: FrozenSet[str] = frozenset()) -> str:
-    """Canonical project-wide identity for a lock spelling at a site.
-
-    ``self.X``/``cls.X`` locks are per-class (qualified by the defining
-    class); lock-typed module globals (``module_locks``) are per-module;
-    everything else (parameters, locals) is per-function.
-    """
-    head = lock.split(".", 1)[0]
-    if head in ("self", "cls"):
-        qual = function_qualname.split("::", 1)[-1]
-        class_name = qual.rsplit(".", 1)[0] if "." in qual else qual
-        return f"{path}::{class_name}::{lock}"
-    if head in module_locks:
-        return f"{path}::{lock}"
-    return f"{function_qualname}::{lock}"
 
 
 def iter_module_effects(model: ProjectModel,

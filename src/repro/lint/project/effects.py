@@ -39,23 +39,17 @@ Declared caches produce no global-read/global-write effects; the
 declaration is the author's auditable claim that the memo cannot change
 any result, placed where a reviewer will see it.
 
-Since the worker-pool and daemon roadmap items make the repo genuinely
-concurrent, phase 1 also extracts a **concurrency model**:
+Phase 1 also extracts the **concurrency model** CONC01 reads:
 
 * **spawn sites** — thread and async-task entry points
   (``threading.Thread(target=...)``, ``asyncio.create_task``); together
   with the pool submissions already recorded, these are the roots from
-  which concurrent execution can reach shared state (CONC01, CONC03);
-* **lock structure** — lock-typed module globals, every ``with lock:``
-  block, and bare ``acquire``/``release`` calls with their control-flow
-  context (CONC02), plus the statically-known set of locks held at each
-  write site;
+  which concurrent execution can reach shared state;
+* **locks held** — the ``with lock:`` blocks statically enclosing each
+  effect site, recorded on the effect;
 * **guarded fields** — a ``# mapglint: guarded-by=<lock>`` pragma on a
   definition line binds a module global or instance attribute to the
-  lock that must be held to write it (CONC01);
-* **persistence writes** — every write-mode ``open`` with its path
-  spelling, so digest-keyed cache entries can be required to use the
-  temp-file + ``os.replace`` publication pattern (CONC04).
+  lock that must be held to write it.
 
 The daemon-readiness roadmap items also need **exception flow**: at
 10^4–10^6 sweep cells, one escaped exception kills a pool join and one
@@ -92,7 +86,7 @@ from __future__ import annotations
 
 import ast
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.lint.project.dimensions import dotted_name
@@ -103,7 +97,11 @@ from repro.lint.project.dimensions import dotted_name
 #: 3: ModuleEffects grew the error-flow model (raise sites, handler
 #: spans, protected spans, resource sites, exception classes, and the
 #: error-boundary pragma) for ERR01–ERR04/RES01.
-EFFECT_SCHEMA = 3
+#: 4: lock operations, persistence writes, lock-typed globals, the locks
+#: held at pool submissions, and the thread-spawn/lock-acquire effect
+#: kinds removed with the retired lock-discipline, spawn-hygiene and
+#: atomic-persistence rules.
+EFFECT_SCHEMA = 4
 
 # ---- the effect alphabet ---------------------------------------------------
 
@@ -115,14 +113,12 @@ PROCESS = "process"            # process/pool management, pids
 GLOBAL_WRITE = "global-write"  # post-import mutation of a module global
 GLOBAL_READ = "global-read"    # read of a post-import-mutated module global
 OBS_EMIT = "obs-emit"          # recorder/metrics emission (from call sites)
-THREAD = "thread-spawn"        # thread/async-task creation (CONC03)
-LOCK = "lock-acquire"          # lock acquisition, with-block or bare call
 GUARDED_WRITE = "guarded-write"    # write to a guarded-by bound symbol
 SHARED_WRITE = "shared-attr-write"  # mutation of a class-level mutable attr
 
 #: Every effect kind phase 1 can emit, in display order.
 ALL_EFFECTS = (ENV, FS, RNG, CLOCK, PROCESS, GLOBAL_WRITE, GLOBAL_READ,
-               OBS_EMIT, THREAD, LOCK, GUARDED_WRITE, SHARED_WRITE)
+               OBS_EMIT, GUARDED_WRITE, SHARED_WRITE)
 
 #: The kinds that make a pool worker impure (PURE01) — everything except
 #: recorder emission, which workers never see (recorders are per-process).
@@ -132,12 +128,6 @@ IMPURE_KINDS = frozenset({ENV, FS, RNG, CLOCK, PROCESS,
 #: The kinds that make a cached simulation result stale-prone (CACHE01):
 #: inputs the JobSpec/source digest cannot see.
 CACHE_HAZARD_KINDS = frozenset({ENV, GLOBAL_WRITE, GLOBAL_READ})
-
-#: The concurrency kinds.  Deliberately *not* part of IMPURE_KINDS or
-#: CACHE_HAZARD_KINDS: they have dedicated rules (CONC01/CONC03) with
-#: their own reachability conditions, and folding them into PURE01 or
-#: CACHE01 would double-report every finding.
-CONCURRENCY_KINDS = frozenset({THREAD, LOCK, GUARDED_WRITE, SHARED_WRITE})
 
 
 @dataclass(frozen=True)
@@ -189,7 +179,6 @@ class PoolSubmission:
     line_text: str = ""
     lambda_in_args: bool = False
     open_in_args: bool = False
-    locks_held: Tuple[str, ...] = ()  # locks held at the submission site
 
 
 @dataclass(frozen=True)
@@ -208,21 +197,6 @@ class SpawnSite:
 
 
 @dataclass(frozen=True)
-class LockOp:
-    """One lock operation: a ``with lock:`` block or a bare acquire/release."""
-
-    op: str                    # "with" | "acquire" | "release"
-    lock: str                  # dotted lock spelling ("self._lock")
-    function: str              # qualname of the enclosing function
-    line: int
-    col: int
-    line_text: str = ""
-    conditional: bool = False  # under an if/while/for/except branch
-    in_finally: bool = False   # directly inside a finally block
-    held_before: Tuple[str, ...] = ()  # locks already held (order pairs)
-
-
-@dataclass(frozen=True)
 class GuardedBinding:
     """One ``# mapglint: guarded-by=<lock>`` field-to-lock binding."""
 
@@ -232,19 +206,6 @@ class GuardedBinding:
     line: int
     col: int
     line_text: str = ""
-
-
-@dataclass(frozen=True)
-class FileWrite:
-    """One write-mode ``open`` call (a persistence write site)."""
-
-    path_repr: str             # source spelling of the path expression
-    mode: str                  # the mode string ("w", "wb", "a", ...)
-    in_function: str           # qualname of the enclosing function
-    line: int
-    col: int
-    line_text: str = ""
-    replace_in_function: bool = False  # os.replace() in the same function
 
 
 @dataclass(frozen=True)
@@ -352,10 +313,7 @@ class ModuleEffects:
     declared_caches: FrozenSet[str] = frozenset()
     nested_functions: FrozenSet[str] = frozenset()
     spawn_sites: Tuple[SpawnSite, ...] = ()
-    lock_ops: Tuple[LockOp, ...] = ()
     guarded_bindings: Tuple[GuardedBinding, ...] = ()
-    file_writes: Tuple[FileWrite, ...] = ()
-    lock_globals: FrozenSet[str] = frozenset()
     raise_sites: Tuple[RaiseSite, ...] = ()
     handlers: Tuple[HandlerInfo, ...] = ()
     protected_spans: Tuple[ProtectedSpan, ...] = ()
@@ -373,10 +331,6 @@ _ERROR_BOUNDARY_RE = re.compile(r"#\s*mapglint:\s*error-boundary\b")
 _GUARDED_BY_RE = re.compile(
     r"#\s*mapglint:\s*guarded-by=([A-Za-z_][A-Za-z0-9_.]*)")
 
-#: Constructors whose result is a lock object.
-_LOCK_FACTORIES = frozenset({"Lock", "RLock", "Condition", "Semaphore",
-                             "BoundedSemaphore"})
-
 #: Name segments marking a receiver as lock-like (``self._lock``,
 #: ``_CACHE_MUTEX``, ``state_cond`` ...).  Matching by spelling keeps the
 #: model honest about what it can know statically; locks the convention
@@ -392,8 +346,6 @@ _NOT_A_LOCK = frozenset({"clock", "block", "unblock"})
 #: Thread/async-task creation: the task-spawning attribute calls.
 _TASK_SPAWN_FUNCS = frozenset({"create_task", "ensure_future",
                                "run_coroutine_threadsafe"})
-
-_WRITE_MODE_CHARS = frozenset("wax+")
 
 _WALL_CLOCK = {
     "time": frozenset({"time", "time_ns", "perf_counter", "perf_counter_ns",
@@ -774,8 +726,6 @@ class _EffectVisitor(ast.NodeVisitor):
             self._emit(ENV, node, "getenv() reads the environment")
         elif name in ("Pool", "Process"):
             self._emit(PROCESS, node, f"{name}() manages processes")
-        elif name in ("Thread", "Timer"):
-            self._emit(THREAD, node, f"{name}() spawns a thread")
 
     def _check_attr_call(self, node: ast.Call, func: ast.Attribute) -> None:
         base = _call_base(func)
@@ -810,13 +760,6 @@ class _EffectVisitor(ast.NodeVisitor):
         elif base in ("np.random", "numpy.random"):
             self._emit(RNG, node,
                        f"{rendering}() draws from the global NumPy RNG")
-        elif base == "threading" and attr in ("Thread", "Timer"):
-            self._emit(THREAD, node, f"{rendering}() spawns a thread")
-        elif attr in _TASK_SPAWN_FUNCS:
-            self._emit(THREAD, node, f"{rendering}() spawns an async task")
-        elif attr == "acquire" and base and is_lock_name(base):
-            self._emit(LOCK, node, f"acquires lock '{base}' (bare call)",
-                       symbol=base)
         elif attr in _PATHLIKE_FS_METHODS:
             self._emit(FS, node, f".{attr}() touches the filesystem")
         elif attr in _MUTATOR_METHODS:
@@ -847,22 +790,6 @@ class _EffectVisitor(ast.NodeVisitor):
                 self._emit(SHARED_WRITE, node,
                            f"mutates class-level mutable attribute "
                            f"'{recv.attr}' via .{attr}()", symbol=recv.attr)
-
-    # -- locks ---------------------------------------------------------------
-
-    def visit_With(self, node: ast.With) -> None:
-        self._visit_with(node)
-
-    def visit_AsyncWith(self, node: ast.AsyncWith) -> None:
-        self._visit_with(node)
-
-    def _visit_with(self, node: ast.AST) -> None:
-        for item in node.items:  # type: ignore[attr-defined]
-            name = dotted_name(item.context_expr)
-            if name and is_lock_name(name):
-                self._emit(LOCK, node, f"acquires lock '{name}' "
-                           f"(with block)", symbol=name)
-        self.generic_visit(node)
 
     # Nested defs are analyzed as functions of their own; don't double-count.
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
@@ -948,6 +875,17 @@ def _local_bindings(func: ast.AST) -> Set[str]:
     return bound - global_decls
 
 
+def _worker_ref(worker: Optional[ast.AST]) -> Tuple[str, str]:
+    """``(worker_kind, worker_name)`` of a submitted or spawned callable."""
+    if isinstance(worker, ast.Lambda):
+        return "lambda", ""
+    if isinstance(worker, ast.Name):
+        return "name", worker.id
+    if isinstance(worker, ast.Attribute):
+        return "attribute", worker.attr
+    return "other", ""
+
+
 class _PoolSiteCollector(ast.NodeVisitor):
     """Finds pool/process submission sites inside one function body."""
 
@@ -986,14 +924,7 @@ class _PoolSiteCollector(ast.NodeVisitor):
 
     def _record(self, node: ast.Call, method: str, receiver: str,
                 worker: ast.AST) -> None:
-        if isinstance(worker, ast.Lambda):
-            kind, name = "lambda", ""
-        elif isinstance(worker, ast.Name):
-            kind, name = "name", worker.id
-        elif isinstance(worker, ast.Attribute):
-            kind, name = "attribute", worker.attr
-        else:
-            kind, name = "other", ""
+        kind, name = _worker_ref(worker)
         others = [arg for arg in node.args if arg is not worker]
         others.extend(kw.value for kw in node.keywords
                       if kw.value is not worker)
@@ -1013,108 +944,46 @@ class _PoolSiteCollector(ast.NodeVisitor):
             lambda_in_args=lambda_in_args, open_in_args=open_in_args))
 
 
-class _ConcurrencyCollector:
-    """Spawn sites, lock operations, and persistence writes of one body.
+class _SpawnSiteCollector(ast.NodeVisitor):
+    """Finds thread and async-task creation sites inside one body.
 
-    A hand-rolled walker (not a NodeVisitor) so control-flow context —
-    ``conditional`` under a branch, ``in_finally`` inside a ``finally``
-    suite — travels down the recursion.  Nested function definitions are
-    skipped; they are walked as bodies of their own.
+    Nested function definitions are skipped; they are walked as bodies
+    of their own.
     """
 
     def __init__(self, lines: List[str], qualname: str,
-                 lock_spans: _LockSpans,
-                 spawns: List[SpawnSite], lock_ops: List[LockOp],
-                 writes: List[FileWrite]) -> None:
+                 into: List[SpawnSite]) -> None:
         self.lines = lines
         self.qualname = qualname
-        self.lock_spans = lock_spans
-        self.spawns = spawns
-        self.lock_ops = lock_ops
-        self.writes = writes
-        self._raw_writes: List[Tuple[str, str, int, int]] = []
-        self._has_replace = False
+        self.into = into
 
-    def run(self, body: List[ast.stmt]) -> None:
-        for stmt in body:
-            self._walk(stmt, conditional=False, in_finally=False)
-        for path_repr, mode, line, col in self._raw_writes:
-            self.writes.append(FileWrite(
-                path_repr=path_repr, mode=mode, in_function=self.qualname,
-                line=line, col=col,
-                line_text=line_at(self.lines, line),
-                replace_in_function=self._has_replace))
-
-    def _walk(self, node: ast.AST, conditional: bool,
-              in_finally: bool) -> None:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.Lambda)):
-            return
-        if isinstance(node, ast.Call):
-            self._call(node, conditional, in_finally)
-        elif isinstance(node, (ast.With, ast.AsyncWith)):
-            self._with(node, conditional, in_finally)
-        if isinstance(node, ast.Try):
-            for child in node.body:
-                self._walk(child, conditional, in_finally)
-            for handler in node.handlers:
-                for child in handler.body:
-                    self._walk(child, True, in_finally)
-            for child in node.orelse:
-                self._walk(child, True, in_finally)
-            for child in node.finalbody:
-                self._walk(child, conditional, True)
-            return
-        if isinstance(node, (ast.If, ast.While)):
-            self._walk(node.test, conditional, in_finally)
-            for child in node.body + node.orelse:
-                self._walk(child, True, in_finally)
-            return
-        if isinstance(node, (ast.For, ast.AsyncFor)):
-            self._walk(node.iter, conditional, in_finally)
-            for child in node.body + node.orelse:
-                self._walk(child, True, in_finally)
-            return
-        for child in ast.iter_child_nodes(node):
-            self._walk(child, conditional, in_finally)
-
-    # -- handlers ------------------------------------------------------------
-
-    def _held_excluding(self, line: int, lock: str) -> Tuple[str, ...]:
-        return tuple(name for name in self.lock_spans.held_at(line)
-                     if name != lock)
-
-    def _call(self, node: ast.Call, conditional: bool,
-              in_finally: bool) -> None:
+    def visit_Call(self, node: ast.Call) -> None:
         func = node.func
-        if isinstance(func, ast.Name):
-            if func.id in ("Thread", "Timer"):
-                self._spawn(node, "thread", func.id,
-                            self._thread_worker(node, func.id))
-            elif func.id == "open":
-                self._open(node)
+        if isinstance(func, ast.Name) and func.id in ("Thread", "Timer"):
+            self._record(node, "thread", func.id,
+                         self._thread_worker(node, func.id))
         elif isinstance(func, ast.Attribute):
             base = _call_base(func)
             attr = func.attr
             if base == "threading" and attr in ("Thread", "Timer"):
-                self._spawn(node, "thread", f"{base}.{attr}",
-                            self._thread_worker(node, attr))
+                self._record(node, "thread", f"{base}.{attr}",
+                             self._thread_worker(node, attr))
             elif attr in _TASK_SPAWN_FUNCS:
                 worker = node.args[0] if node.args else None
                 if isinstance(worker, ast.Call):
                     worker = worker.func
-                self._spawn(node, "task",
-                            f"{base}.{attr}" if base else attr, worker)
-            elif attr in ("acquire", "release") and base and \
-                    is_lock_name(base):
-                self.lock_ops.append(LockOp(
-                    op=attr, lock=base, function=self.qualname,
-                    line=node.lineno, col=node.col_offset + 1,
-                    line_text=line_at(self.lines, node.lineno),
-                    conditional=conditional, in_finally=in_finally,
-                    held_before=self._held_excluding(node.lineno, base)))
-            elif base == "os" and attr == "replace":
-                self._has_replace = True
+                self._record(node, "task",
+                             f"{base}.{attr}" if base else attr, worker)
+        self.generic_visit(node)
+
+    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
+        pass
+
+    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
+        pass
+
+    def visit_Lambda(self, node: ast.Lambda) -> None:
+        pass
 
     @staticmethod
     def _thread_worker(node: ast.Call, name: str) -> Optional[ast.AST]:
@@ -1125,17 +994,10 @@ class _ConcurrencyCollector:
             return node.args[1]
         return None
 
-    def _spawn(self, node: ast.Call, kind: str, api: str,
-               worker: Optional[ast.AST]) -> None:
-        if isinstance(worker, ast.Lambda):
-            worker_kind, worker_name = "lambda", ""
-        elif isinstance(worker, ast.Name):
-            worker_kind, worker_name = "name", worker.id
-        elif isinstance(worker, ast.Attribute):
-            worker_kind, worker_name = "attribute", worker.attr
-        else:
-            worker_kind, worker_name = "other", ""
-        self.spawns.append(SpawnSite(
+    def _record(self, node: ast.Call, kind: str, api: str,
+                worker: Optional[ast.AST]) -> None:
+        worker_kind, worker_name = _worker_ref(worker)
+        self.into.append(SpawnSite(
             kind=kind, api=api, worker_kind=worker_kind,
             worker_name=worker_name,
             worker_repr=source_repr(self.lines, worker)
@@ -1143,42 +1005,6 @@ class _ConcurrencyCollector:
             in_function=self.qualname, line=node.lineno,
             col=node.col_offset + 1,
             line_text=line_at(self.lines, node.lineno)))
-
-    def _open(self, node: ast.Call) -> None:
-        mode = ""
-        if len(node.args) >= 2 and isinstance(node.args[1], ast.Constant) \
-                and isinstance(node.args[1].value, str):
-            mode = node.args[1].value
-        for keyword in node.keywords:
-            if keyword.arg == "mode" and \
-                    isinstance(keyword.value, ast.Constant) and \
-                    isinstance(keyword.value.value, str):
-                mode = keyword.value.value
-        if not mode or not (set(mode) & _WRITE_MODE_CHARS):
-            return
-        path_node = node.args[0] if node.args else None
-        self._raw_writes.append((
-            source_repr(self.lines, path_node)
-            if path_node is not None else "",
-            mode, node.lineno, node.col_offset + 1))
-
-    def _with(self, node: ast.AST, conditional: bool,
-              in_finally: bool) -> None:
-        seen: List[str] = []
-        items = node.items  # type: ignore[attr-defined]
-        for item in items:
-            name = dotted_name(item.context_expr)
-            if not name or not is_lock_name(name):
-                continue
-            held = self._held_excluding(node.lineno, name)
-            held = tuple(dict.fromkeys(held + tuple(seen)))
-            self.lock_ops.append(LockOp(
-                op="with", lock=name, function=self.qualname,
-                line=node.lineno, col=node.col_offset + 1,
-                line_text=line_at(self.lines, node.lineno),
-                conditional=conditional, in_finally=in_finally,
-                held_before=held))
-            seen.append(name)
 
 
 # ---- error-flow collection -------------------------------------------------
@@ -1260,7 +1086,7 @@ def _caught_names(handler: ast.ExceptHandler) -> Tuple[Tuple[str, ...], bool]:
 class _ErrorFlowCollector:
     """Raise sites, handler spans, and resource lifecycles of one body.
 
-    A hand-rolled walker like :class:`_ConcurrencyCollector`: the
+    A hand-rolled walker (not a NodeVisitor) so the
     ``in_handler``/``in_finally`` context travels down the recursion and
     nested function definitions are skipped (walked as bodies of their
     own).  Named resource acquisitions are matched to their close and
@@ -1562,36 +1388,17 @@ def extract_module_effects(path: str, source: str,
     write_watch = frozenset((mutable | scanner.global_decls) - declared)
     read_watch = frozenset(mutated)
 
-    # Concurrency model: guarded-by bindings, lock-typed module globals,
-    # and the class-body mutable attrs whose mutation is a shared write.
+    # Concurrency model: guarded-by bindings and the class-body mutable
+    # attrs whose mutation is a shared write.
     guarded = _extract_guarded_bindings(tree, lines, guard_pragmas)
     guard_globals = {b.symbol: b.lock for b in guarded
                      if b.scope == "global"}
     guard_attrs = {b.symbol: b.lock for b in guarded if b.scope == "attr"}
     guard_def_lines = frozenset(b.line for b in guarded)
     attr_watch = frozenset(info.attr for info in class_attrs)
-    lock_global_names: Set[str] = set()
-    for stmt in tree.body:
-        value = None
-        targets = []
-        if isinstance(stmt, ast.Assign):
-            targets, value = list(stmt.targets), stmt.value
-        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-            targets, value = [stmt.target], stmt.value
-        if not isinstance(value, ast.Call):
-            continue
-        callee = value.func
-        callee_name = callee.id if isinstance(callee, ast.Name) else (
-            callee.attr if isinstance(callee, ast.Attribute) else "")
-        if callee_name in _LOCK_FACTORIES:
-            lock_global_names.update(t.id for t in targets
-                                     if isinstance(t, ast.Name))
-
     functions: List[FunctionEffects] = []
     pool_sites: List[PoolSubmission] = []
     spawn_sites: List[SpawnSite] = []
-    lock_ops: List[LockOp] = []
-    file_writes: List[FileWrite] = []
     raise_sites: List[RaiseSite] = []
     handler_infos: List[HandlerInfo] = []
     protected_spans: List[ProtectedSpan] = []
@@ -1616,7 +1423,6 @@ def extract_module_effects(path: str, source: str,
         qual = f"{class_name}.{func.name}" if class_name else func.name
         qualname = f"{norm}::{qual}"
         locals_ = frozenset(_local_bindings(func))
-        lock_spans = _LockSpans(func.body)
         visitor = _EffectVisitor(
             lines,
             write_watch=frozenset(write_watch - locals_),
@@ -1628,7 +1434,7 @@ def extract_module_effects(path: str, source: str,
             guard_attrs=guard_attrs,
             attr_watch=attr_watch,
             guard_def_lines=guard_def_lines,
-            lock_spans=lock_spans,
+            lock_spans=_LockSpans(func.body),
             emit_guarded=func.name not in ("__init__", "__new__"))
         for stmt in func.body:
             visitor.visit(stmt)
@@ -1636,19 +1442,11 @@ def extract_module_effects(path: str, source: str,
             functions.append(FunctionEffects(
                 qualname=qualname, name=func.name, line=func.lineno,
                 effects=tuple(visitor.effects)))
-        before = len(pool_sites)
         collector = _PoolSiteCollector(lines, qualname, pool_sites)
+        spawns = _SpawnSiteCollector(lines, qualname, spawn_sites)
         for stmt in func.body:
             collector.visit(stmt)
-        for index in range(before, len(pool_sites)):
-            site = pool_sites[index]
-            held = lock_spans.held_at(site.line)
-            if held:
-                pool_sites[index] = PoolSubmission(
-                    **{**site.__dict__, "locks_held": held})
-        conc = _ConcurrencyCollector(lines, qualname, lock_spans,
-                                     spawn_sites, lock_ops, file_writes)
-        conc.run(func.body)
+            spawns.visit(stmt)
         errflow = _ErrorFlowCollector(lines, qualname, raise_sites,
                                       handler_infos, protected_spans,
                                       resource_sites)
@@ -1690,12 +1488,11 @@ def extract_module_effects(path: str, source: str,
                 effects=tuple(visitor.effects)))
         collector = _PoolSiteCollector(lines, f"{norm}::<module>",
                                        pool_sites)
+        spawns = _SpawnSiteCollector(lines, f"{norm}::<module>",
+                                     spawn_sites)
         for stmt in module_stmts:
             collector.visit(stmt)
-        conc = _ConcurrencyCollector(
-            lines, f"{norm}::<module>", _LockSpans(module_stmts),
-            spawn_sites, lock_ops, file_writes)
-        conc.run(module_stmts)
+            spawns.visit(stmt)
         errflow = _ErrorFlowCollector(
             lines, f"{norm}::<module>", raise_sites, handler_infos,
             protected_spans, resource_sites)
@@ -1711,10 +1508,7 @@ def extract_module_effects(path: str, source: str,
         declared_caches=frozenset(declared),
         nested_functions=frozenset(nested),
         spawn_sites=tuple(spawn_sites),
-        lock_ops=tuple(lock_ops),
         guarded_bindings=tuple(guarded),
-        file_writes=tuple(file_writes),
-        lock_globals=frozenset(lock_global_names),
         raise_sites=tuple(raise_sites),
         handlers=tuple(handler_infos),
         protected_spans=tuple(protected_spans),

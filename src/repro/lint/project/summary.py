@@ -27,7 +27,7 @@ from repro.lint.project.effects import (
 #: Bump when the summary layout changes so cached pickles are invalidated
 #: even if the source of the lint package somehow hashes equal.
 #: 4: ModuleEffects grew the concurrency model (spawn sites, lock ops,
-#: guarded bindings, persistence writes) for CONC01–CONC04.
+#: guarded bindings, persistence writes) for the concurrency rules.
 #: 5: ModuleEffects grew the error-flow model (raise sites, handler
 #: spans, resource sites, exception classes) for ERR01–ERR04/RES01.
 #: 6: ModuleTwinFacts joined the summary for the twin-drift rules.

@@ -7,9 +7,6 @@ Importing this package registers every rule with the registry in
 from __future__ import annotations
 
 from repro.lint.rules.cache_soundness import CacheSoundnessRule
-from repro.lint.rules.conc_fork import SpawnHygieneRule
-from repro.lint.rules.conc_locks import LockDisciplineRule
-from repro.lint.rules.conc_persist import AtomicPersistenceRule
 from repro.lint.rules.conc_race import SharedStateRaceRule
 from repro.lint.rules.config_deadness import ConfigDeadnessRule
 from repro.lint.rules.determinism import DeterminismRule
@@ -29,17 +26,14 @@ from repro.lint.rules.unit_safety import UnitSafetyRule
 from repro.lint.rules.worker_purity import WorkerPurityRule
 
 __all__ = [
-    "AtomicPersistenceRule",
     "BoundaryEscapeRule",
     "CacheSoundnessRule",
     "ConfigDeadnessRule",
     "ExceptionUnsafeMutationRule",
     "HandlerHygieneRule",
     "HierarchyDisciplineRule",
-    "LockDisciplineRule",
     "ResourceLifecycleRule",
     "SharedStateRaceRule",
-    "SpawnHygieneRule",
     "DeterminismRule",
     "EnergyLedgerRule",
     "EventQueueRule",

@@ -6,13 +6,33 @@ seed, or any simulation source file — must change the key and miss.
 """
 
 import dataclasses
+import glob
 import json
 import os
+import subprocess
+import sys
 
 import repro.exec.cache as cache_module
 from repro.config import SystemConfig
 from repro.exec import JobSpec, ResultCache, result_from_dict, result_to_dict
 from repro.sim.runner import with_policy
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+_HAMMER = """
+import sys
+sys.path.insert(0, {src!r})
+from repro.config import SystemConfig
+from repro.exec import JobSpec, ResultCache
+from repro.sim.runner import with_policy
+
+cell = JobSpec(config=with_policy(SystemConfig(), "mapg"),
+               profile="gcc_like", num_ops=400, seed=3)
+result = cell.execute()
+cache = ResultCache({cache_dir!r})
+for _ in range(200):
+    cache.store(cell, result)
+"""
 
 
 def make_spec(**overrides):
@@ -134,3 +154,26 @@ class TestRobustness:
         cache.store(cell, cell.execute())
         assert cache.load(cell) is not None
         assert cache.stats() == {"hits": 1, "misses": 1}
+
+
+class TestConcurrentStores:
+    def test_two_processes_race_one_key(self, tmp_path):
+        # Atomic publication (temp file + os.replace): two writers racing
+        # one key both succeed and readers only ever see a whole entry.
+        cache_dir = str(tmp_path / "cache")
+        script = _HAMMER.format(src=os.path.join(REPO_ROOT, "src"),
+                                cache_dir=cache_dir)
+        procs = [subprocess.Popen([sys.executable, "-c", script],
+                                  stderr=subprocess.PIPE)
+                 for _ in range(2)]
+        for proc in procs:
+            _, stderr = proc.communicate(timeout=120)
+            assert proc.returncode == 0, stderr.decode()
+        cell = make_spec()
+        cached = ResultCache(cache_dir).load(cell)
+        fresh = cell.execute()
+        assert cached is not None
+        for field in dataclasses.fields(fresh):
+            assert getattr(cached, field.name) == getattr(fresh, field.name)
+        assert not glob.glob(os.path.join(cache_dir, "**", "*.tmp"),
+                             recursive=True)

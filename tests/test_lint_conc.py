@@ -1,8 +1,8 @@
-"""Concurrency model extraction and the CONC01–CONC04 rules.
+"""Concurrency model extraction and the CONC01 shared-state race rule.
 
 Synthetic modules live under ``repro/...`` paths (a tmp-dir ``repro``
 tree is *not* a test path), mirroring test_lint_effects.py; the seeded
-defects in :class:`TestSeededDefects` drive each rule through the full
+defect in :class:`TestSeededDefects` drives the rule through the full
 ``lint_paths`` pipeline and assert the spawn-to-access chain survives to
 the finding text.
 """
@@ -12,9 +12,9 @@ import textwrap
 
 from repro.lint.base import parse_suppressions
 from repro.lint.project import ProjectModel, extract_summary
-from repro.lint.project.concurrency import concurrent_roots, qualify_lock
+from repro.lint.project.concurrency import concurrent_roots
 from repro.lint.project.effects import (
-    GUARDED_WRITE, LOCK, SHARED_WRITE, THREAD, extract_module_effects,
+    GUARDED_WRITE, SHARED_WRITE, extract_module_effects,
     is_lock_name, parse_guarded_pragmas)
 from repro.lint.runner import lint_paths, run_project_rules
 
@@ -61,9 +61,8 @@ class TestConcurrencyExtraction:
         sites = {(s.kind, s.api, s.worker_name) for s in effects.spawn_sites}
         assert ("thread", "threading.Thread", "_watch") in sites
         assert ("task", "loop.create_task", "_poll") in sites
-        assert THREAD in kinds_of(effects, "start")
 
-    def test_lock_globals_and_guarded_bindings(self):
+    def test_guarded_bindings(self):
         effects = effects_of("repro/obs/shared.py", """
             import threading
 
@@ -75,7 +74,6 @@ class TestConcurrencyExtraction:
                     self._lock = threading.Lock()
                     self._table = {}  # mapglint: guarded-by=self._lock
         """)
-        assert effects.lock_globals == frozenset({"_LOCK"})
         bound = {(b.symbol, b.lock, b.scope)
                  for b in effects.guarded_bindings}
         assert ("_STATE", "_LOCK", "global") in bound
@@ -133,63 +131,6 @@ class TestConcurrencyExtraction:
         assert SHARED_WRITE in kinds_of(effects, "remember")
         assert SHARED_WRITE in kinds_of(effects, "remember_via_method")
 
-    def test_lock_ops_record_structure(self):
-        effects = effects_of("repro/obs/locks.py", """
-            def discipline(a_lock, b_lock, flag):
-                a_lock.acquire()
-                try:
-                    pass
-                finally:
-                    a_lock.release()
-                with a_lock:
-                    with b_lock:
-                        pass
-                if flag:
-                    b_lock.release()
-        """)
-        ops = {(op.op, op.lock, op.conditional, op.in_finally,
-                op.held_before) for op in effects.lock_ops}
-        assert ("acquire", "a_lock", False, False, ()) in ops
-        assert ("release", "a_lock", False, True, ()) in ops
-        assert ("with", "b_lock", False, False, ("a_lock",)) in ops
-        assert ("release", "b_lock", True, False, ()) in ops
-
-    def test_file_writes_and_replace_in_function(self):
-        effects = effects_of("repro/exec/store.py", """
-            import os
-
-            def torn(entry_path, payload):
-                with open(entry_path, "w") as handle:
-                    handle.write(payload)
-
-            def atomic(entry_path, payload):
-                tmp = entry_path + ".tmp"
-                with open(tmp, "w") as handle:
-                    handle.write(payload)
-                os.replace(tmp, entry_path)
-
-            def reader(entry_path):
-                with open(entry_path) as handle:
-                    return handle.read()
-        """)
-        writes = {(w.path_repr, w.replace_in_function)
-                  for w in effects.file_writes}
-        assert ("entry_path", False) in writes
-        assert ("tmp", True) in writes
-        assert len(writes) == 2  # read-mode opens are not write sites
-
-    def test_pool_submission_records_locks_held(self):
-        effects = effects_of("repro/exec/launcher.py", """
-            def fan_out(pool, items, state_lock):
-                with state_lock:
-                    return pool.map(_worker, items)
-
-            def _worker(item):
-                return item
-        """)
-        (submission,) = effects.pool_submissions
-        assert submission.locks_held == ("state_lock",)
-
     def test_lock_name_heuristic(self):
         assert is_lock_name("self._lock")
         assert is_lock_name("_CACHE_MUTEX")
@@ -223,24 +164,6 @@ class TestConcurrencyExtraction:
         """)])
         roots = {(r.kind, r.worker_name) for r in concurrent_roots(model)}
         assert roots == {("thread", "_watch"), ("pool", "_cell")}
-
-    def test_lock_identity_qualification(self):
-        # self-locks are per-class, module locks per-module, parameters
-        # per-function — unrelated locks sharing a spelling never alias.
-        a = qualify_lock("repro/a.py", "repro/a.py::Alpha.step",
-                         "self._lock")
-        b = qualify_lock("repro/a.py", "repro/a.py::Beta.step",
-                         "self._lock")
-        assert a != b
-        m1 = qualify_lock("repro/a.py", "repro/a.py::one", "_LOCK",
-                          module_locks=frozenset({"_LOCK"}))
-        m2 = qualify_lock("repro/a.py", "repro/a.py::two", "_LOCK",
-                          module_locks=frozenset({"_LOCK"}))
-        assert m1 == m2
-        p1 = qualify_lock("repro/a.py", "repro/a.py::one", "a_lock")
-        p2 = qualify_lock("repro/a.py", "repro/a.py::two", "a_lock")
-        assert p1 != p2
-
 
 class TestSharedStateRace:
     def test_guarded_global_write_without_lock_fires(self):
@@ -352,218 +275,6 @@ class TestSharedStateRace:
         assert findings == []
 
 
-class TestLockDiscipline:
-    def test_acquire_without_release_fires(self):
-        findings = findings_for({"repro/obs/locks.py": """
-            def grab(state_lock):
-                state_lock.acquire()
-                return compute()
-        """}, "CONC02")
-        (finding,) = findings
-        assert "no matching release" in finding.message
-
-    def test_acquire_with_finally_release_is_silent(self):
-        findings = findings_for({"repro/obs/locks.py": """
-            def grab(state_lock):
-                state_lock.acquire()
-                try:
-                    return compute()
-                finally:
-                    state_lock.release()
-        """}, "CONC02")
-        assert findings == []
-
-    def test_release_outside_finally_fires(self):
-        findings = findings_for({"repro/obs/locks.py": """
-            def grab(state_lock):
-                state_lock.acquire()
-                value = compute()
-                state_lock.release()
-                return value
-        """}, "CONC02")
-        (finding,) = findings
-        assert "not inside a finally" in finding.message
-
-    def test_conditional_release_fires(self):
-        findings = findings_for({"repro/obs/locks.py": """
-            def grab(state_lock, flag):
-                state_lock.acquire()
-                try:
-                    return compute()
-                finally:
-                    if flag:
-                        state_lock.release()
-        """}, "CONC02")
-        (finding,) = findings
-        assert "under a branch" in finding.message
-
-    def test_with_blocks_are_silent(self):
-        findings = findings_for({"repro/obs/locks.py": """
-            def grab(state_lock):
-                with state_lock:
-                    return compute()
-        """}, "CONC02")
-        assert findings == []
-
-    def test_inconsistent_module_lock_order_fires(self):
-        findings = findings_for({"repro/obs/locks.py": """
-            import threading
-
-            _A_LOCK = threading.Lock()
-            _B_LOCK = threading.Lock()
-
-            def one():
-                with _A_LOCK:
-                    with _B_LOCK:
-                        pass
-
-            def two():
-                with _B_LOCK:
-                    with _A_LOCK:
-                        pass
-        """}, "CONC02")
-        (finding,) = findings
-        assert "inconsistent lock order" in finding.message
-        assert "opposite order" in finding.message
-
-    def test_consistent_order_is_silent(self):
-        findings = findings_for({"repro/obs/locks.py": """
-            import threading
-
-            _A_LOCK = threading.Lock()
-            _B_LOCK = threading.Lock()
-
-            def one():
-                with _A_LOCK:
-                    with _B_LOCK:
-                        pass
-
-            def two():
-                with _A_LOCK:
-                    with _B_LOCK:
-                        pass
-        """}, "CONC02")
-        assert findings == []
-
-    def test_parameter_locks_never_alias_across_functions(self):
-        # Two different parameter locks that happen to share spellings are
-        # not provably the same object; the order check must not guess.
-        findings = findings_for({"repro/obs/locks.py": """
-            def one(a_lock, b_lock):
-                with a_lock:
-                    with b_lock:
-                        pass
-
-            def two(a_lock, b_lock):
-                with b_lock:
-                    with a_lock:
-                        pass
-        """}, "CONC02")
-        assert findings == []
-
-
-class TestSpawnHygiene:
-    def test_thread_spawn_in_pool_worker_fires(self):
-        findings = findings_for({"repro/exec/launcher.py": """
-            import threading
-
-            def _worker(item):
-                threading.Thread(target=_task).start()
-                return item
-
-            def _task():
-                pass
-
-            def fan_out(pool, items):
-                return pool.map(_worker, items)
-        """}, "CONC03")
-        (finding,) = findings
-        assert "spawns a thread" in finding.message
-        assert "_worker" in finding.message
-
-    def test_module_lock_in_pool_worker_fires(self):
-        findings = findings_for({"repro/exec/launcher.py": """
-            import threading
-
-            _LOCK = threading.Lock()
-
-            def _worker(item):
-                with _LOCK:
-                    return item
-
-            def fan_out(pool, items):
-                return pool.map(_worker, items)
-        """}, "CONC03")
-        (finding,) = findings
-        assert "synchronizes against nobody" in finding.message
-
-    def test_submission_under_held_lock_fires(self):
-        findings = findings_for({"repro/exec/launcher.py": """
-            def fan_out(pool, items, state_lock):
-                with state_lock:
-                    return pool.map(_worker, items)
-
-            def _worker(item):
-                return item
-        """}, "CONC03")
-        (finding,) = findings
-        assert "while holding" in finding.message
-        assert "state_lock" in finding.message
-
-    def test_clean_worker_is_silent(self):
-        findings = findings_for({"repro/exec/launcher.py": """
-            def _worker(item):
-                return item * 2
-
-            def fan_out(pool, items):
-                return pool.map(_worker, items)
-        """}, "CONC03")
-        assert findings == []
-
-
-class TestAtomicPersistence:
-    def test_in_place_cache_write_fires(self):
-        findings = findings_for({"repro/exec/store.py": """
-            def save(entry_path, payload):
-                with open(entry_path, "w") as handle:
-                    handle.write(payload)
-        """}, "CONC04")
-        (finding,) = findings
-        assert "os.replace" in finding.message
-
-    def test_temp_file_plus_replace_is_silent(self):
-        findings = findings_for({"repro/exec/store.py": """
-            import os
-
-            def save(entry_path, payload):
-                tmp = entry_path + ".tmp"
-                with open(tmp, "w") as handle:
-                    handle.write(payload)
-                os.replace(tmp, entry_path)
-        """}, "CONC04")
-        assert findings == []
-
-    def test_non_cache_paths_are_silent(self):
-        findings = findings_for({"repro/obs/report.py": """
-            def dump(report_path, payload):
-                with open(report_path, "w") as handle:
-                    handle.write(payload)
-        """}, "CONC04")
-        assert findings == []
-
-    def test_cache_write_with_replace_in_function_is_silent(self):
-        findings = findings_for({"repro/exec/store.py": """
-            import os
-
-            def save(cache_dir, key, payload):
-                staging = cache_dir + "/staging"
-                with open(staging, "w") as handle:
-                    handle.write(payload)
-                os.replace(staging, cache_dir + "/" + key)
-        """}, "CONC04")
-        assert findings == []
-
-
 class TestSuppressionAndScope:
     def test_per_line_disable_suppresses_conc01(self):
         findings = findings_for({"repro/obs/state.py": """
@@ -591,7 +302,7 @@ class TestSuppressionAndScope:
 
 
 class TestSeededDefects:
-    """Full-pipeline seeded defects, one per CONC rule (UNIT02-pattern)."""
+    """Full-pipeline seeded CONC01 defect (UNIT02-pattern)."""
 
     def _tree(self, tmp_path, rel, body):
         target = tmp_path
@@ -621,52 +332,3 @@ class TestSeededDefects:
         # The spawn-to-access chain names the real path to the write.
         assert "_watch" in finding.message
         assert "threading.Thread" in finding.line_text
-
-    def test_seeded_unstructured_acquire_caught(self, tmp_path):
-        self._tree(tmp_path, "repro/obs/daemon.py", """
-            import threading
-
-            _LOCK = threading.Lock()
-
-            def enter():
-                _LOCK.acquire()
-                return True
-        """)
-        report = lint_paths([str(tmp_path)], rule_ids=["CONC02"])
-        (finding,) = report.findings
-        assert finding.rule_id == "CONC02"
-        assert "with _LOCK:" in finding.message
-
-    def test_seeded_thread_spawning_pool_payload_caught(self, tmp_path):
-        self._tree(tmp_path, "repro/exec/launcher.py", """
-            import threading
-
-            def _cell(item):
-                helper = threading.Thread(target=_flush)
-                helper.start()
-                return item
-
-            def _flush():
-                pass
-
-            def fan_out(pool, items):
-                return pool.map(_cell, items)
-        """)
-        report = lint_paths([str(tmp_path)], rule_ids=["CONC03"])
-        (finding,) = report.findings
-        assert finding.rule_id == "CONC03"
-        assert "_cell" in finding.message
-        assert "pool.map" in finding.line_text
-
-    def test_seeded_torn_cache_write_caught(self, tmp_path):
-        self._tree(tmp_path, "repro/exec/store.py", """
-            import json
-
-            def persist(cache_entry, payload):
-                with open(cache_entry, "w", encoding="utf-8") as handle:
-                    json.dump(payload, handle)
-        """)
-        report = lint_paths([str(tmp_path)], rule_ids=["CONC04"])
-        (finding,) = report.findings
-        assert finding.rule_id == "CONC04"
-        assert "os.replace" in finding.message

@@ -1,6 +1,6 @@
 """Concurrent lint invocations sharing one ``.mapglint-cache/``.
 
-The CONC04 story for our own caches, turned into regressions: two
+Atomic publication of our own lint cache, turned into regressions: two
 processes racing ``ResultCache.store`` on the same content-addressed key
 must both succeed (whichever ``os.replace`` lands last wins with
 identical bytes), a temp file swept away before the replace is a no-op,
@@ -121,8 +121,9 @@ class TestConcurrentCliRuns:
             """,
             "repro/exec/store.py": """
                 def persist(cache_entry, payload):
-                    with open(cache_entry, "w") as handle:
-                        handle.write(payload)
+                    if not payload:
+                        raise ValueError("empty payload")
+                    return cache_entry, payload
             """,
         }.items():
             target = tree
@@ -150,7 +151,7 @@ class TestConcurrentCliRuns:
         first, second = (json.loads(out) for out in outputs)
         assert first == second
         rules = {finding["rule"] for finding in first}
-        assert {"UNIT01", "CONC04"} <= rules
+        assert {"UNIT01", "ERR04"} <= rules
 
         # The shared cache is consistent: no temp litter, every entry a
         # loadable pickle, and a follow-up run is fully warm yet agrees.
