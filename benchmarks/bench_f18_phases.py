@@ -28,6 +28,7 @@ NUM_WINDOWS = 24
 
 def build_report() -> ExperimentReport:
     config = with_policy(SystemConfig(), "mapg")
+    # Oracle on purpose: the fast kernel does not record the timeline yet.
     simulator = Simulator(config, workload=WORKLOAD, seed=11,
                           record_timeline=True)
     result = simulator.run(generate_trace(WORKLOAD, FULL_OPS, seed=11))

@@ -15,9 +15,9 @@ from repro.analysis.report import ExperimentReport
 from repro.analysis.tables import format_fraction_pct
 from repro.config import SystemConfig
 from repro.core.breakeven import BreakEvenAnalyzer
+from repro.fastsim import FastSimulator, shared_columnar_store
 from repro.sim.runner import with_policy
-from repro.sim.simulator import Simulator
-from repro.workloads import generate_trace, profile_names
+from repro.workloads import profile_names
 
 
 def build_report() -> ExperimentReport:
@@ -28,11 +28,12 @@ def build_report() -> ExperimentReport:
                  "p95", "mean"])
     threshold = None
     for name in profile_names():
-        simulator = Simulator(config, workload=name, seed=11)
-        result = simulator.run(generate_trace(name, FULL_OPS, seed=11))
-        histogram = simulator.stall_histogram
+        fast = FastSimulator(config, workload=name, seed=11)
+        __, trace = shared_columnar_store().traces(name, FULL_OPS, seed=11)
+        result = fast.run(trace)
+        histogram = fast.sim.stall_histogram
         if threshold is None:
-            analyzer = BreakEvenAnalyzer(simulator.circuit, config.gating)
+            analyzer = BreakEvenAnalyzer(fast.sim.circuit, config.gating)
             threshold = analyzer.min_gateable_stall_cycles
         report.add_row(
             name,

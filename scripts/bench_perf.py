@@ -4,16 +4,19 @@
     PYTHONPATH=src python scripts/bench_perf.py [--quick] [--output PATH]
 
 Runs ``perfbench/run.py [--quick] --trace`` at seed 11, times a 9-cell
-matrix against a fresh ``ResultCache`` cold then warm, checks ``FLOORS`` on
-the medians, and writes the perfbench/1 document (``--compare`` reads it)
-plus a ``gates`` block to ``--output`` atomically.  Verdicts against the
+matrix on the fast engine against a fresh ``ResultCache`` cold then warm,
+and once more cold on the oracle, checks ``FLOORS`` on the medians and that
+row, and writes the perfbench/1 document (``--compare`` reads it) plus a
+``gates`` block to ``--output`` atomically.  Verdicts against the
 checked-in ledger print when mode and seed match; they are report-only.
-Exit 0: all gates hold; 1: a floor failed; 2: a digest or cache result was wrong.
+Exit 0: all gates hold; 1: a floor failed; 2: a digest, cache or engine
+result was wrong.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import runpy
@@ -33,33 +36,45 @@ LEDGER = os.path.join(ROOT, "BENCH_sim_throughput.json")
 SEED = 11
 CACHE_OPS = 10_000  # per cell, in both modes: --quick cuts cells, not ops
 
-# Floors on the fresh medians: each is the stronger of the old script's
-# flag default and the old CI band, in perfbench's 30 000-op cells.
+# Floors on the fresh medians and the cache row: each is the stronger of
+# the old script's flag default and the old CI band, in perfbench's
+# 30 000-op cells.  figure-grid runs the default engine, the fast kernel.
 FLOORS = {
-    "figure-grid cells/s": 0.13,  # oracle: 3 876 ops/s
+    "figure-grid cells/s": 1.73,  # fast kernel: 51 639 ops/s
     "grid-fast cells/s": 1.73,  # fast kernel: 51 639 ops/s
-    "grid-fast / figure-grid cells/s": 1.33,
+    "fast / oracle speedup": 1.33,  # the cache row's cold passes
     "sweep-pool / sweep-serial cells/s": 0.95,  # never slower than serial
     "warm / cold cache speedup": 32.0,
 }
 
 
 def cache_row() -> Dict[str, Any]:
-    """Wall time of a 9-cell matrix cold, then warm, and their identity."""
+    """Wall time of a 9-cell matrix cold, warm, then cold on the oracle.
+
+    The fast passes share one cache.  The oracle pass gets a fresh cache,
+    because job keys leave the engine out, and, with its own runner, a
+    fresh trace store.  Both identities are recorded.
+    """
     specs = [JobSpec(config=with_policy(SystemConfig(), policy),
-                     profile=workload, num_ops=CACHE_OPS, seed=SEED)
+                     profile=workload, num_ops=CACHE_OPS, seed=SEED,
+                     engine="fast")
              for workload in ("mcf_like", "gcc_like", "povray_like")
              for policy in ("never", "naive", "mapg")]
+    oracle = [dataclasses.replace(spec, engine="oracle") for spec in specs]
     row: Dict[str, Any] = {"cells": len(specs), "num_ops": CACHE_OPS}
-    dumps = []
+    dumps = {}
     with tempfile.TemporaryDirectory(prefix="mapg-bench-cache-") as cache_dir:
-        for mode in ("cold", "warm"):
+        for mode, cells, cache in (("cold", specs, "fast"),
+                                   ("warm", specs, "fast"),
+                                   ("oracle", oracle, "oracle")):
             start = time.perf_counter()
-            results = SweepRunner(jobs=1, cache=ResultCache(cache_dir)).run(specs)
+            results = SweepRunner(jobs=1, cache=ResultCache(
+                os.path.join(cache_dir, cache))).run(cells)
             row[f"{mode}_s"] = time.perf_counter() - start
-            dumps.append(json.dumps([result_to_dict(r) for r in results],
-                                    sort_keys=True))
-    return dict(row, identical=dumps[0] == dumps[1])
+            dumps[mode] = json.dumps([result_to_dict(r) for r in results],
+                                     sort_keys=True)
+    return dict(row, identical=dumps["cold"] == dumps["warm"],
+                oracle_identical=dumps["oracle"] == dumps["cold"])
 
 
 def gate(document: Dict[str, Any], cache: Dict[str, Any]
@@ -71,7 +86,7 @@ def gate(document: Dict[str, Any], cache: Dict[str, Any]
     observed = {
         "figure-grid cells/s": rate["figure-grid"],
         "grid-fast cells/s": rate["grid-fast"],
-        "grid-fast / figure-grid cells/s": rate["grid-fast"] / rate["figure-grid"],
+        "fast / oracle speedup": cache["oracle_s"] / cache["cold_s"],
         "sweep-pool / sweep-serial cells/s": rate["sweep-pool"] / rate["sweep-serial"],
         "warm / cold cache speedup": cache["cold_s"] / cache["warm_s"],
     }
@@ -81,6 +96,8 @@ def gate(document: Dict[str, Any], cache: Dict[str, Any]
              f"failed" for name, result in workloads.items() if result["failed"]]
     if not cache["identical"]:
         wrong.append("warm-cache results are not byte-identical to cold")
+    if not cache["oracle_identical"]:
+        wrong.append("oracle results are not byte-identical to the fast engine's")
     failures = wrong + [f"{r['name']} {r['observed']:.4g} < floor {r['floor']:g}"
                         for r in records if not r["ok"]]
     return (2 if wrong else 1 if failures else 0), records, failures

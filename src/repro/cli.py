@@ -29,7 +29,7 @@ from typing import List, Optional, Sequence
 from repro.analysis.tables import format_fraction_pct, format_table
 from repro.config import SystemConfig, TokenConfig
 from repro.errors import ReproError
-from repro.fastsim import DEFAULT_ENGINE, validate_engine
+from repro.fastsim import DEFAULT_ENGINE, fallback_reasons, validate_engine
 from repro.power.gating import SleepTransistorNetwork
 from repro.power.technology import TECHNOLOGY_NODES, get_technology
 from repro.sim.results import SimulationResult
@@ -59,10 +59,12 @@ def build_parser() -> argparse.ArgumentParser:
     run_cmd.add_argument("--ops", type=int, default=20_000)
     run_cmd.add_argument("--seed", type=int, default=1)
     run_cmd.add_argument("--engine", default=DEFAULT_ENGINE,
-                         help="execution kernel: 'oracle' (reference "
-                              "event-driven simulator) or 'fast' (columnar "
-                              "batched kernel, bit-identical results); "
-                              "unknown names are a configuration error")
+                         help="execution kernel: 'fast' (default; "
+                              "columnar batched kernel, bit-identical "
+                              "results) or 'oracle' (reference event-driven "
+                              "simulator); a fast run the kernel cannot "
+                              "take says so on stderr; unknown names are a "
+                              "configuration error")
     run_cmd.add_argument("--technology", default="45nm")
     run_cmd.add_argument("--temperature", type=float, default=85.0,
                          help="junction temperature in C")
@@ -193,11 +195,9 @@ def _result_rows(result: SimulationResult) -> List[List[str]]:
     return rows
 
 
-def _run_one(config: SystemConfig, args: argparse.Namespace,
+def _run_one(config: SystemConfig, args: argparse.Namespace, engine: str,
              recorder: object = None) -> SimulationResult:
     """One simulation of the run command's workload (profile or trace file)."""
-    engine = getattr(args, "engine", DEFAULT_ENGINE)
-    validate_engine(engine)
     if args.workload.endswith((".jsonl", ".bin")):
         from repro.sim.simulator import Simulator
 
@@ -259,16 +259,22 @@ def _cmd_run(args: argparse.Namespace) -> int:
         from repro.obs import SpanRecorder
 
         recorder = SpanRecorder()
+    engine = validate_engine(args.engine)
+    reasons = (fallback_reasons(config, recorder=recorder)
+               if engine == "fast" else [])
+    if reasons:
+        print(f"note: engine 'fast' runs this cell on the oracle: "
+              f"{'; '.join(reasons)}", file=sys.stderr)
     if args.trace_out or args.self_profile:
         from repro.obs.profile import SelfProfiler
 
         profiler = SelfProfiler()
     if profiler is not None:
         with profiler.stage("simulate") as stage:
-            result = _run_one(config, args, recorder)
+            result = _run_one(config, args, engine, recorder)
             stage.add_events(result.instructions)
     else:
-        result = _run_one(config, args, recorder)
+        result = _run_one(config, args, engine, recorder)
     payload = {
         "workload": result.workload,
         "policy": result.policy,
@@ -281,7 +287,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         "state_cycles": result.state_cycles,
     }
     if args.baseline:
-        baseline = _run_one(with_policy(config, "never"), args)
+        baseline = _run_one(with_policy(config, "never"), args, engine)
         delta = result.compare(baseline)
         payload["vs_never"] = {
             "energy_saving": delta.energy_saving,
@@ -298,7 +304,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
             num_ops=None if args.workload.endswith((".jsonl", ".bin"))
             else args.ops,
             command="run",
-            extra={"self_profile": profiler.report()})
+            extra={"self_profile": profiler.report(), "engine": engine,
+                   "fallback_reasons": reasons})
         _export_observability(recorder, manifest, args.trace_out)
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))

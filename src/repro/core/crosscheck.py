@@ -159,7 +159,7 @@ def crosscheck_engines(config: Any, profile_name: str, num_ops: int,
 
     oracle = run_workload(config, profile_name, num_ops, seed=seed,
                           temperature_c=temperature_c,
-                          warmup_ops=warmup_ops)
+                          warmup_ops=warmup_ops, engine="oracle")
     kwargs = {} if temperature_c is None else {"temperature_c": temperature_c}
     fast = FastSimulator(config, workload=profile_name, seed=seed, **kwargs)
     warm_trace, measured_trace = shared_columnar_store().traces(

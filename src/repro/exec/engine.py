@@ -6,9 +6,11 @@ cells and returns their results **in input order**, built in three steps:
 1. **Cache probe** — every distinct spec is looked up in the
    :class:`~repro.exec.cache.ResultCache` (when one is attached); hits
    skip simulation entirely.
-2. **Execution** — cache misses run either inline (``jobs=1``, sharing
-   one :class:`~repro.exec.tracestore.TraceStore` so identical traces are
-   generated once per process) or over a spawn-safe ``multiprocessing``
+2. **Execution** — each cell on its spec's engine (the fast kernel
+   unless the spec asks for the oracle); cache misses run either inline
+   (``jobs=1``, sharing one :class:`~repro.exec.tracestore.TraceStore`
+   so identical traces are generated once per process and replayed by
+   either engine) or over a spawn-safe ``multiprocessing``
    pool of at most one worker per CPU.  The pool is one per process:
    built by the first pooled run, reused by every later one, rebuilt
    when a run needs another worker count, and terminated at interpreter
@@ -18,7 +20,7 @@ cells and returns their results **in input order**, built in three steps:
    that outlives each run, so a worker simulating several policies of
    one workload — in one run or across runs — generates its trace once.
    Both executors yield the same ``(key, result, worker)`` outcomes into
-   one merge loop.
+   one merge loop, which stores each result in the cache as it lands.
 3. **Deterministic merge** — results are keyed by the spec's sha256 job
    key and emitted in the caller's spec order, so sweep output is
    byte-identical at any worker count and any completion order.
@@ -169,7 +171,9 @@ class SweepRunner:
 
         Failures degrade gracefully: a failing cell never takes the
         sweep down with it.  Every other cell still completes and (when
-        a cache is attached) lands in the cache; the failures are then
+        a cache is attached) lands in the cache as soon as it finishes,
+        so the parent's writes overlap the cells still running and an
+        abandoned sweep keeps what it finished; the failures are then
         re-raised together as one :class:`~repro.errors.SweepError`
         naming each failed cell by its spec key, so a 10^4-cell study
         loses only the broken cells — and only once.
@@ -228,18 +232,16 @@ class SweepRunner:
                         continue
                     outcome = result_from_dict(outcome)
                 results[key] = outcome
+                spec = unique[key]
                 if self._obs.enabled:
-                    spec = unique[key]
                     self._obs.cell_done(
                         key, worker=worker, engine=spec.engine,
                         fallback_reasons=(fallback_reasons(spec.config)
                                           if spec.engine == "fast" else ()))
+                if self.cache is not None:
+                    self.cache.store(spec, outcome)
         self.executed += len(missing)
 
-        if self.cache is not None:
-            for key, spec in missing:
-                if key in results:
-                    self.cache.store(spec, results[key])
         if self._obs.enabled:
             self._obs.sweep_end()
         if failures:

@@ -1,65 +1,23 @@
-"""Per-process memoization of generated traces.
+"""The sweep engine's trace store: one memo of columnar traces per owner.
 
-``run_policy_comparison`` replays the *identical* trace once per policy —
-before this store it also regenerated it once per policy, which made trace
-generation scale with the policy count instead of the workload count.  The
-store generates each ``(profile, seed, warmup_ops, num_ops)`` trace
-exactly once per process and serves immutable tuples thereafter; pool
-workers keep one module-level store each, so a worker that simulates five
-policies of one workload generates its trace once.
+``run_policy_comparison`` replays the *identical* trace once per policy,
+so each :class:`~repro.exec.SweepRunner` and each pool worker owns a
+:class:`TraceStore` that generates every ``(profile, seed, warmup_ops,
+num_ops)`` trace exactly once and serves it to every later cell, on
+either engine: the fast kernel replays the stored
+:class:`~repro.fastsim.ColumnarTrace` pairs directly and the oracle
+replays their ``ops()``.
 
-Generation reproduces ``run_workload``'s two-call shape exactly — one
-generator yields the warmup ops, then *continues* into the measured ops —
-so a stored trace is op-for-op identical to the uncached path (the
-generator's phase schedule and RNG advance across the warmup/measure
-boundary, which a fresh generator per region would not reproduce).
-
-The store is bounded (LRU over whole traces) because a long sweep may
-touch many workloads; evicting simply means regenerating later.
+Generation, memoization and LRU bounding all live in
+:class:`~repro.fastsim.ColumnarTraceStore`; this subclass only names the
+exec layer's stores apart from the per-process shared one that serves
+cells run with no store.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Tuple
-
-from repro.errors import ConfigError
-from repro.trace.format import TraceOp
-from repro.workloads.profiles import get_profile
-from repro.workloads.synthetic import SyntheticTraceGenerator
-
-_TraceKey = Tuple[str, int, int, int]
-_TracePair = Tuple[Tuple[TraceOp, ...], Tuple[TraceOp, ...]]
+from repro.fastsim.columnar import ColumnarTraceStore
 
 
-class TraceStore:
-    """LRU-bounded memo of ``(warmup trace, measured trace)`` tuples."""
-
-    def __init__(self, max_entries: int = 8) -> None:
-        if max_entries < 1:
-            raise ConfigError(
-                f"TraceStore needs max_entries >= 1, got {max_entries}")
-        self.max_entries = max_entries
-        self._entries: "OrderedDict[_TraceKey, _TracePair]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-
-    def traces(self, profile: str, num_ops: int, seed: int = 1,
-               warmup_ops: int = 0) -> _TracePair:
-        """The (warmup, measured) op tuples for one simulation cell."""
-        trace_key: _TraceKey = (profile, seed, warmup_ops, num_ops)
-        cached = self._entries.get(trace_key)
-        if cached is not None:
-            self.hits += 1
-            self._entries.move_to_end(trace_key)
-            return cached
-        self.misses += 1
-        generator = SyntheticTraceGenerator(get_profile(profile), seed=seed)
-        pair: _TracePair = (
-            tuple(generator.operations(warmup_ops)) if warmup_ops else (),
-            tuple(generator.operations(num_ops)),
-        )
-        self._entries[trace_key] = pair
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
-        return pair
+class TraceStore(ColumnarTraceStore):
+    """LRU-bounded memo of ``(warmup, measured)`` columnar trace pairs."""

@@ -3,13 +3,14 @@
 Public surface:
 
 * :class:`ColumnarTrace` / :class:`ColumnarTraceStore` — parallel-array
-  trace representation and its per-process memo.
+  trace representation and the one trace memo both engines replay from.
 * :class:`FastSimulator` — the batched kernel, bit-identical to the
   oracle :class:`~repro.sim.simulator.Simulator` (falls back to it for
   unsupported configurations; :func:`fallback_reasons` says when).
 * :data:`ENGINES` / :data:`DEFAULT_ENGINE` / :func:`validate_engine` —
   the engine-selection vocabulary shared by the CLI, the runner, and the
-  exec layer.
+  exec layer.  The default is ``"fast"``; ``"oracle"`` is the reference
+  simulator, run when asked for by name.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from repro.fastsim.columnar import (ColumnarTrace, ColumnarTraceStore,
 from repro.fastsim.kernel import FastSimulator, fallback_reasons
 
 ENGINES = ("oracle", "fast")
-DEFAULT_ENGINE = "oracle"
+DEFAULT_ENGINE = "fast"
 
 
 def validate_engine(engine: str) -> str:

@@ -21,12 +21,15 @@ issue_width)`` **per block** (a sum of ceilings, not a ceiling of sums),
 so :meth:`ColumnarTrace.busy_cycles_for` pre-folds each interval with
 exactly that per-block ``math.ceil`` and memoizes per width.  Building a
 ``ColumnarTrace`` is a one-time linear pass; :meth:`ColumnarTrace.ops`
-reconstructs the original op stream for the oracle fallback path.
+reconstructs the original op stream for the oracle.
 
-:class:`ColumnarTraceStore` mirrors :class:`repro.exec.TraceStore`
-exactly — one generator pass yields the warmup ops and *continues* into
-the measured ops, so the stored pair is op-for-op identical to the
-object-trace path — but memoizes columnar pairs instead of op tuples.
+:class:`ColumnarTraceStore` is the one trace memo, serving both engines:
+the fast kernel replays its ``ColumnarTrace`` pairs directly and the
+oracle replays their :meth:`~ColumnarTrace.ops`.  One generator pass
+yields the warmup ops and *continues* into the measured ops, so a stored
+pair is op-for-op identical to ``run_workload``'s streamed two-call
+shape.  :class:`repro.exec.TraceStore` is the same store under the exec
+layer's name.
 """
 
 from __future__ import annotations
@@ -165,16 +168,17 @@ _EMPTY_TRACE = ColumnarTrace(())
 class ColumnarTraceStore:
     """LRU-bounded memo of ``(warmup, measured)`` columnar trace pairs.
 
-    Generation mirrors :class:`repro.exec.TraceStore`: one generator
-    yields the warmup ops and then continues into the measured ops, so
-    the phase schedule and RNG advance across the boundary exactly as the
-    object-trace path does.
+    Each ``(profile, seed, warmup_ops, num_ops)`` pair is generated once
+    per store: one generator yields the warmup ops and then continues
+    into the measured ops, so the phase schedule and RNG advance across
+    the boundary exactly as a streamed run's do.  Bounded because a long
+    sweep may touch many workloads; evicting means regenerating later.
     """
 
     def __init__(self, max_entries: int = 8) -> None:
         if max_entries < 1:
             raise ConfigError(
-                f"ColumnarTraceStore needs max_entries >= 1, "
+                f"{type(self).__name__} needs max_entries >= 1, "
                 f"got {max_entries}")
         self.max_entries = max_entries
         self._entries: "OrderedDict[_TraceKey, _ColumnarPair]" = OrderedDict()
@@ -203,9 +207,9 @@ class ColumnarTraceStore:
         return pair
 
 
-# Per-process memo of generated columnar traces: a pure function of the
-# (profile, seed, warmup_ops, num_ops) key, same contract as the exec
-# engine's per-worker TraceStore.  # mapglint: declared-cache
+# Per-process memo of generated columnar traces, used by cells that are
+# given no store: a pure function of the (profile, seed, warmup_ops,
+# num_ops) key.  # mapglint: declared-cache
 _SHARED_STORE = ColumnarTraceStore()
 
 

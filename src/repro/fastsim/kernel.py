@@ -130,6 +130,9 @@ def fallback_reasons(config: SystemConfig, *,
 class FastSimulator:
     """Columnar batched replay of one core domain, oracle-identical.
 
+    The default engine (:data:`repro.fastsim.DEFAULT_ENGINE`) behind
+    ``run_workload``, ``JobSpec`` and the CLI; the oracle runs only when
+    asked for by name or when this kernel falls back to it.
     Drop-in companion to :class:`~repro.sim.simulator.Simulator`:
     construct with the same arguments, then drive with
     :meth:`warm_up`/:meth:`run` passing

@@ -12,13 +12,13 @@ import dataclasses
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 if TYPE_CHECKING:  # circularity guard: repro.exec executes via this layer
-    from repro.exec import ResultCache, SweepRunner, TraceStore
+    from repro.exec import ResultCache, SweepRunner
 
 from repro.config import SystemConfig
 from repro.core.token import TokenArbiter
 from repro.cpu.multicore import MultiCoreScheduler
 from repro.errors import ConfigError
-from repro.fastsim import (DEFAULT_ENGINE, FastSimulator,
+from repro.fastsim import (DEFAULT_ENGINE, ColumnarTraceStore, FastSimulator,
                            shared_columnar_store, validate_engine)
 from repro.memory.dram import Dram
 from repro.obs.spans import NullRecorder
@@ -58,17 +58,19 @@ def run_workload(config: SystemConfig, profile_name: str, num_ops: int,
     captures the cycle-timestamped timeline for Perfetto export; the
     default records nothing and costs nothing.
 
-    ``engine`` selects the execution kernel: ``"oracle"`` is the
-    reference event-driven simulator, ``"fast"`` the columnar batched
-    kernel of :mod:`repro.fastsim` — bit-identical results by contract,
-    roughly an order of magnitude faster on gating-eligible configs
-    (unsupported ones transparently fall back to the oracle).  Unknown
-    names raise :class:`~repro.errors.ConfigError`.
+    ``engine`` selects the execution kernel: ``"fast"`` (the default) is
+    the columnar batched kernel of :mod:`repro.fastsim`, ``"oracle"`` the
+    reference event-driven simulator you ask for by name — bit-identical
+    results by contract, the kernel several times faster on
+    gating-eligible configs (unsupported ones, and any run with a
+    recorder attached, transparently fall back to the oracle; see
+    :func:`repro.fastsim.fallback_reasons`).  Unknown names raise
+    :class:`~repro.errors.ConfigError`.
 
-    On the oracle path the generator **streams** into the simulator —
-    the op trace is never materialized as a list, so memory stays flat
-    however long the run is.  The fast path ingests the trace into
-    memoized columnar arrays (a few bytes per op) instead.
+    The fast engine takes its traces from the per-process memo of
+    columnar arrays (a few bytes per op).  On the oracle the generator
+    **streams** into the simulator — the op trace is never materialized,
+    so memory stays flat however long the run is.
     """
     return simulate_cell(config, profile_name, num_ops, seed=seed,
                          temperature_c=temperature_c, warmup_ops=warmup_ops,
@@ -80,33 +82,39 @@ def simulate_cell(config: SystemConfig, profile_name: str, num_ops: int, *,
                   warmup_ops: int = 0,
                   recorder: Optional[NullRecorder] = None,
                   engine: str = DEFAULT_ENGINE,
-                  trace_store: "Optional[TraceStore]" = None
+                  trace_store: Optional[ColumnarTraceStore] = None
                   ) -> SimulationResult:
     """Run one single-core cell: the one place that picks the engine.
 
-    Builds a :class:`~repro.fastsim.FastSimulator` (``engine="fast"``) or
-    an oracle :class:`~repro.sim.simulator.Simulator` and feeds it the
-    (warmup, measured) traces.  The fast engine takes them from the
-    per-process :func:`~repro.fastsim.shared_columnar_store`; the oracle
-    from ``trace_store`` (a :class:`repro.exec.TraceStore`) when one is
-    given, otherwise the generator streams straight into the simulator.
+    Builds a :class:`~repro.fastsim.FastSimulator` (``engine="fast"``, the
+    default) or an oracle :class:`~repro.sim.simulator.Simulator` and
+    feeds it the (warmup, measured) traces from ``trace_store`` (a
+    :class:`repro.fastsim.ColumnarTraceStore`, such as a sweep's
+    :class:`repro.exec.TraceStore`) on either engine: the kernel replays
+    the columnar pair, the oracle its ``ops()``.  With no store the fast
+    engine uses the per-process
+    :func:`~repro.fastsim.shared_columnar_store` and the oracle streams
+    the generator straight into the simulator.
     :func:`run_workload` and :meth:`repro.exec.JobSpec.execute` are thin
     calls to this; neither calls the other, so each cell is timed once.
     """
     validate_engine(engine)
     kwargs = {} if temperature_c is None else {"temperature_c": temperature_c}
+    fast = engine == "fast"
     simulator: "Simulator | FastSimulator"
-    if engine == "fast":
+    if fast:
         simulator = FastSimulator(config, workload=profile_name, seed=seed,
                                   recorder=recorder, **kwargs)
-        store = shared_columnar_store()
+        if trace_store is None:
+            trace_store = shared_columnar_store()
     else:
         simulator = Simulator(config, workload=profile_name, seed=seed,
                               recorder=recorder, **kwargs)
-        store = trace_store
-    if store is not None:
-        warm_trace, measured_trace = store.traces(
+    if trace_store is not None:
+        warm_trace, measured_trace = trace_store.traces(
             profile_name, num_ops, seed=seed, warmup_ops=warmup_ops)
+        if not fast:  # the oracle replays the same traces as op objects
+            warm_trace, measured_trace = warm_trace.ops(), measured_trace.ops()
         if warmup_ops:
             simulator.warm_up(warm_trace)
         return simulator.run(measured_trace)

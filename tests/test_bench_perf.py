@@ -22,8 +22,8 @@ def _load_script():
 bench_perf = _load_script()
 
 # Medians from a --quick run on a 2-vCPU host.
-CELLS_PER_S = {"figure-grid": 1.79, "grid-fast": 9.25, "sweep-serial": 4.2,
-               "sweep-pool": 5.9}
+CELLS_PER_S = {"figure-grid": 11.7, "grid-fast": 14.1, "sweep-serial": 19.8,
+               "sweep-pool": 38.5}
 
 
 def _document(quick=True, seed=11, **cells_per_s):
@@ -40,9 +40,11 @@ def _document(quick=True, seed=11, **cells_per_s):
     }
 
 
-def _cache(cold_s=1.1, warm_s=0.007, identical=True):
+def _cache(cold_s=1.1, warm_s=0.007, oracle_s=5.7, identical=True,
+           oracle_identical=True):
     return {"cells": 9, "num_ops": 10_000, "cold_s": cold_s,
-            "warm_s": warm_s, "identical": identical}
+            "warm_s": warm_s, "oracle_s": oracle_s, "identical": identical,
+            "oracle_identical": oracle_identical}
 
 
 class TestFloors:
@@ -55,10 +57,8 @@ class TestFloors:
 
     @pytest.mark.parametrize("document,cache,breached", [
         (_document(figure_grid=0.12), _cache(), "figure-grid cells/s"),
-        (_document(figure_grid=1.0, grid_fast=1.7), _cache(),
-         "grid-fast cells/s"),
-        (_document(figure_grid=1.5, grid_fast=1.9), _cache(),
-         "grid-fast / figure-grid cells/s"),
+        (_document(grid_fast=1.7), _cache(), "grid-fast cells/s"),
+        (_document(), _cache(oracle_s=1.4), "fast / oracle speedup"),
         (_document(sweep_pool=0.07), _cache(),
          "sweep-pool / sweep-serial cells/s"),
         (_document(), _cache(warm_s=0.035), "warm / cold cache speedup"),
@@ -73,10 +73,12 @@ class TestFloors:
     def test_floors_keep_the_old_gates_strength(self):
         # Old CI bands in 30 000-op cells: oracle 3 876 ops/s, fast 51 639
         # ops/s, fast/oracle 1.33x, pool/serial 0.0185x, warm/cold 32x.
+        # figure-grid runs the default engine, now the fast kernel.
         floors = bench_perf.FLOORS
         assert floors["figure-grid cells/s"] * 30_000 >= 3_876
+        assert floors["figure-grid cells/s"] * 30_000 >= 51_639
         assert floors["grid-fast cells/s"] * 30_000 >= 51_639
-        assert floors["grid-fast / figure-grid cells/s"] >= 1.33
+        assert floors["fast / oracle speedup"] >= 1.33
         assert floors["sweep-pool / sweep-serial cells/s"] >= 0.0185
         assert floors["warm / cold cache speedup"] >= 32
 
@@ -94,6 +96,13 @@ class TestCorrectness:
                                             _cache(identical=False))
         assert code == 2
         assert "not byte-identical" in failures[0]
+
+    def test_oracle_fast_mismatch_exits_2(self):
+        code, _, failures = bench_perf.gate(_document(),
+                                            _cache(oracle_identical=False))
+        assert code == 2
+        assert failures == [
+            "oracle results are not byte-identical to the fast engine's"]
 
     def test_correctness_outranks_a_floor_breach(self):
         document = _document(figure_grid=0.1)

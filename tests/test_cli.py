@@ -124,6 +124,34 @@ class TestRunExtensionFlags:
         assert windowed["total_cycles"] < blocking["total_cycles"]
 
 
+class TestEngineFallbackNote:
+    def test_fast_run_in_the_envelope_is_silent(self, capsys):
+        assert main(["run", "gcc_like", "--ops", "400"]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_fallback_names_its_reasons_once(self, capsys):
+        assert main(["run", "mcf_like", "--ops", "400", "--baseline",
+                     "--miss-window", "2", "--prefetch-degree", "2"]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == ["note: engine 'fast' runs this cell on the oracle: "
+                         "miss_window > 1 (WindowedCore); prefetcher enabled"]
+
+    def test_oracle_request_is_silent(self, capsys):
+        assert main(["run", "mcf_like", "--ops", "400", "--engine", "oracle",
+                     "--miss-window", "2"]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_trace_out_manifest_records_the_fallback(self, tmp_path, capsys):
+        trace = tmp_path / "run.json"
+        assert main(["run", "gcc_like", "--ops", "400",
+                     "--trace-out", str(trace)]) == 0
+        assert "span recorder attached" in capsys.readouterr().err
+        manifest = json.loads((tmp_path / "run.manifest.json").read_text(
+            encoding="utf-8"))
+        assert manifest["engine"] == "fast"
+        assert manifest["fallback_reasons"] == ["span recorder attached"]
+
+
 class TestTraceFileRun:
     def test_run_on_trace_file(self, capsys, tmp_path):
         path = str(tmp_path / "t.bin")

@@ -14,10 +14,12 @@ import sys
 
 import pytest
 
-import repro.exec.tracestore as tracestore_module
+import repro.fastsim.columnar as columnar_module
+import repro.sim.runner as runner_module
 from repro.config import SystemConfig
 from repro.errors import ConfigError, ReproError, SweepError
 from repro.exec import JobSpec, ResultCache, SweepRunner, result_to_dict
+from repro.fastsim import ColumnarTraceStore
 from repro.obs import SelfProfiler, SweepRecorder
 from repro.sim.runner import (
     run_policy_comparison,
@@ -269,30 +271,67 @@ class TestPoolReuse:
 
 
 class TestTraceMemoization:
-    def test_trace_generated_once_per_workload(self, monkeypatch):
-        # The satellite bug: run_policy_comparison used to regenerate the
-        # identical trace once per *policy*.  Through the engine's
-        # TraceStore it is generated once per (profile, seed).
+    def count_generations(self, monkeypatch):
+        """Record each trace generator built by the one trace store."""
         constructions = []
-        real = tracestore_module.SyntheticTraceGenerator
+        real = columnar_module.SyntheticTraceGenerator
 
         def counting(profile, seed):
             constructions.append((profile.name, seed))
             return real(profile, seed=seed)
 
-        monkeypatch.setattr(tracestore_module, "SyntheticTraceGenerator",
+        monkeypatch.setattr(columnar_module, "SyntheticTraceGenerator",
                             counting)
+        return constructions
+
+    def test_trace_generated_once_per_workload(self, monkeypatch):
+        # The old bug: run_policy_comparison used to regenerate the
+        # identical trace once per *policy*.  Through the engine's
+        # TraceStore it is generated once per (profile, seed).
+        constructions = self.count_generations(monkeypatch)
         run_policy_comparison(SystemConfig(), ["gcc_like"],
-                              ["never", "naive", "mapg"], 200, seed=3)
+                              ["never", "naive", "mapg"], 200, seed=3,
+                              engine="oracle")
         assert constructions == [("gcc_like", 3)]
 
         constructions.clear()
         run_policy_comparison(SystemConfig(), ["gcc_like", "mcf_like"],
-                              ["never", "mapg"], 200, seed=3)
+                              ["never", "mapg"], 200, seed=3,
+                              engine="oracle")
+        assert constructions == [("gcc_like", 3), ("mcf_like", 3)]
+
+    def test_fast_engine_generates_once_per_workload(self, monkeypatch):
+        # The fast engine replays the same store's traces: one generation
+        # per (profile, seed), never one per policy.
+        constructions = self.count_generations(monkeypatch)
+        run_policy_comparison(SystemConfig(), ["gcc_like"],
+                              ["never", "naive", "mapg"], 200, seed=3,
+                              engine="fast")
+        assert constructions == [("gcc_like", 3)]
+
+        constructions.clear()
+        run_policy_comparison(SystemConfig(), ["gcc_like", "mcf_like"],
+                              ["never", "mapg"], 200, seed=3, engine="fast")
         assert constructions == [("gcc_like", 3), ("mcf_like", 3)]
 
 
 class TestStreamingMemory:
+    CELL = dict(num_ops=20_000, warmup_ops=1_000, seed=3)
+
+    def materialized_run(self, config):
+        """The cell with its trace built as op lists first: (result, peak)."""
+        materialized = SelfProfiler(trace_malloc=True)
+        with materialized.stage("materialized"):
+            generator = SyntheticTraceGenerator(get_profile("gcc_like"),
+                                                seed=self.CELL["seed"])
+            warm = list(generator.operations(self.CELL["warmup_ops"]))
+            measured = list(generator.operations(self.CELL["num_ops"]))
+            simulator = Simulator(config, workload="gcc_like",
+                                  seed=self.CELL["seed"])
+            simulator.warm_up(warm)
+            reference = simulator.run(measured)
+        return reference, materialized.report()["peak_traced_bytes"]
+
     def test_run_workload_streams_the_trace(self):
         # Regression guard for the satellite fix: run_workload must feed
         # the generator straight into the simulator.  Reference point: the
@@ -301,27 +340,40 @@ class TestStreamingMemory:
         # the whole op list on top of the model state, so the streamed
         # peak must sit well below it.
         config = with_policy(SystemConfig(), "mapg")
-        num_ops, warmup_ops, seed = 20_000, 1_000, 3
-
-        materialized = SelfProfiler(trace_malloc=True)
-        with materialized.stage("materialized"):
-            generator = SyntheticTraceGenerator(get_profile("gcc_like"),
-                                                seed=seed)
-            warm = list(generator.operations(warmup_ops))
-            measured = list(generator.operations(num_ops))
-            simulator = Simulator(config, workload="gcc_like", seed=seed)
-            simulator.warm_up(warm)
-            reference = simulator.run(measured)
+        reference, peak_materialized = self.materialized_run(config)
 
         streamed = SelfProfiler(trace_malloc=True)
         with streamed.stage("streamed"):
-            result = run_workload(config, "gcc_like", num_ops, seed=seed,
-                                  warmup_ops=warmup_ops)
+            result = run_workload(config, "gcc_like", engine="oracle",
+                                  **self.CELL)
 
         assert result == reference  # same cell, same numbers
         peak_streamed = streamed.report()["peak_traced_bytes"]
-        peak_materialized = materialized.report()["peak_traced_bytes"]
         assert peak_streamed < 0.75 * peak_materialized, (
             f"streamed peak {peak_streamed:,} B is not clearly below the "
             f"materialized peak {peak_materialized:,} B — is run_workload "
             f"building an op list again?")
+
+    def test_fast_engine_stays_below_the_materialized_peak(self,
+                                                          monkeypatch):
+        # The fast engine holds the trace as columnar arrays, not op
+        # lists.  A fresh store makes the run generate and ingest its
+        # trace inside the measured window.
+        store = ColumnarTraceStore()
+        monkeypatch.setattr(runner_module, "shared_columnar_store",
+                            lambda: store)
+        config = with_policy(SystemConfig(), "mapg")
+        reference, peak_materialized = self.materialized_run(config)
+
+        columnar = SelfProfiler(trace_malloc=True)
+        with columnar.stage("columnar"):
+            result = run_workload(config, "gcc_like", engine="fast",
+                                  **self.CELL)
+
+        assert result == reference
+        assert store.misses == 1
+        peak_columnar = columnar.report()["peak_traced_bytes"]
+        assert peak_columnar < 0.75 * peak_materialized, (
+            f"fast-engine peak {peak_columnar:,} B is not clearly below "
+            f"the materialized peak {peak_materialized:,} B — is the "
+            f"columnar store holding op objects?")
