@@ -22,9 +22,6 @@ register, an adder, and a shift.
 
 from __future__ import annotations
 
-from repro.core.gating_constants import (
-    AIMD_BIAS_CAP_CYCLES, AIMD_DECAY, AIMD_IDLE_TOLERANCE_CYCLES,
-    AIMD_INCREASE_CYCLES)
 from repro.core.policies import MapgPolicy
 from repro.core.wakeup import WakeupPlan
 from repro.errors import ConfigError
@@ -34,12 +31,12 @@ class AdaptiveMapgPolicy(MapgPolicy):
     """MAPG with a run-time-adapted early-wake bias (policy ``mapg_adaptive``)."""
 
     # AIMD constants: additive increase per late wake, multiplicative decay
-    # when wakes keep landing comfortably early (class-attribute aliases of
-    # the shared definitions both engines import).
-    _INCREASE_CYCLES = AIMD_INCREASE_CYCLES
-    _DECAY = AIMD_DECAY
-    _IDLE_TOLERANCE_CYCLES = AIMD_IDLE_TOLERANCE_CYCLES
-    _BIAS_CAP_CYCLES = AIMD_BIAS_CAP_CYCLES
+    # when wakes land comfortably early (idle-awake above the tolerance),
+    # and the bias ceiling.
+    _INCREASE_CYCLES = 4
+    _DECAY = 0.85
+    _IDLE_TOLERANCE_CYCLES = 24
+    _BIAS_CAP_CYCLES = 96
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
@@ -48,18 +45,25 @@ class AdaptiveMapgPolicy(MapgPolicy):
     @property
     def bias_cycles(self) -> int:
         """The current adapted early-wake bias, in cycles."""
-        return int(round(self._bias_cycles))
+        return self._early_margin_cycles()
 
     def _early_margin_cycles(self) -> int:
-        return self.bias_cycles
+        return round(self._bias_cycles)
 
     def feedback(self, plan: WakeupPlan) -> None:
         """Adapt the bias from one gated stall's realized timeline."""
         if not isinstance(plan, WakeupPlan):
             raise ConfigError("feedback requires a realized WakeupPlan")
-        if plan.penalty > 0:
+        self.adapt(plan.penalty, plan.idle_awake)
+
+    def adapt(self, penalty: int, idle_awake: int) -> None:
+        """The AIMD rule on one completed gate's penalty and idle-awake cycles.
+
+        ``feedback`` wraps this; the fast kernel calls it directly.
+        """
+        if penalty > 0:
             self._bias_cycles = min(
                 float(self._BIAS_CAP_CYCLES),
                 self._bias_cycles + self._INCREASE_CYCLES)
-        elif plan.idle_awake > self._IDLE_TOLERANCE_CYCLES:
+        elif idle_awake > self._IDLE_TOLERANCE_CYCLES:
             self._bias_cycles *= self._DECAY

@@ -35,8 +35,6 @@ from typing import Optional
 
 from repro.config import GatingConfig
 from repro.core.breakeven import BreakEvenAnalyzer
-from repro.core.gating_constants import (
-    FALLBACK_DEV_BIAS, FALLBACK_DEV_FRACTION, GLOBAL_ALPHA)
 from repro.core.wakeup import plan_wakeup
 from repro.errors import ConfigError
 from repro.predict.base import LatencyPredictor
@@ -162,103 +160,144 @@ class MapgPolicy(GatingPolicy):
         # Per-row-buffer-outcome fallback registers (mean, deviation); the
         # "" key covers accesses whose outcome the controller didn't report.
         self._fallback: dict = {}
+        # Decision inputs, read once (config and analyzer are frozen):
+        # plan_gate runs at every off-chip stall on both engines.
+        self._min_confidence = config.min_confidence
+        self._early_margin = config.early_margin_cycles
+        self._sleep_mode = config.sleep_mode
+        self._early_wakeup = config.early_wakeup
+        self._drain = analyzer.drain_cycles
+        self._wake_full = analyzer.wake_cycles_for("full")
+        self._wake_retention = analyzer.wake_cycles_for("retention")
+        # The smallest stall analyzer.worthwhile(..., apply_margin=True)
+        # accepts per mode: its achievable sleep D - drain - wake must
+        # clear BET plus the guard margin.
+        guard = analyzer.config.guard_margin_cycles
+        self._threshold_full = (self._drain + self._wake_full
+                                + analyzer.bet_cycles_for("full") + guard)
+        self._threshold_retention = (
+            self._drain + self._wake_retention
+            + analyzer.bet_cycles_for("retention") + guard)
 
-    # EWMA weights of the global fallback registers (class-attribute
-    # aliases of the shared definitions both engines import).
-    _GLOBAL_ALPHA = GLOBAL_ALPHA
-    _DEV_BIAS = FALLBACK_DEV_BIAS  # wake this many deviations early on fallback gates
+    # Global fallback registers: EWMA weight of the (mean, deviation)
+    # pair, the deviation's cold-start fraction of the static estimate,
+    # and how many deviations early a fallback gate wakes (the TCP-RTO
+    # trick).
+    _GLOBAL_ALPHA = 0.1
+    _DEV_FRACTION = 0.25
+    _DEV_BIAS = 1.5
 
     def _early_margin_cycles(self) -> int:
         """Early-wake bias for confident gates; adaptive subclasses override."""
-        return self.config.early_margin_cycles
+        return self._early_margin
 
     def _fallback_registers(self, kind: str) -> "list[float]":
         registers = self._fallback.get(kind)
         if registers is None:
             registers = [float(self.static_estimate_cycles),
                          float(self.static_estimate_cycles)
-                         * FALLBACK_DEV_FRACTION]
+                         * self._DEV_FRACTION]
             self._fallback[kind] = registers
         return registers
 
     def decide(self, pc: int, bank: int, actual_stall_cycles: int,
                kind: str = "", elapsed_cycles: int = 0) -> GatingDecision:
-        # Predictors estimate the blocking access's *total* latency; the
-        # residual stall is that minus how long the access has already been
-        # in flight (0 on a blocking core; positive under MLP, where the
-        # request's age is architecturally known).
         prediction = self.predictor.predict(pc, bank, kind)
-        if prediction.confidence >= self.config.min_confidence:
-            estimate = max(0, prediction.latency_cycles - elapsed_cycles)
-            wake_estimate = estimate - self._early_margin_cycles()
-            confident = True
-        else:
-            mean, deviation = self._fallback_registers(kind)
-            estimate = max(0, int(round(mean)) - elapsed_cycles)
-            wake_estimate = int(round(
-                mean - elapsed_cycles - self._DEV_BIAS * deviation))
-            confident = False
-
-        mode = self._select_mode(estimate, confident)
+        mode, offset, estimate = self.plan_gate(
+            prediction.latency_cycles, prediction.confidence, kind,
+            elapsed_cycles)
+        confident = prediction.confidence >= self._min_confidence
         if mode is None:
             return GatingDecision(
                 gate=False, predicted_cycles=estimate,
                 confidence=prediction.confidence,
                 reason="mapg_below_bet" if confident else "mapg_fallback_below_bet")
-
-        # Early wakeup is scheduled for every gate, from the best estimate
-        # available — learned when confident, the static estimate otherwise.
-        # A timer-started wake can only beat the return-triggered fallback:
-        # if the estimate overshoots, the fallback bounds the loss at the
-        # naive penalty; if it undershoots, the cost is idle-awake cycles,
-        # which are far cheaper than exposed wake latency.  The early margin
-        # deliberately biases the wake early for the same reason — an
-        # unbiased predictor is late half the time.
-        offset: Optional[int] = None
-        if self.config.early_wakeup:
-            offset = plan_wakeup(
-                predicted_stall=max(0, wake_estimate),
-                drain=self.analyzer.drain_cycles,
-                wake=self.analyzer.wake_cycles_for(mode),
-                early_wakeup=True)
         return GatingDecision(
             gate=True, planned_wake_offset=offset,
             predicted_cycles=estimate, confidence=prediction.confidence,
             reason="mapg_gate" if confident else "mapg_fallback_gate",
             mode=mode)
 
-    def _select_mode(self, estimate: int, confident: bool) -> Optional[str]:
-        """Pick the sleep mode for this gate, or None to skip gating.
+    def plan_gate(self, latency: int, confidence: float, kind: str,
+                  elapsed: int = 0
+                  ) -> "tuple[Optional[str], Optional[int], int]":
+        """MAPG's rule for one stall: ``(mode, planned offset, estimate)``.
 
-        ``"full"`` mode: only for estimates clearing the full-gate
-        threshold — and, in ``dual`` mode, only when the estimate is a
-        confident one (a coarse estimate risks the expensive full wake).
-        ``"retention"``: the fallback depth — cheaper, faster wake, less
-        saving.  Whichever clears its threshold first wins.
+        ``latency``/``confidence`` are the predictor's total-latency
+        estimate for the blocking access.  ``mode`` is the sleep mode to
+        gate in, or None to stay awake; the planned offset is the wake
+        timer (None for a data-return-triggered wake); ``estimate`` is the
+        residual stall the decision was taken on.  ``decide`` wraps this;
+        the fast kernel calls it directly.
         """
-        sleep_mode = self.config.sleep_mode
-        full_ok = self.analyzer.worthwhile(estimate, apply_margin=True,
-                                           mode="full")
+        # Predictors estimate the blocking access's *total* latency; the
+        # residual stall is that minus how long the access has already been
+        # in flight (0 on a blocking core; positive under MLP, where the
+        # request's age is architecturally known).
+        if confidence >= self._min_confidence:
+            estimate = latency - elapsed
+            if estimate < 0:
+                estimate = 0
+            wake_estimate = estimate - self._early_margin_cycles()
+            confident = True
+        else:
+            registers = self._fallback.get(kind)
+            if registers is None:
+                registers = self._fallback_registers(kind)
+            mean, deviation = registers
+            estimate = round(mean) - elapsed
+            if estimate < 0:
+                estimate = 0
+            wake_estimate = round(mean - elapsed - self._DEV_BIAS * deviation)
+            confident = False
+
+        # Sleep mode.  "full" only for estimates clearing the full-gate
+        # threshold — and, in ``dual`` mode, only when the estimate is a
+        # confident one (a coarse estimate risks the expensive full wake).
+        # "retention" is the fallback depth: cheaper, faster wake, less
+        # saving.  Whichever clears its threshold first wins.
+        sleep_mode = self._sleep_mode
+        full_ok = estimate >= self._threshold_full
         if sleep_mode == "full":
-            return "full" if full_ok else None
-        retention_ok = self.analyzer.worthwhile(estimate, apply_margin=True,
-                                                mode="retention")
-        if sleep_mode == "retention":
-            return "retention" if retention_ok else None
-        # dual: confident long stalls take the deep mode; everything else
-        # that still clears the retention threshold takes the shallow one.
-        if full_ok and confident:
-            return "full"
-        if retention_ok:
-            return "retention"
-        if full_ok:
-            return "full"
-        return None
+            mode = "full" if full_ok else None
+        elif sleep_mode == "retention":
+            mode = ("retention" if estimate >= self._threshold_retention
+                    else None)
+        elif full_ok and confident:
+            mode = "full"
+        elif estimate >= self._threshold_retention:
+            mode = "retention"
+        else:
+            mode = "full" if full_ok else None
+        if mode is None or not self._early_wakeup:
+            return mode, None, estimate
+
+        # Early wakeup is scheduled for every gate, from the best estimate
+        # available — learned when confident, the fallback registers
+        # otherwise.  A timer-started wake can only beat the return-triggered
+        # fallback: if the estimate overshoots, the fallback bounds the loss
+        # at the naive penalty; if it undershoots, the cost is idle-awake
+        # cycles, which are far cheaper than exposed wake latency.  The early
+        # margin deliberately biases the wake early for the same reason — an
+        # unbiased predictor is late half the time.  This is plan_wakeup's
+        # algebra on the clamped estimate, inline: the inputs are already
+        # known to be non-negative.
+        offset = (wake_estimate if wake_estimate > 0 else 0) - (
+            self._wake_full if mode == "full" else self._wake_retention)
+        if offset < self._drain:
+            offset = self._drain
+        return mode, offset, estimate
 
     def observe(self, pc: int, bank: int, actual_stall_cycles: int,
                 kind: str = "") -> None:
         self.predictor.observe(pc, bank, actual_stall_cycles, kind)
-        registers = self._fallback_registers(kind)
+        self.observe_fallback(kind, actual_stall_cycles)
+
+    def observe_fallback(self, kind: str, actual_stall_cycles: int) -> None:
+        """Train the ``kind`` fallback registers on one measured latency."""
+        registers = self._fallback.get(kind)
+        if registers is None:
+            registers = self._fallback_registers(kind)
         error = actual_stall_cycles - registers[0]
         registers[0] += self._GLOBAL_ALPHA * error
         registers[1] += self._GLOBAL_ALPHA * (abs(error) - registers[1])

@@ -56,7 +56,7 @@ class JobSpec:
 
         ``engine`` is deliberately **not** part of the key: the fast
         kernel's contract is bit-identical results (enforced by the
-        crosscheck parity suite), so oracle- and fast-engine runs of the
+        fast/oracle parity suite), so oracle- and fast-engine runs of the
         same cell are the same result and may share cache entries.
         """
         return {

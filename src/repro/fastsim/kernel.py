@@ -19,10 +19,12 @@ oracle computes is reproduced with the same operands in the same order:
 * DRAM bank timing runs the oracle's nanosecond arithmetic term by term,
   with cycle<->ns conversions through the same :mod:`repro.units`
   helpers the hierarchy calls;
-* the MAPG policy/predictor updates (EWMA, confidence counters, fallback
-  registers, the adaptive AIMD bias) mutate the *real* policy objects with
-  inlined copies of their update rules;
-* prediction error streams use the same Welford recurrence.
+* the MAPG rules are not copied: the kernel calls the real objects'
+  own methods — the table's ``lookup`` and its entry's ``observe``,
+  ``MapgPolicy.plan_gate`` and ``observe_fallback``,
+  ``AdaptiveMapgPolicy.adapt`` — the same code the oracle's
+  ``decide``/``observe``/``feedback`` run — and feeds prediction errors to
+  the controller's own ``RunningMean`` streams.
 
 Architectural state (cache tags as insertion-ordered per-set dicts whose
 order provably equals the oracle's LRU stacks, MSHR fill maps with the
@@ -33,9 +35,9 @@ the wrapped simulator's real objects at region end — counters through
 ``CounterSet.add``, ledger totals through
 :meth:`~repro.core.energy.EnergyLedger.add_batch` (the batch entry point,
 so ledger internals stay owned by ``repro/core/energy.py``), histograms
-and running means by direct state transplant into the freshly-reset
-objects.  ``Simulator.reset_measurements()`` and ``Simulator.result()``
-then run unmodified, so the result path is shared with the oracle.
+by direct state transplant into the freshly-reset objects.
+``Simulator.reset_measurements()`` and ``Simulator.result()`` then run
+unmodified, so the result path is shared with the oracle.
 
 Fallback: configurations the kernel does not replicate (miss-window
 cores, prefetchers, non-LRU replacement, shared DRAM, token arbiters,
@@ -44,7 +46,8 @@ oracle on the reconstructed op stream; see :func:`fallback_reasons`.
 Policies other than Never/Mapg/AdaptiveMapg (or non-table predictors)
 decide through their own ``decide()`` per off-chip stall; the kernel then
 resolves the stall with the same inlined wakeup algebra and bookkeeping
-as the MAPG path, and calls the policy's real ``observe``/``feedback``.
+as the MAPG path (``resolve_wakeup`` is the one gating rule still
+copied), and calls the policy's real ``observe``/``feedback``.
 """
 
 from __future__ import annotations
@@ -55,19 +58,13 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.config import SystemConfig
 from repro.core.adaptive import AdaptiveMapgPolicy
-from repro.core.gating_constants import (
-    AIMD_BIAS_CAP_CYCLES, AIMD_DECAY, AIMD_IDLE_TOLERANCE_CYCLES,
-    AIMD_INCREASE_CYCLES, FALLBACK_DEV_BIAS, FALLBACK_DEV_FRACTION,
-    GLOBAL_ALPHA, TABLE_BANK_MULT, TABLE_KIND_MASK, TABLE_KIND_MULT,
-    TABLE_PC_SHIFT)
 from repro.core.policies import GatingPolicy, MapgPolicy, NeverPolicy
 from repro.core.token import TokenArbiter
 from repro.core.wakeup import WakeupPlan
 from repro.cpu.core import MLP_WINDOW_CYCLES
 from repro.errors import SimulationError
 from repro.fastsim.columnar import ColumnarTrace
-from repro.memory.dram import (ROW_CLOSED, ROW_CONFLICT, ROW_HIT,
-                               WRITE_BUFFERED, Dram)
+from repro.memory.dram import ROW_CLOSED, ROW_CONFLICT, ROW_HIT, Dram
 from repro.obs.spans import NullRecorder
 from repro.power.model import PowerState
 from repro.power.temperature import NOMINAL_TEMPERATURE_C
@@ -166,8 +163,10 @@ class FastSimulator:
     def _select_stall_mode(self) -> None:
         """Pick how off-chip stalls are handled (exact-type dispatch).
 
-        Subclasses (other than the two known ones) may override hooks the
-        inline path does not call, so anything unrecognized takes the
+        The ``mapg`` path calls the policy's rule methods (``plan_gate``,
+        ``observe_fallback``, ``adapt``) rather than ``decide``/``observe``/
+        ``feedback``.  Subclasses (other than the two known ones) may
+        override the latter, so anything unrecognized takes the
         ``generic`` path: the policy's own ``decide()``, with the kernel
         resolving the stall and calling its real ``observe``/``feedback``.
         """
@@ -257,47 +256,16 @@ class FastSimulator:
         self._p_sret = powers[PowerState.SLEEP_RETENTION]
         self._p_wake = powers[PowerState.WAKE]
         self._cfreq = sim.circuit.frequency_hz
-        # Controller / policy constants for the inline stall resolution.
+        # Controller constants for the inline stall resolution.
         analyzer = sim.controller.analyzer
-        gating = config.gating
         self._drain = analyzer.drain_cycles
         self._wake_full = analyzer.wake_cycles_for("full")
         self._wake_ret = analyzer.wake_cycles_for("retention")
-        guard = gating.guard_margin_cycles
-        self._th_full = (self._drain + self._wake_full
-                         + analyzer.bet_cycles_for("full") + guard)
-        self._th_ret = (self._drain + self._wake_ret
-                        + analyzer.bet_cycles_for("retention") + guard)
-        self._sleep_mode = gating.sleep_mode
-        self._min_conf = gating.min_confidence
-        self._early_wakeup = gating.early_wakeup
-        self._fixed_margin = gating.early_margin_cycles
         self._event_energy_fn = sim.power_model.gating_event_energy_j
         # gating_event_energy_j is a pure function of (sleep cycles, mode);
         # memoizing per int sleep length reproduces its floats exactly.
         self._ee_full: Dict[int, float] = {}
         self._ee_ret: Dict[int, float] = {}
-        policy = sim.controller.policy
-        self._adaptive = isinstance(policy, AdaptiveMapgPolicy)
-        if self._stall_mode == "mapg":
-            assert isinstance(policy, MapgPolicy)
-            predictor = policy.predictor
-            assert isinstance(predictor, HistoryTablePredictor)
-            self._table: List[Any] = predictor._table
-            self._table_n = predictor._entries_count
-            self._table_alpha = predictor._alpha
-            self._table_tol = predictor._tolerance
-            self._table_initial = predictor._initial
-            self._conf_max = type(self._table[0]).CONFIDENCE_MAX
-            self._fallback_regs: Dict[str, List[float]] = policy._fallback
-            self._static_est = policy.static_estimate_cycles
-            # kind -> (kind_bits * TABLE_KIND_MULT), the table hash's
-            # kind term, pre-folded per known row-buffer outcome.
-            self._kind_mult: Dict[str, int] = {
-                kind: (sum(kind.encode()) & TABLE_KIND_MASK)
-                * TABLE_KIND_MULT
-                for kind in ("", ROW_HIT, ROW_CLOSED, ROW_CONFLICT,
-                             WRITE_BUFFERED)}
 
     def _reset_dram_histogram(self) -> None:
         # Stats ride in one list ([n, sum, min, max]) so the replay loop's
@@ -440,13 +408,6 @@ class FastSimulator:
         cc_sleep_sum = 0
         cc_penalty_sum = 0
         cc_idle_sum = 0
-        # Prediction-error Welford streams.
-        pe_n = 0
-        pe_mean = 0.0
-        pe_m2 = 0.0
-        pre_n = 0
-        pre_mean = 0.0
-        pre_m2 = 0.0
         # Off-chip stall-length histogram (simulator-level).
         sh_edges = self._sh_edges
         sh_counts = [0] * (len(sh_edges) + 1)
@@ -471,37 +432,24 @@ class FastSimulator:
 
         mode_never = self._stall_mode == "never"
         mode_mapg = self._stall_mode == "mapg"
-        policy = sim.controller.policy
+        controller = sim.controller
+        policy = controller.policy
+        # The controller's prediction-error streams, bound per region:
+        # reset_measurements() replaces them at the warmup boundary.
+        error_observe = controller.prediction_error.observe
+        relative_error_observe = controller.prediction_relative_error.observe
         if mode_mapg:
-            table = self._table
-            table_n = self._table_n
-            alpha = self._table_alpha
-            tol = self._table_tol
-            conf_max = self._conf_max
-            initial = self._table_initial
-            fb = self._fallback_regs
-            static_est = self._static_est
-            kind_mult = self._kind_mult
-            min_conf = self._min_conf
-            sleep_mode = self._sleep_mode
-            th_full = self._th_full
-            th_ret = self._th_ret
-            early_wakeup = self._early_wakeup
-            fixed_margin = self._fixed_margin
-            adaptive = self._adaptive
-            # Shared gating constants -> locals (one definition per value;
-            # the oracle classes import the same names).
-            pc_shift = TABLE_PC_SHIFT
-            bank_mult = TABLE_BANK_MULT
-            dev_frac = FALLBACK_DEV_FRACTION
-            dev_bias = FALLBACK_DEV_BIAS
-            g_alpha = GLOBAL_ALPHA
-            aimd_inc = AIMD_INCREASE_CYCLES
-            aimd_cap = float(AIMD_BIAS_CAP_CYCLES)
-            aimd_decay = AIMD_DECAY
-            aimd_idle = AIMD_IDLE_TOLERANCE_CYCLES
-            # AIMD bias rides in a local; written back at flush.
-            bias = policy._bias_cycles if adaptive else 0.0
+            # MAPG's rules, called on the real policy and predictor: the
+            # table lookup, the gate plan, the entry and fallback-register
+            # training, and (adaptive only) the AIMD wake bias.
+            predictor = policy.predictor
+            lookup = predictor.lookup
+            table_alpha = predictor._alpha
+            table_tol = predictor._tolerance
+            plan_gate = policy.plan_gate
+            observe_fallback = policy.observe_fallback
+            adapt = (policy.adapt if isinstance(policy, AdaptiveMapgPolicy)
+                     else None)
         elif not mode_never:
             decide = policy.decide
             observe = policy.observe
@@ -760,56 +708,12 @@ class FastSimulator:
 
             # Decision: gate mode (None = stay awake), planned wake offset
             # (None = data-return trigger) and the estimate the controller
-            # scores.  MAPG's decide() is inlined; every other policy is
-            # consulted directly, exactly as the controller consults it.
+            # scores.  MAPG is asked through its rule methods; every other
+            # policy is consulted directly, exactly as the controller
+            # consults it.
             if mode_mapg:
-                # --- MapgPolicy.decide, inlined ---
-                entry = table[((pc >> pc_shift) ^ (bank * bank_mult)
-                               ^ kind_mult[kind]) % table_n]
-                if entry.valid:
-                    pred_lat = int(round(entry.mean))
-                    conf = entry.confidence_counter / conf_max
-                else:
-                    pred_lat = initial
-                    conf = 0.0
-                if conf >= min_conf:
-                    est = pred_lat if pred_lat > 0 else 0
-                    margin = int(round(bias)) if adaptive else fixed_margin
-                    wake_est = est - margin
-                    confident = True
-                else:
-                    regs = fb.get(kind)
-                    if regs is None:
-                        regs = [float(static_est),
-                                float(static_est) * dev_frac]
-                        fb[kind] = regs
-                    mean_reg = int(round(regs[0]))
-                    est = mean_reg if mean_reg > 0 else 0
-                    wake_est = int(round(regs[0] - dev_bias * regs[1]))
-                    confident = False
-                if sleep_mode == "full":
-                    gate_mode = "full" if est >= th_full else None
-                elif sleep_mode == "retention":
-                    gate_mode = "retention" if est >= th_ret else None
-                else:  # dual
-                    full_ok = est >= th_full
-                    if full_ok and confident:
-                        gate_mode = "full"
-                    elif est >= th_ret:
-                        gate_mode = "retention"
-                    elif full_ok:
-                        gate_mode = "full"
-                    else:
-                        gate_mode = None
-                if gate_mode is not None and early_wakeup:
-                    # plan_wakeup, inlined.
-                    we = wake_est if wake_est > 0 else 0
-                    planned = we - (wake_full if gate_mode == "full"
-                                    else wake_ret)
-                    if planned < drain:
-                        planned = drain
-                else:
-                    planned = None
+                entry, latency, confidence = lookup(pc, bank, kind)
+                gate_mode, planned, est = plan_gate(latency, confidence, kind)
             elif mode_never:
                 gate_mode = None
                 est = 0
@@ -818,20 +722,11 @@ class FastSimulator:
                 gate_mode = decision.mode if decision.gate else None
                 planned = decision.planned_wake_offset
                 est = decision.predicted_cycles
-            # --- controller._record_prediction, inlined ---
+            # controller._record_prediction's scoring, into the real streams.
             if est > 0:
-                err = est - stall
-                if err < 0:
-                    err = -err
-                pe_n += 1
-                d1 = err - pe_mean
-                pe_mean += d1 / pe_n
-                pe_m2 += d1 * (err - pe_mean)
-                rel = err / (stall if stall > 1 else 1)
-                pre_n += 1
-                d2 = rel - pre_mean
-                pre_mean += d2 / pre_n
-                pre_m2 += d2 * (rel - pre_mean)
+                err = est - stall if est > stall else stall - est
+                error_observe(err)
+                relative_error_observe(err / (stall if stall > 1 else 1))
             # --- outcome (resolve_wakeup inlined, token_delay 0) ---
             penalty = 0
             gated = False
@@ -914,38 +809,10 @@ class FastSimulator:
             # Learning, in the controller's order: observe, then feedback
             # on a completed gate.
             if mode_mapg:
-                # --- policy.observe (predictor + fallback regs), inlined ---
-                if entry.valid:
-                    obs_err = stall - entry.mean
-                    aerr = obs_err if obs_err >= 0 else -obs_err
-                    bound = entry.mean if entry.mean > 1.0 else 1.0
-                    if aerr <= tol * bound:
-                        nc = entry.confidence_counter + 1
-                        entry.confidence_counter = (nc if nc < conf_max
-                                                    else conf_max)
-                    else:
-                        nc = entry.confidence_counter - 2
-                        entry.confidence_counter = nc if nc > 0 else 0
-                    entry.mean += alpha * (stall - entry.mean)
-                else:
-                    entry.mean = float(stall)
-                    entry.confidence_counter = 1
-                    entry.valid = True
-                regs = fb.get(kind)
-                if regs is None:
-                    regs = [float(static_est), float(static_est) * dev_frac]
-                    fb[kind] = regs
-                reg_err = stall - regs[0]
-                regs[0] += g_alpha * reg_err
-                abs_err = reg_err if reg_err >= 0 else -reg_err
-                regs[1] += g_alpha * (abs_err - regs[1])
-                # --- AdaptiveMapgPolicy.feedback, inlined ---
-                if adaptive and gated:
-                    if penalty > 0:
-                        nb = bias + aimd_inc
-                        bias = nb if nb < aimd_cap else aimd_cap
-                    elif idle > aimd_idle:
-                        bias *= aimd_decay
+                entry.observe(stall, table_alpha, table_tol)
+                observe_fallback(kind, stall)
+                if gated and adapt is not None:
+                    adapt(penalty, idle)
             elif not mode_never:
                 observe(pc, bank, stall, kind)
                 if gated and feedback is not None:
@@ -1061,9 +928,6 @@ class FastSimulator:
         dh._max = dh_stats[3]
         self._reset_dram_histogram()
 
-        if mode_mapg and adaptive:
-            policy._bias_cycles = bias
-        controller = sim.controller
         self._flush_counters(controller.counters, (
             ("offchip_stalls", n_off), ("offchip_stall_cycles", off_cyc),
             ("ungated", cc_ungated), ("aborted", cc_aborted)))
@@ -1075,14 +939,6 @@ class FastSimulator:
         self._flush_counters(controller.counters, (
             ("gated_full", cc_gated_full), ("gated_retention", cc_gated_ret),
             ("early_wake_idle_cycles", cc_idle_sum)))
-        pe = controller.prediction_error
-        pe._count = pe_n
-        pe._mean = pe_mean
-        pe._m2 = pe_m2
-        pre = controller.prediction_relative_error
-        pre._count = pre_n
-        pre._mean = pre_mean
-        pre._m2 = pre_m2
 
     @staticmethod
     def _flush_counters(counters: Any,

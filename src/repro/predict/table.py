@@ -12,11 +12,9 @@ controller, which is the implementation a DATE paper would argue for.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.config import GatingConfig
-from repro.core.gating_constants import (
-    TABLE_BANK_MULT, TABLE_KIND_MASK, TABLE_KIND_MULT, TABLE_PC_SHIFT)
 from repro.errors import PredictionError
 from repro.predict.base import LatencyPredictor, Prediction
 from repro.predict.simple import EwmaPredictor, FixedPredictor, LastValuePredictor
@@ -33,6 +31,41 @@ class _TableEntry:
         self.mean = 0.0
         self.confidence_counter = 0
         self.valid = False
+
+    def observe(self, actual_cycles: int, alpha: float,
+                tolerance: float) -> None:
+        """Learn one measured latency: confidence counter, then EWMA.
+
+        Runs at every off-chip stall on both engines, hence the plain
+        comparisons in place of ``abs``/``min``/``max``.
+        """
+        if not self.valid:
+            self.mean = float(actual_cycles)
+            self.confidence_counter = 1
+            self.valid = True
+            return
+        mean = self.mean
+        error = actual_cycles - mean
+        if (error if error >= 0 else -error) <= tolerance * (
+                mean if mean > 1.0 else 1.0):
+            counter = self.confidence_counter + 1
+            if counter > self.CONFIDENCE_MAX:
+                counter = self.CONFIDENCE_MAX
+        else:
+            counter = self.confidence_counter - 2
+            if counter < 0:
+                counter = 0
+        self.confidence_counter = counter
+        self.mean = mean + alpha * error
+
+
+# The table hash: pc is folded down by the word shift, the bank id and the
+# row-buffer outcome (2 bits in hardware; hashed from the string here) are
+# spread by two odd multipliers before the xor fold.
+_PC_SHIFT = 2
+_KIND_MASK = 0x3F
+_KIND_MULT = 0x68E31
+_BANK_MULT = 0x9E37
 
 
 class HistoryTablePredictor(LatencyPredictor):
@@ -53,38 +86,37 @@ class HistoryTablePredictor(LatencyPredictor):
         self._tolerance = tolerance
         self._initial = initial_cycles
         self._table: List[_TableEntry] = [_TableEntry() for __ in range(entries)]
+        # kind -> its term of the table hash, folded once per outcome.
+        self._kind_terms: Dict[str, int] = {}
 
-    def _index(self, pc: int, bank: int, kind: str) -> int:
-        # Cheap hardware hash: fold pc over the bank id and the row-buffer
-        # outcome (2 bits in hardware; hashed from the string here).
-        kind_bits = sum(kind.encode()) & TABLE_KIND_MASK
-        return ((pc >> TABLE_PC_SHIFT) ^ (bank * TABLE_BANK_MULT)
-                ^ (kind_bits * TABLE_KIND_MULT)) % self._entries_count
+    def lookup(self, pc: int, bank: int,
+               kind: str = "") -> Tuple[_TableEntry, int, float]:
+        """``(entry, latency, confidence)`` for one access.
+
+        ``predict`` wraps the estimate; the fast kernel keeps the entry to
+        train it with :meth:`_TableEntry.observe` once the latency is known.
+        """
+        kind_term = self._kind_terms.get(kind)
+        if kind_term is None:
+            kind_term = (sum(kind.encode()) & _KIND_MASK) * _KIND_MULT
+            self._kind_terms[kind] = kind_term
+        entry = self._table[((pc >> _PC_SHIFT) ^ (bank * _BANK_MULT)
+                             ^ kind_term) % self._entries_count]
+        if not entry.valid:
+            return entry, self._initial, 0.0
+        return (entry, round(entry.mean),
+                entry.confidence_counter / _TableEntry.CONFIDENCE_MAX)
 
     def predict(self, pc: int, bank: int, kind: str = "") -> Prediction:
-        entry = self._table[self._index(pc, bank, kind)]
-        if not entry.valid:
-            return Prediction(self._initial, 0.0)
-        confidence = entry.confidence_counter / _TableEntry.CONFIDENCE_MAX
-        return Prediction(int(round(entry.mean)), confidence)
+        __, latency, confidence = self.lookup(pc, bank, kind)
+        return Prediction(latency, confidence)
 
     def observe(self, pc: int, bank: int, actual_cycles: int,
                 kind: str = "") -> None:
         if actual_cycles < 0:
             raise PredictionError(f"observed latency must be >= 0, got {actual_cycles}")
-        entry = self._table[self._index(pc, bank, kind)]
-        if not entry.valid:
-            entry.mean = float(actual_cycles)
-            entry.confidence_counter = 1
-            entry.valid = True
-            return
-        error = abs(actual_cycles - entry.mean)
-        if error <= self._tolerance * max(1.0, entry.mean):
-            entry.confidence_counter = min(
-                entry.confidence_counter + 1, _TableEntry.CONFIDENCE_MAX)
-        else:
-            entry.confidence_counter = max(entry.confidence_counter - 2, 0)
-        entry.mean += self._alpha * (actual_cycles - entry.mean)
+        self.lookup(pc, bank, kind)[0].observe(
+            actual_cycles, self._alpha, self._tolerance)
 
     def reset(self) -> None:
         self._table = [_TableEntry() for __ in range(self._entries_count)]

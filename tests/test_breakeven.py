@@ -5,6 +5,8 @@ import pytest
 from repro.config import GatingConfig
 from repro.core.breakeven import BreakEvenAnalyzer
 from repro.errors import ConfigError
+from repro.power.gating import SleepTransistorNetwork
+from repro.power.technology import TECHNOLOGY_NODES, get_technology
 
 
 @pytest.fixture
@@ -72,3 +74,31 @@ class TestNetSaving:
     def test_monotone_in_stall_length(self, analyzer):
         savings = [analyzer.net_saving_j(n) for n in (100, 300, 1000, 3000)]
         assert savings == sorted(savings)
+
+
+class TestBetConsistency:
+    """The characterized BET is the circuit's own break-even point.
+
+    ``breakeven_cycles`` is ceiled from a bisection in seconds; at every
+    node, temperature and clock it must be the first whole cycle whose
+    net saving is non-negative, in both sleep modes.
+    """
+
+    @pytest.mark.parametrize("node", sorted(TECHNOLOGY_NODES))
+    def test_breakeven_cycles_is_the_first_profitable_sleep(self, node):
+        for temperature in (0, 25, 45, 70, 85, 100, 120):
+            network = SleepTransistorNetwork(get_technology(node),
+                                             temperature_c=temperature)
+            for frequency_hz in (1.0e9, 2.0e9, 3.2e9):
+                circuit = network.characterize(frequency_hz)
+                case = (node, temperature, frequency_hz)
+                full = circuit.breakeven_cycles
+                assert circuit.net_saving_j(full) >= 0 \
+                    > circuit.net_saving_j(full - 1), case
+
+                def retention(cycles):
+                    return network.retention_net_saving_j(
+                        circuit.cycles_to_seconds(cycles))
+
+                kept = circuit.retention_breakeven_cycles
+                assert retention(kept) >= 0 > retention(kept - 1), case

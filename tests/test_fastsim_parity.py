@@ -22,19 +22,18 @@ import pytest
 from repro.config import (
     CacheConfig, CoreConfig, DramConfig, GatingConfig, PrefetcherConfig,
     SystemConfig)
-from repro.core import policies as policies_module
+from repro.core.adaptive import AdaptiveMapgPolicy
 from repro.core.controller import MapgController
-from repro.core.crosscheck import crosscheck_engines, verify_engines
-from repro.core.policies import GatingDecision, GatingPolicy
+from repro.core.policies import GatingDecision, GatingPolicy, MapgPolicy
 from repro.core.token import TokenArbiter
 from repro.errors import ConfigError, SimulationError
 from repro.exec import JobSpec, SweepRunner
 from repro.fastsim import (
     ColumnarTrace, FastSimulator, fallback_reasons, shared_columnar_store,
     validate_engine)
-from repro.fastsim import kernel as kernel_module
 from repro.memory.dram import Dram
 from repro.power.technology import TECHNOLOGY_NODES
+from repro.predict.table import HistoryTablePredictor
 from repro.sim.runner import run_workload, with_policy
 from repro.sim import simulator as simulator_module
 from repro.sim.simulator import Simulator
@@ -256,15 +255,58 @@ class TestKernelResolvesEveryStall:
         assert message in messages[0]
         assert messages[1] == messages[0]
 
-    def test_fallback_dev_fraction_is_shared(self, monkeypatch):
-        # A confident first decision on a row-buffer kind leaves the
-        # fallback registers to be seeded by observe(); both engines must
-        # seed them from the one shared constant.
-        for module in (policies_module, kernel_module):
-            monkeypatch.setattr(module, "FALLBACK_DEV_FRACTION", 0.4)
-        assert_identical(with_policy(SystemConfig(), "mapg",
-                                     min_confidence=0.05),
-                         "lbm_like", 1500, seed=3)
+
+#: Every MAPG tunable at its one owner: ``(owner, attribute, patched value,
+#: policies whose result the patch must change)``.  The fast kernel calls
+#: the owners' rule methods, so a patch moves both engines alike.  The
+#: table tolerance is a constructor default: ``make_predictor`` never
+#: passes it.
+TUNABLES = {
+    "fallback-dev-fraction": (MapgPolicy, "_DEV_FRACTION", 0.4,
+                              ("mapg", "mapg_adaptive")),
+    "deviation-bias": (MapgPolicy, "_DEV_BIAS", 0.5,
+                       ("mapg", "mapg_adaptive")),
+    "global-alpha": (MapgPolicy, "_GLOBAL_ALPHA", 0.3,
+                     ("mapg", "mapg_adaptive")),
+    "aimd-increase": (AdaptiveMapgPolicy, "_INCREASE_CYCLES", 9,
+                      ("mapg_adaptive",)),
+    "aimd-decay": (AdaptiveMapgPolicy, "_DECAY", 0.5, ("mapg_adaptive",)),
+    "aimd-idle-tolerance": (AdaptiveMapgPolicy, "_IDLE_TOLERANCE_CYCLES", 4,
+                            ("mapg_adaptive",)),
+    "aimd-cap": (AdaptiveMapgPolicy, "_BIAS_CAP_CYCLES", 10,
+                 ("mapg_adaptive",)),
+    "table-tolerance": (HistoryTablePredictor.__init__, "__defaults__",
+                        (64, 0.3, 0.05, 200), ("mapg", "mapg_adaptive")),
+}
+
+
+class TestSingleOwner:
+    """Each MAPG rule has one implementation, shared by both engines."""
+
+    def test_table_tolerance_default_is_the_patched_slot(self):
+        assert HistoryTablePredictor.__init__.__defaults__ == \
+            (64, 0.3, 0.2, 200)
+
+    @pytest.mark.parametrize("tunable", sorted(TUNABLES))
+    def test_patching_the_owner_moves_both_engines(self, monkeypatch,
+                                                   tunable):
+        owner, attribute, value, affected = TUNABLES[tunable]
+        cells = {policy: with_policy(SystemConfig(), policy)
+                 for policy in ("mapg", "mapg_adaptive")}
+        before = {policy: canonical(run_workload(
+            config, "mcf_like", 1500, seed=3, engine="oracle"))
+            for policy, config in cells.items()}
+        monkeypatch.setattr(owner, attribute, value)
+        for policy, config in cells.items():
+            oracle = canonical(run_workload(config, "mcf_like", 1500, seed=3,
+                                            engine="oracle"))
+            fast = canonical(run_workload(config, "mcf_like", 1500, seed=3,
+                                          engine="fast"))
+            changed = oracle != before[policy]
+            assert changed == (policy in affected), \
+                f"patching {tunable}: {policy} changed={changed}"
+            assert fast == oracle, \
+                f"{tunable}: fast kernel diverged on {policy}"
 
 
 class TestEngineContract:
@@ -294,25 +336,6 @@ class TestEngineContract:
         spec = JobSpec(config=SystemConfig(), profile="mcf_like",
                        num_ops=100, engine="fast")
         assert JobSpec.from_payload(spec.to_payload()).engine == "fast"
-
-    def test_crosscheck_reports_fast_path(self):
-        check = verify_engines(with_policy(SystemConfig(), "mapg"),
-                               "mcf_like", 1200, seed=2, warmup_ops=200)
-        assert check.identical
-        assert check.used_fast_path
-        assert check.oracle_digest == check.fast_digest
-
-    def test_crosscheck_flags_fallback(self):
-        # An MLP core (miss_window > 1) is outside the kernel's
-        # eligibility envelope, so the comparison degrades to
-        # oracle-vs-oracle and says so.
-        base = with_policy(SystemConfig(), "mapg")
-        config = base.replace(
-            core=dataclasses.replace(base.core, miss_window=2))
-        check = crosscheck_engines(config, "mcf_like", 600, seed=2)
-        assert check.identical
-        assert not check.used_fast_path
-        assert check.fallback_reasons
 
 
 # ---- config fuzzing ----------------------------------------------------------
@@ -424,8 +447,8 @@ def random_config(rng):
             write_buffer_per_bank=rng.randint(0, 8)),
         gating=GatingConfig(
             policy=rng.choice(POLICIES),
-            # "table" twice: it is the only predictor the inlined MAPG
-            # stall path accepts.
+            # "table" twice: it is the only predictor the kernel's MAPG
+            # stall path takes (it calls the table's own lookup).
             predictor=rng.choice(("table", "table", "fixed", "last_value",
                                   "ewma", "oracle")),
             guard_margin_cycles=rng.randint(0, 40),
@@ -476,6 +499,23 @@ class TestFuzzedConfigs:
                 f"fast kernel diverged on fuzz seed {seed} ({profile})"
         assert modes == {"never", "mapg", "generic"}
 
+    def test_policy_thresholds_are_the_smallest_worthwhile_stalls(self):
+        # MapgPolicy folds analyzer.worthwhile into one precomputed
+        # threshold per sleep mode; each must be the boundary it replaces.
+        for seed in FUZZ_SEEDS:
+            config, __, __, __, temperature = fuzz_case(seed)
+            analyzer = Simulator(config, temperature_c=temperature).analyzer
+            policy = MapgPolicy(analyzer, HistoryTablePredictor(),
+                                config.gating, 200)
+            for mode, threshold in (("full", policy._threshold_full),
+                                    ("retention",
+                                     policy._threshold_retention)):
+                assert threshold >= 1
+                assert analyzer.worthwhile(threshold, apply_margin=True,
+                                           mode=mode), (seed, mode)
+                assert not analyzer.worthwhile(
+                    threshold - 1, apply_margin=True, mode=mode), (seed, mode)
+
     def test_every_config_leaf_is_drawn_or_refused(self):
         leaves = set(config_leaves(SystemConfig()))
         drawn = set(DRAWN_LEAVES)
@@ -502,6 +542,8 @@ class TestFuzzedConfigs:
         config = with_leaf(SystemConfig(), leaf, value)
         assert FastSimulator(config).fallback_reasons, leaf
         assert fallback_reasons(config) == FastSimulator(config).fallback_reasons
+        # A fast request that falls back still returns the oracle's result.
+        assert_identical(config, "mcf_like", 600, seed=2)
 
     def test_multi_core_leaves_reach_the_kernel_only_as_refused_objects(self):
         assert all(MULTI_CORE_LEAVES.values())
