@@ -21,7 +21,8 @@ from repro.core.policies import (
 )
 from repro.core.state import PgState, PowerGateStateMachine
 from repro.core.token import TokenArbiter
-from repro.core.wakeup import WakeupPlan, plan_wakeup, resolve_wakeup
+from repro.core.wakeup import (
+    WakeupPlan, plan_wakeup, resolve_wakeup, wakeup_timeline)
 
 __all__ = [
     "AdaptiveMapgPolicy",
@@ -43,4 +44,5 @@ __all__ = [
     "WakeupPlan",
     "plan_wakeup",
     "resolve_wakeup",
+    "wakeup_timeline",
 ]

@@ -20,7 +20,8 @@ trace the sensitivity curve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Dict
 
 from repro.config import GatingConfig
 from repro.errors import ConfigError
@@ -33,6 +34,13 @@ class BreakEvenAnalyzer:
 
     circuit: GatingCircuit
     config: GatingConfig
+    # Per-mode memos of the scaled thresholds (circuit and config are
+    # frozen): ``worthwhile`` asks for them at every off-chip stall of the
+    # threshold and oracle policies.
+    _bet_by_mode: Dict[str, int] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    _wake_by_mode: Dict[str, int] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def bet_cycles(self) -> int:
@@ -46,23 +54,31 @@ class BreakEvenAnalyzer:
 
     def bet_cycles_for(self, mode: str) -> int:
         """Break-even sleep duration of one sleep ``mode`` (config-scaled)."""
-        if mode == "full":
-            base = self.circuit.breakeven_cycles
-        elif mode == "retention":
-            base = self.circuit.retention_breakeven_cycles
-        else:
-            raise ConfigError(f"unknown sleep mode {mode!r}")
-        return max(1, int(round(base * self.config.bet_scale)))
+        cycles = self._bet_by_mode.get(mode)
+        if cycles is None:
+            if mode == "full":
+                base = self.circuit.breakeven_cycles
+            elif mode == "retention":
+                base = self.circuit.retention_breakeven_cycles
+            else:
+                raise ConfigError(f"unknown sleep mode {mode!r}")
+            cycles = max(1, int(round(base * self.config.bet_scale)))
+            self._bet_by_mode[mode] = cycles
+        return cycles
 
     def wake_cycles_for(self, mode: str) -> int:
         """Wakeup latency of one sleep ``mode`` (config-scaled)."""
-        if mode == "full":
-            base = self.circuit.wake_cycles
-        elif mode == "retention":
-            base = self.circuit.retention_wake_cycles
-        else:
-            raise ConfigError(f"unknown sleep mode {mode!r}")
-        return max(0, int(round(base * self.config.wake_scale)))
+        cycles = self._wake_by_mode.get(mode)
+        if cycles is None:
+            if mode == "full":
+                base = self.circuit.wake_cycles
+            elif mode == "retention":
+                base = self.circuit.retention_wake_cycles
+            else:
+                raise ConfigError(f"unknown sleep mode {mode!r}")
+            cycles = max(0, int(round(base * self.config.wake_scale)))
+            self._wake_by_mode[mode] = cycles
+        return cycles
 
     @property
     def drain_cycles(self) -> int:

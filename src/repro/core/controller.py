@@ -24,7 +24,7 @@ from typing import List, Optional, Tuple
 from repro.core.breakeven import BreakEvenAnalyzer
 from repro.core.policies import GatingDecision, GatingPolicy
 from repro.core.token import TokenArbiter
-from repro.core.wakeup import WakeupPlan, resolve_wakeup
+from repro.core.wakeup import WakeupPlan, wakeup_timeline
 from repro.errors import SimulationError
 from repro.obs.spans import NULL_RECORDER, NullRecorder
 from repro.power.model import CorePowerModel, PowerState
@@ -166,44 +166,47 @@ class MapgController:
                 self.counters.add("token_delays")
                 self.counters.add("token_delay_cycles", token_delay)
 
-        plan = resolve_wakeup(stall, drain, wake,
-                              decision.planned_wake_offset, token_delay)
+        timeline = wakeup_timeline(stall, drain, wake,
+                                   decision.planned_wake_offset, token_delay)
+        drained, sleep, woke, idle_awake, penalty, token_wait = timeline
+        # The outcome carries the realized plan (feedback() receives it).
+        plan = WakeupPlan(*timeline)
 
-        if plan.wake == 0 and plan.sleep == 0:
+        if woke == 0 and sleep == 0:
             # Abort: data returned during drain; the header never opened.
             self.counters.add("aborted")
             intervals: List[Tuple[PowerState, int]] = []
-            if plan.drain > 0:
-                intervals.append((PowerState.DRAIN, plan.drain))
+            if drained > 0:
+                intervals.append((PowerState.DRAIN, drained))
             return StallOutcome(
                 gated=True, aborted=True, penalty_cycles=0, event_energy_j=0.0,
                 decision=decision, plan=plan, intervals=tuple(intervals))
 
         self.counters.add("gated")
         self.counters.add(f"gated_{decision.mode}")
-        self.counters.add("sleep_cycles", plan.sleep)
-        self.counters.add("penalty_cycles", plan.penalty)
-        if plan.idle_awake:
-            self.counters.add("early_wake_idle_cycles", plan.idle_awake)
+        self.counters.add("sleep_cycles", sleep)
+        self.counters.add("penalty_cycles", penalty)
+        if idle_awake:
+            self.counters.add("early_wake_idle_cycles", idle_awake)
 
         event_energy = self.power_model.gating_event_energy_j(
-            plan.sleep, mode=decision.mode)
+            sleep, mode=decision.mode)
         intervals = []
-        if plan.drain:
-            intervals.append((PowerState.DRAIN, plan.drain))
-        sleep_proper = plan.sleep - plan.token_wait
+        if drained:
+            intervals.append((PowerState.DRAIN, drained))
+        sleep_proper = sleep - token_wait
         if sleep_proper:
             intervals.append((sleep_state, sleep_proper))
-        if plan.token_wait:
+        if token_wait:
             # Token-blocked time is spent gated; bill it at sleep power but
             # keep it distinguishable for the F7 report.
-            intervals.append((sleep_state, plan.token_wait))
-        if plan.wake:
-            intervals.append((PowerState.WAKE, plan.wake))
-        if plan.idle_awake:
-            intervals.append((PowerState.STALL, plan.idle_awake))
+            intervals.append((sleep_state, token_wait))
+        if woke:
+            intervals.append((PowerState.WAKE, woke))
+        if idle_awake:
+            intervals.append((PowerState.STALL, idle_awake))
         return StallOutcome(
-            gated=True, aborted=False, penalty_cycles=plan.penalty,
+            gated=True, aborted=False, penalty_cycles=penalty,
             event_energy_j=event_energy, decision=decision, plan=plan,
             intervals=tuple(intervals))
 

@@ -18,13 +18,14 @@ unit-testable in isolation:
   prediction (or None for return-triggered wake).
 * :func:`resolve_wakeup` — given the *actual* stall length, resolve the
   plan into the realized timeline: sleep cycles, awake-idle cycles, and the
-  visible penalty beyond the stall.
+  visible penalty beyond the stall.  :func:`wakeup_timeline` is the same
+  algebra returning a plain tuple, for the per-stall hot paths.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.errors import SimulationError
 
@@ -77,6 +78,42 @@ def plan_wakeup(predicted_stall: int, drain: int, wake: int,
     return max(drain, predicted_stall - wake)
 
 
+def wakeup_timeline(actual_stall: int, drain: int, wake: int,
+                    planned_wake_offset: Optional[int],
+                    token_delay: int = 0
+                    ) -> Tuple[int, int, int, int, int, int]:
+    """:func:`resolve_wakeup`'s algebra as a plain tuple.
+
+    Returns ``(drain, sleep, wake, idle_awake, penalty, token_wait)`` —
+    the :class:`WakeupPlan` fields in order — without building the plan.
+    The controller and the fast kernel call this on every gated stall;
+    the frozen, self-validating plan costs ~10x the arithmetic.
+    """
+    if actual_stall < 0 or drain < 0 or wake < 0 or token_delay < 0:
+        raise SimulationError("wakeup resolution needs non-negative cycle counts")
+    if planned_wake_offset is not None and planned_wake_offset < drain:
+        raise SimulationError(
+            f"planned wake offset {planned_wake_offset} precedes drain end {drain}")
+
+    if actual_stall <= drain:
+        # Abort: data arrived during drain; treat the whole stall as drain.
+        return actual_stall, 0, 0, 0, 0, 0
+
+    # The wake trigger fires at the planned offset or the data return,
+    # whichever comes first (fallback trigger).
+    if planned_wake_offset is None or planned_wake_offset > actual_stall:
+        trigger = actual_stall
+    else:
+        trigger = planned_wake_offset
+    wake_start = trigger + token_delay
+    ready = wake_start + wake
+    if ready >= actual_stall:
+        return drain, wake_start - drain, wake, 0, ready - actual_stall, \
+            token_delay
+    return drain, wake_start - drain, wake, actual_stall - ready, 0, \
+        token_delay
+
+
 def resolve_wakeup(actual_stall: int, drain: int, wake: int,
                    planned_wake_offset: Optional[int],
                    token_delay: int = 0) -> WakeupPlan:
@@ -91,34 +128,5 @@ def resolve_wakeup(actual_stall: int, drain: int, wake: int,
     cancels gating and the core simply resumes.  We conservatively charge
     the full drain (the pipeline did drain) and no wake.
     """
-    if actual_stall < 0 or drain < 0 or wake < 0 or token_delay < 0:
-        raise SimulationError("wakeup resolution needs non-negative cycle counts")
-    if planned_wake_offset is not None and planned_wake_offset < drain:
-        raise SimulationError(
-            f"planned wake offset {planned_wake_offset} precedes drain end {drain}")
-
-    if actual_stall <= drain:
-        # Abort: data arrived during drain; treat the whole stall as drain.
-        return WakeupPlan(drain=actual_stall, sleep=0, wake=0,
-                          idle_awake=0, penalty=0)
-
-    # The wake trigger fires at the planned offset or the data return,
-    # whichever comes first (fallback trigger).
-    if planned_wake_offset is None:
-        trigger = actual_stall
-    else:
-        trigger = min(planned_wake_offset, actual_stall)
-    wake_start = trigger + token_delay
-    sleep = wake_start - drain
-    ready = wake_start + wake
-
-    if ready >= actual_stall:
-        penalty = ready - actual_stall
-        idle_awake = 0
-    else:
-        penalty = 0
-        idle_awake = actual_stall - ready
-
-    return WakeupPlan(drain=drain, sleep=sleep, wake=wake,
-                      idle_awake=idle_awake, penalty=penalty,
-                      token_wait=token_delay)
+    return WakeupPlan(*wakeup_timeline(actual_stall, drain, wake,
+                                       planned_wake_offset, token_delay))

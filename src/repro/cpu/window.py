@@ -53,7 +53,7 @@ class WindowedCore(Core):
                 pending_busy += cycles
                 self._cycle += cycles
                 self.counters.add("instructions", op.instructions)
-                self._retire_completed()
+                self.retire_completed(self._cycle)
                 continue
             if not isinstance(op, MemoryAccess):
                 raise SimulationError(f"unknown trace op {type(op).__name__}")
@@ -62,7 +62,7 @@ class WindowedCore(Core):
             self._cycle += 1
             self.counters.add("instructions")
             self.counters.add("memory_ops")
-            self._retire_completed()
+            self.retire_completed(self._cycle)
 
             # Pointer-chase dependence: this access's address comes from the
             # most recent load's data.  If that producer is still in flight,
@@ -83,7 +83,7 @@ class WindowedCore(Core):
                     bank=producer_bank, dram_kind=producer_kind,
                     elapsed_cycles=max(0, self._cycle - issue))
                 self._cycle += residual
-                self._retire_completed()
+                self.retire_completed(self._cycle)
 
             result = self.hierarchy.access(op.address, self._cycle,
                                            op.is_write, pc=op.pc)
@@ -120,7 +120,7 @@ class WindowedCore(Core):
                     dram_kind="merged" if dependent_use else None,
                     merged=result.merged, elapsed_cycles=elapsed)
                 self._cycle += stall_cycles
-                self._retire_completed()
+                self.retire_completed(self._cycle)
                 continue
 
             # Off-chip miss: register it; stall only if the window is full.
@@ -148,16 +148,20 @@ class WindowedCore(Core):
                                dram_kind=oldest_kind, merged=False,
                                elapsed_cycles=max(0, self._cycle - oldest_issue))
             self._cycle += residual
-            self._retire_completed()
+            self.retire_completed(self._cycle)
             self._outstanding.append((completion, new_miss_issue, op.pc,
                                       bank, kind))
         if pending_busy:
             yield BusySegment(pending_busy)
 
-    def _retire_completed(self) -> None:
-        """Drop outstanding misses whose data has already returned."""
-        while self._outstanding and self._outstanding[0][0] <= self._cycle:
-            self._outstanding.popleft()
+    def retire_completed(self, cycle: int) -> None:
+        """Drop outstanding misses whose data has returned by ``cycle``.
+
+        The fast kernel calls this too, on this core's own deque.
+        """
+        outstanding = self._outstanding
+        while outstanding and outstanding[0][0] <= cycle:
+            outstanding.popleft()
             self.counters.add("hidden_misses")
 
 

@@ -23,8 +23,18 @@ oracle computes is reproduced with the same operands in the same order:
   own methods — the table's ``lookup`` and its entry's ``observe``,
   ``MapgPolicy.plan_gate`` and ``observe_fallback``,
   ``AdaptiveMapgPolicy.adapt`` — the same code the oracle's
-  ``decide``/``observe``/``feedback`` run — and feeds prediction errors to
-  the controller's own ``RunningMean`` streams.
+  ``decide``/``observe``/``feedback`` run — feeds prediction errors to
+  the controller's own ``RunningMean`` streams, and resolves gated stalls
+  with :func:`~repro.core.wakeup.wakeup_timeline`, the controller's own
+  wakeup algebra.
+
+A windowed-MLP core (``miss_window > 1``) replays through the same loop:
+each access is preceded by a pre-issue slot for ``WindowedCore``'s
+dependence stall, off-chip misses register in the wrapped core's own
+outstanding-miss deque (retired by its own ``retire_completed``) until the
+window fills, and the dependence, window-full and dependent-use stalls
+all reach the one off-chip resolution block, with the blocking access's
+age passed to the policy as ``elapsed``.
 
 Architectural state (cache tags as insertion-ordered per-set dicts whose
 order provably equals the oracle's LRU stacks, MSHR fill maps with the
@@ -39,28 +49,28 @@ by direct state transplant into the freshly-reset objects.
 ``Simulator.reset_measurements()`` and ``Simulator.result()`` then run
 unmodified, so the result path is shared with the oracle.
 
-Fallback: configurations the kernel does not replicate (miss-window
-cores, prefetchers, non-LRU replacement, shared DRAM, token arbiters,
-timeline recording, attached span recorders) transparently run the
-oracle on the reconstructed op stream; see :func:`fallback_reasons`.
-Policies other than Never/Mapg/AdaptiveMapg (or non-table predictors)
-decide through their own ``decide()`` per off-chip stall; the kernel then
-resolves the stall with the same inlined wakeup algebra and bookkeeping
-as the MAPG path (``resolve_wakeup`` is the one gating rule still
-copied), and calls the policy's real ``observe``/``feedback``.
+Fallback: configurations the kernel does not replicate (prefetchers,
+non-LRU replacement, shared DRAM, token arbiters, timeline recording,
+attached span recorders) transparently run the oracle on the
+reconstructed op stream; see :func:`fallback_reasons`.  Policies other
+than Never/Mapg/AdaptiveMapg (or non-table predictors) decide through
+their own ``decide()`` per off-chip stall; the kernel then resolves the
+stall with the same wakeup algebra and bookkeeping as the MAPG path, and
+calls the policy's real ``observe``/``feedback``.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.config import SystemConfig
 from repro.core.adaptive import AdaptiveMapgPolicy
 from repro.core.policies import GatingPolicy, MapgPolicy, NeverPolicy
 from repro.core.token import TokenArbiter
-from repro.core.wakeup import WakeupPlan
+from repro.core.wakeup import WakeupPlan, wakeup_timeline
 from repro.cpu.core import MLP_WINDOW_CYCLES
 from repro.errors import SimulationError
 from repro.fastsim.columnar import ColumnarTrace
@@ -74,6 +84,8 @@ from repro.sim.simulator import Simulator
 from repro.units import CYCLE_CEIL_EPSILON, NS, cycles_to_ns
 
 _INF = float("inf")
+# A stall bound no merge reaches (the blocking core's dependent-use test).
+_NEVER = sys.maxsize
 
 # Memory-counter slots (one flat list of ints, flushed to the named
 # CounterSets at region end; a key is flushed only when its count is
@@ -100,14 +112,11 @@ def fallback_reasons(config: SystemConfig, *,
     building or running it.
     """
     reasons: List[str] = []
-    if config.core.miss_window > 1:
-        # WindowedCore's overlap accounting (and its counters) exists
-        # only on the oracle path; the fast engine refuses it here.
-        reasons.append("miss_window > 1 (WindowedCore)")
     if config.prefetcher.enabled:
         # The whole prefetcher subsystem sits outside the fast
         # envelope: its config knobs and counters never occur on a
-        # fast-path run because this check falls back first.
+        # fast-path run because this check falls back first.  (The
+        # windowed-MLP core, miss_window > 1, is inside it.)
         reasons.append("prefetcher enabled")
     if config.l1.replacement != "lru":
         reasons.append(f"l1 replacement {config.l1.replacement!r}")
@@ -122,6 +131,25 @@ def fallback_reasons(config: SystemConfig, *,
     if recorder is not None and recorder.enabled:
         reasons.append("span recorder attached")
     return reasons
+
+
+def _pre_issue_slots(trace: ColumnarTrace, blocks: Sequence[int],
+                     idxs: Sequence[int], tags: Sequence[int],
+                     busy: Sequence[int]) -> Iterator[Tuple[int, ...]]:
+    """The replay loop's slots on a windowed core: two per access.
+
+    ``WindowedCore`` may stall *before* an access issues (a pointer-chase
+    dependence), so each access is preceded by a pre-issue slot — address
+    -1, the dependent flag in the write-flag position — that advances the
+    busy run and the issue cycle.  The access slot that follows advances
+    nothing (busy -1, plus the loop's one issue cycle).  Both stalls then
+    reach the loop's one off-chip resolution block.
+    """
+    for addr, pc, iw, dep, block, idx, tag, delta in zip(
+            trace.addresses, trace.pcs, trace.write_flags,
+            trace.dependent_flags, blocks, idxs, tags, busy):
+        yield -1, pc, dep, block, idx, tag, delta
+        yield addr, pc, iw, block, idx, tag, -1
 
 
 class FastSimulator:
@@ -189,6 +217,7 @@ class FastSimulator:
         self._issue_width = config.core.issue_width
         self._mlp_overlap = config.core.mlp_overlap
         self._mlp_factor = 1.0 - config.core.mlp_overlap
+        self._window = config.core.miss_window
         self._l1_lat = config.l1.hit_latency_cycles
         self._l2_lat = config.l2.hit_latency_cycles
         # L1/L2 tag state: per-set insertion-ordered dict tag -> dirty.
@@ -211,12 +240,16 @@ class FastSimulator:
         self._l2_sets: List[Dict[int, bool]] = [
             {} for __ in range(config.l2.num_sets)]
         # MSHRs: line -> fill cycle, plus a tracked minimum fill so the
-        # oracle's eager expiry scan runs only when it could remove entries.
+        # oracle's eager expiry scan runs only when it could remove entries,
+        # and line -> issue cycle over the same keys (a windowed core's
+        # dependent use reads the in-flight entry's age).
         self._l1_cap = config.l1.mshr_entries
         self._l2_cap = config.l2.mshr_entries
         self._l1m: Dict[int, int] = {}
+        self._l1mi: Dict[int, int] = {}
         self._l1m_min: float = _INF
         self._l2m: Dict[int, int] = {}
+        self._l2mi: Dict[int, int] = {}
         self._l2m_min: float = _INF
         # DRAM.
         dram_cfg = config.dram
@@ -314,6 +347,7 @@ class FastSimulator:
         l1_sets = self._l1_sets
         l1m = self._l1m
         l1m_get = l1m.get
+        l1mi = self._l1mi
         l1m_min = self._l1m_min
         l1_off = self._l1_off
         l1_idx_bits = self._l1_idx_bits
@@ -324,6 +358,7 @@ class FastSimulator:
         l2_sets = self._l2_sets
         l2m = self._l2m
         l2m_get = l2m.get
+        l2mi = self._l2mi
         l2m_min = self._l2m_min
         l2_off = self._l2_off
         l2_mask = self._l2_mask
@@ -460,239 +495,336 @@ class FastSimulator:
 
         busy = trace.busy_cycles_for(self._issue_width)
         blocks, idxs, tags = trace.block_keys_for(l1_off, self._l1_mask)
+        # Windowed core (miss_window > 1): the outstanding misses are the
+        # WindowedCore's own deque, retired by its own method, so they
+        # cross the warmup boundary as they are.  Each access gets a
+        # pre-issue slot (see _pre_issue_slots).  A blocking core pays one
+        # falsy `windowed` test per access; its merge and off-chip paths
+        # reuse tests they already make.
+        windowed = self._window > 1
+        if windowed:
+            outstanding = sim.core._outstanding
+            retire = sim.core.retire_completed
+            window = self._window
+            slots = _pre_issue_slots(trace, blocks, idxs, tags, busy)
+            # A merge stalling past the L2 latency is a dependent use of
+            # an in-flight off-chip miss: gateable, unlike on a blocking
+            # core, where the bound below is never reached.
+            dep_use_min = l2_lat
+        else:
+            slots = zip(trace.addresses, trace.pcs, trace.write_flags,
+                        blocks, idxs, tags, busy)
+            dep_use_min = _NEVER
+        offchip_hook = windowed or mlp_on
+        # The window-full stall's new miss, registered at the next slot.
+        pending = None
+        n_overlapped = 0
+        n_dependence = 0
+        # Age of the blocking access at stall start (always 0 on a
+        # blocking core).
+        elapsed = 0
 
-        for addr, pc, iw, block, idx, tag, delta in zip(
-                trace.addresses, trace.pcs, trace.write_flags,
-                blocks, idxs, tags, busy):
+        for addr, pc, iw, block, idx, tag, delta in slots:
             # The access issues after the busy run plus one cycle.
             delta += 1
             pend += delta
             cyc += delta
 
-            # ---- hierarchy access (inline L1 level; the steady-state hit
-            # path falls through with zero Python calls) ----
-            if l1m_min <= cyc:
-                if len(l1m) == 1:
-                    # The tracked minimum IS the sole entry: expired.
-                    l1m.clear()
-                    l1m_min = _INF
-                else:
-                    for k in [k for k, f in l1m.items() if f <= cyc]:
-                        del l1m[k]
-                    l1m_min = min(l1m.values()) if l1m else _INF
-            lset = l1_sets[idx]
-            fill = l1m_get(block)
-            if fill is None:
-                dirty = lset.pop(tag, _MISSING)
-                if dirty is not _MISSING:
-                    # Pipelined L1 hit: no visible stall.
-                    lset[tag] = True if iw and l1_wb else dirty
+            if windowed and addr < 0:
+                # ---- pre-issue slot: WindowedCore.segments before the
+                # access (`iw` carries the dependent flag here) ----
+                if pending is not None:
+                    outstanding.append(pending)
+                    pending = None
+                if outstanding and outstanding[0][0] <= cyc:
+                    retire(cyc)
+                if not (iw and outstanding):
                     continue
-                n_l1_miss += 1
-                wb1 = None
-                if len(lset) >= l1_ways:
-                    vtag = next(iter(lset))
-                    if lset.pop(vtag):
-                        n_l1_wb += 1
-                        wb1 = ((vtag << l1_idx_bits) | idx) << l1_off
-                lset[tag] = True if iw and l1_wb else False
-                # L1 MSHR structural hazard (already expired at cyc above).
-                if len(l1m) >= l1_cap:
-                    h_l1_stall += 1
-                    wait1 = int(l1m_min) - cyc
-                    issue = cyc + wait1
-                else:
-                    wait1 = 0
-                    issue = cyc
+                # Pointer-chase dependence: the producer (the youngest
+                # miss) is still in flight; stall for its residual.
+                completion, issued, pc, bank, kind = outstanding[-1]
+                stall = completion - cyc
+                if stall < 1:
+                    stall = 1
+                elapsed = cyc - issued
+                if elapsed < 0:
+                    elapsed = 0
+                n_dependence += 1
+                off = True
+            else:
+                # ---- hierarchy access (inline L1 level; the steady-state
+                # hit path falls through with zero Python calls) ----
+                if l1m_min <= cyc:
+                    if len(l1m) == 1:
+                        # The tracked minimum IS the sole entry: expired.
+                        l1m.clear()
+                        l1mi.clear()
+                        l1m_min = _INF
+                    else:
+                        for k in [k for k, f in l1m.items() if f <= cyc]:
+                            del l1m[k]
+                            del l1mi[k]
+                        l1m_min = min(l1m.values()) if l1m else _INF
+                lset = l1_sets[idx]
+                fill = l1m_get(block)
+                if fill is None:
+                    dirty = lset.pop(tag, _MISSING)
+                    if dirty is not _MISSING:
+                        # Pipelined L1 hit: no visible stall.
+                        lset[tag] = True if iw and l1_wb else dirty
+                        continue
+                    n_l1_miss += 1
+                    wb1 = None
+                    if len(lset) >= l1_ways:
+                        vtag = next(iter(lset))
+                        if lset.pop(vtag):
+                            n_l1_wb += 1
+                            wb1 = ((vtag << l1_idx_bits) | idx) << l1_off
+                    lset[tag] = True if iw and l1_wb else False
+                    # L1 MSHR structural hazard (already expired at cyc).
+                    if len(l1m) >= l1_cap:
+                        h_l1_stall += 1
+                        wait1 = int(l1m_min) - cyc
+                        issue = cyc + wait1
+                    else:
+                        wait1 = 0
+                        issue = cyc
 
-                # ---- L2 (inline MemoryHierarchy._access_l2) ----
-                l2_block = addr >> l2_off
-                if l2m_min <= issue:
-                    if len(l2m) == 1:
-                        l2m.clear()
-                        l2m_min = _INF
-                    else:
-                        for k in [k for k, f in l2m.items() if f <= issue]:
-                            del l2m[k]
-                        l2m_min = min(l2m.values()) if l2m else _INF
-                fill2 = l2m_get(l2_block)
-                l2_idx = l2_block & l2_mask
-                l2_tag = l2_block >> l2_idx_bits
-                l2set = l2_sets[l2_idx]
-                n_l2_acc += 1
-                dirty2 = l2set.pop(l2_tag, _MISSING)
-                if fill2 is not None:
-                    # L2 MSHR merge: residual fill latency; the tag access
-                    # still runs for its side effects, victim writeback
-                    # address discarded (oracle behaviour).
-                    n_l2_merge += 1
-                    if dirty2 is not _MISSING:
-                        n_l2_hit += 1
-                        l2set[l2_tag] = dirty2
-                    else:
-                        n_l2_miss += 1
-                        if len(l2set) >= l2_ways:
-                            if l2set.pop(next(iter(l2set))):
-                                n_l2_wb += 1
-                        l2set[l2_tag] = False
-                    below = l2_lat + (fill2 - issue)
-                    off = False
-                elif dirty2 is not _MISSING:
-                    # L2 hit (demand reads never dirty the line).
-                    n_l2_hit += 1
-                    l2set[l2_tag] = dirty2
-                    below = l2_lat
-                    off = False
-                else:
-                    # ---- L2 miss -> DRAM demand read (inline Dram.access,
-                    # is_write=False) ----
-                    n_l2_miss += 1
-                    wb2 = None
-                    if len(l2set) >= l2_ways:
-                        vtag2 = next(iter(l2set))
-                        if l2set.pop(vtag2):
-                            n_l2_wb += 1
-                            wb2 = ((vtag2 << l2_idx_bits) | l2_idx) << l2_off
-                    l2set[l2_tag] = False
-                    if len(l2m) >= l2_cap:
-                        h_l2_stall += 1
-                        wait2 = int(l2m_min) - issue
-                        issue2 = issue + wait2
-                    else:
-                        wait2 = 0
-                        issue2 = issue
-                    now = c2ns(issue2, freq)
-                    row_global = addr >> d_rowbits
-                    bank = row_global % d_nbanks
-                    row = row_global // d_nbanks
-                    arrival = now + d_overhead_ns
-                    if d_refresh_on:
-                        phase = arrival % d_refresh_int_ns
-                        if phase < d_refresh_lat_ns:
-                            n_d_refresh += 1
-                            arrival += d_refresh_lat_ns - phase
-                    dbt = d_debt[bank]
-                    if dbt > 0.0:
-                        idle_gap = arrival - d_busy[bank]
-                        if idle_gap < 0.0:
-                            idle_gap = 0.0
-                        drained = dbt if dbt < idle_gap else idle_gap
-                        d_debt[bank] = dbt - drained
-                        d_busy[bank] += drained
-                    queue_wait = d_busy[bank] - arrival
-                    if queue_wait < 0.0:
-                        queue_wait = 0.0
-                    start = arrival + queue_wait
-                    open_row = d_open[bank]
-                    if open_row == row:
-                        n_d_hit += 1
-                        kind = ROW_HIT
-                        array_lat = d_tcas_ns
-                    elif open_row == -1:
-                        n_d_closed += 1
-                        kind = ROW_CLOSED
-                        array_lat = d_trcd_ns + d_tcas_ns
-                        d_act[bank] = start
-                    else:
-                        n_d_conflict += 1
-                        kind = ROW_CONFLICT
-                        ras_wait = (d_act[bank] + d_tras_ns) - start
-                        if ras_wait < 0.0:
-                            ras_wait = 0.0
-                        array_lat = (ras_wait + d_trp_ns + d_trcd_ns
-                                     + d_tcas_ns)
-                        d_act[bank] = start + ras_wait + d_trp_ns
-                    done = start + array_lat + d_qserv_ns
-                    if d_row_open:
-                        d_open[bank] = row
-                        d_busy[bank] = done
-                    else:
-                        d_open[bank] = -1
-                        d_busy[bank] = done + d_trp_ns
-                    dlat = (done + d_bus_ns) - now
-                    n_d_acc += 1
-                    dh_counts[bisect(dh_edges, dlat)] += 1
-                    dh_stats[0] += 1
-                    dh_stats[1] += dlat
-                    if dlat < dh_stats[2]:
-                        dh_stats[2] = dlat
-                    if dlat > dh_stats[3]:
-                        dh_stats[3] = dlat
-                    # seconds_to_cycles_ceil(dlat * NS, freq), inlined.
-                    dcyc = int(ceil_(dlat * NS * freq - ceil_eps))
-                    below = wait2 + l2_lat + dcyc
-                    # Allocate the L2 miss (oracle expires at issue2 first).
-                    if l2m_min <= issue2:
+                    # ---- L2 (inline MemoryHierarchy._access_l2) ----
+                    l2_block = addr >> l2_off
+                    if l2m_min <= issue:
                         if len(l2m) == 1:
                             l2m.clear()
+                            l2mi.clear()
                             l2m_min = _INF
                         else:
                             for k in [k for k, f in l2m.items()
-                                      if f <= issue2]:
+                                      if f <= issue]:
                                 del l2m[k]
+                                del l2mi[k]
                             l2m_min = min(l2m.values()) if l2m else _INF
-                    fillc2 = issue + below
-                    l2m[l2_block] = fillc2
-                    if fillc2 < l2m_min:
-                        l2m_min = fillc2
-                    if wb2 is not None:
-                        h_wb += 1
-                        dram_write(wb2, issue2)
-                    off = True
-
-                total = wait1 + l1_lat + below
-                # Allocate the L1 miss (oracle expires at `issue` first).
-                if l1m_min <= issue:
-                    if len(l1m) == 1:
-                        l1m.clear()
-                        l1m_min = _INF
+                    fill2 = l2m_get(l2_block)
+                    l2_idx = l2_block & l2_mask
+                    l2_tag = l2_block >> l2_idx_bits
+                    l2set = l2_sets[l2_idx]
+                    n_l2_acc += 1
+                    dirty2 = l2set.pop(l2_tag, _MISSING)
+                    if fill2 is not None:
+                        # L2 MSHR merge: residual fill latency; the tag
+                        # access still runs for its side effects, victim
+                        # writeback address discarded (oracle behaviour).
+                        n_l2_merge += 1
+                        if dirty2 is not _MISSING:
+                            n_l2_hit += 1
+                            l2set[l2_tag] = dirty2
+                        else:
+                            n_l2_miss += 1
+                            if len(l2set) >= l2_ways:
+                                if l2set.pop(next(iter(l2set))):
+                                    n_l2_wb += 1
+                            l2set[l2_tag] = False
+                        below = l2_lat + (fill2 - issue)
+                        # Its stall always exceeds the L2 latency: a
+                        # dependent use on a windowed core.
+                        off = windowed
+                    elif dirty2 is not _MISSING:
+                        # L2 hit (demand reads never dirty the line).
+                        n_l2_hit += 1
+                        l2set[l2_tag] = dirty2
+                        below = l2_lat
+                        off = False
                     else:
-                        for k in [k for k, f in l1m.items() if f <= issue]:
-                            del l1m[k]
-                        l1m_min = min(l1m.values()) if l1m else _INF
-                fillc = cyc + total
-                l1m[block] = fillc
-                if fillc < l1m_min:
-                    l1m_min = fillc
-                if wb1 is not None:
-                    wb_l2(wb1, issue)
-                stall = total - l1_lat
-                if stall <= 0:
-                    continue
-            else:
-                # L1 MSHR merge: residual latency; tag update runs for its
-                # side effects, victim writeback address discarded.
-                n_l1_merge += 1
-                dirty = lset.pop(tag, _MISSING)
-                if dirty is not _MISSING:
-                    lset[tag] = True if iw and l1_wb else dirty
+                        # ---- L2 miss -> DRAM demand read (inline
+                        # Dram.access, is_write=False) ----
+                        n_l2_miss += 1
+                        wb2 = None
+                        if len(l2set) >= l2_ways:
+                            vtag2 = next(iter(l2set))
+                            if l2set.pop(vtag2):
+                                n_l2_wb += 1
+                                wb2 = (((vtag2 << l2_idx_bits) | l2_idx)
+                                       << l2_off)
+                        l2set[l2_tag] = False
+                        if len(l2m) >= l2_cap:
+                            h_l2_stall += 1
+                            wait2 = int(l2m_min) - issue
+                            issue2 = issue + wait2
+                        else:
+                            wait2 = 0
+                            issue2 = issue
+                        now = c2ns(issue2, freq)
+                        row_global = addr >> d_rowbits
+                        bank = row_global % d_nbanks
+                        row = row_global // d_nbanks
+                        arrival = now + d_overhead_ns
+                        if d_refresh_on:
+                            phase = arrival % d_refresh_int_ns
+                            if phase < d_refresh_lat_ns:
+                                n_d_refresh += 1
+                                arrival += d_refresh_lat_ns - phase
+                        dbt = d_debt[bank]
+                        if dbt > 0.0:
+                            idle_gap = arrival - d_busy[bank]
+                            if idle_gap < 0.0:
+                                idle_gap = 0.0
+                            drained = dbt if dbt < idle_gap else idle_gap
+                            d_debt[bank] = dbt - drained
+                            d_busy[bank] += drained
+                        queue_wait = d_busy[bank] - arrival
+                        if queue_wait < 0.0:
+                            queue_wait = 0.0
+                        start = arrival + queue_wait
+                        open_row = d_open[bank]
+                        if open_row == row:
+                            n_d_hit += 1
+                            kind = ROW_HIT
+                            array_lat = d_tcas_ns
+                        elif open_row == -1:
+                            n_d_closed += 1
+                            kind = ROW_CLOSED
+                            array_lat = d_trcd_ns + d_tcas_ns
+                            d_act[bank] = start
+                        else:
+                            n_d_conflict += 1
+                            kind = ROW_CONFLICT
+                            ras_wait = (d_act[bank] + d_tras_ns) - start
+                            if ras_wait < 0.0:
+                                ras_wait = 0.0
+                            array_lat = (ras_wait + d_trp_ns + d_trcd_ns
+                                         + d_tcas_ns)
+                            d_act[bank] = start + ras_wait + d_trp_ns
+                        done = start + array_lat + d_qserv_ns
+                        if d_row_open:
+                            d_open[bank] = row
+                            d_busy[bank] = done
+                        else:
+                            d_open[bank] = -1
+                            d_busy[bank] = done + d_trp_ns
+                        dlat = (done + d_bus_ns) - now
+                        n_d_acc += 1
+                        dh_counts[bisect(dh_edges, dlat)] += 1
+                        dh_stats[0] += 1
+                        dh_stats[1] += dlat
+                        if dlat < dh_stats[2]:
+                            dh_stats[2] = dlat
+                        if dlat > dh_stats[3]:
+                            dh_stats[3] = dlat
+                        # seconds_to_cycles_ceil(dlat * NS, freq), inlined.
+                        dcyc = int(ceil_(dlat * NS * freq - ceil_eps))
+                        below = wait2 + l2_lat + dcyc
+                        # Allocate the L2 miss (oracle expires at issue2
+                        # first).
+                        if l2m_min <= issue2:
+                            if len(l2m) == 1:
+                                l2m.clear()
+                                l2mi.clear()
+                                l2m_min = _INF
+                            else:
+                                for k in [k for k, f in l2m.items()
+                                          if f <= issue2]:
+                                    del l2m[k]
+                                    del l2mi[k]
+                                l2m_min = min(l2m.values()) if l2m else _INF
+                        fillc2 = issue + below
+                        l2m[l2_block] = fillc2
+                        l2mi[l2_block] = issue2
+                        if fillc2 < l2m_min:
+                            l2m_min = fillc2
+                        if wb2 is not None:
+                            h_wb += 1
+                            dram_write(wb2, issue2)
+                        off = True
+
+                    total = wait1 + l1_lat + below
+                    # Allocate the L1 miss (oracle expires at `issue` first).
+                    if l1m_min <= issue:
+                        if len(l1m) == 1:
+                            l1m.clear()
+                            l1mi.clear()
+                            l1m_min = _INF
+                        else:
+                            for k in [k for k, f in l1m.items()
+                                      if f <= issue]:
+                                del l1m[k]
+                                del l1mi[k]
+                            l1m_min = min(l1m.values()) if l1m else _INF
+                    fillc = cyc + total
+                    l1m[block] = fillc
+                    l1mi[block] = issue
+                    if fillc < l1m_min:
+                        l1m_min = fillc
+                    if wb1 is not None:
+                        wb_l2(wb1, issue)
+                    stall = total - l1_lat
+                    if stall <= 0:
+                        continue
                 else:
-                    n_l1_miss += 1
-                    if len(lset) >= l1_ways:
-                        if lset.pop(next(iter(lset))):
-                            n_l1_wb += 1
-                    lset[tag] = True if iw and l1_wb else False
-                stall = fill - cyc  # >= 1: post-expiry fills are future
-                off = False
+                    # L1 MSHR merge: residual latency; tag update runs for
+                    # its side effects, victim writeback address discarded.
+                    n_l1_merge += 1
+                    dirty = lset.pop(tag, _MISSING)
+                    if dirty is not _MISSING:
+                        lset[tag] = True if iw and l1_wb else dirty
+                    else:
+                        n_l1_miss += 1
+                        if len(lset) >= l1_ways:
+                            if lset.pop(next(iter(lset))):
+                                n_l1_wb += 1
+                        lset[tag] = True if iw and l1_wb else False
+                    stall = fill - cyc  # >= 1: post-expiry fills are future
+                    off = stall > dep_use_min
 
             # ---- stall handling ----
             # One BusySegment per stall-free run, as the oracle yields
             # (pend >= 1 here: the access cycle itself is pending).
-            active_c += pend
-            e_active += p_active * (pend / cfreq)
-            pend = 0
             if not off:
+                active_c += pend
+                e_active += p_active * (pend / cfreq)
+                pend = 0
                 n_on += 1
                 on_cyc += stall
                 stall_c += stall
                 e_stall += p_stall * (stall / cfreq)
                 cyc += stall
                 continue
-            if mlp_on:
-                gap = cyc - last_off
-                if gap <= MLP_WINDOW_CYCLES:
-                    reduced = int(round(stall * mlp_factor))
-                    stall = reduced if reduced > 1 else 1
+            if offchip_hook:
+                if not windowed:
+                    # Blocking core with MLP overlap.
+                    gap = cyc - last_off
+                    if gap <= MLP_WINDOW_CYCLES:
+                        reduced = int(round(stall * mlp_factor))
+                        stall = reduced if reduced > 1 else 1
+                elif addr < 0:
+                    pass  # the dependence stall, set up in its slot
+                elif fill is not None or fill2 is not None:
+                    # Dependent use of the merged in-flight miss.
+                    elapsed = cyc - (l1mi[block] if fill is not None
+                                     else l2mi[l2_block])
+                    if elapsed < 0:
+                        elapsed = 0
+                    bank = -1
+                    kind = "merged"
+                else:
+                    # Off-chip miss: the core runs on while the window
+                    # has room (retiring first, as after a dependence
+                    # stall); when full it stalls on the oldest miss.
+                    if outstanding and outstanding[0][0] <= cyc:
+                        retire(cyc)
+                    if len(outstanding) < window:
+                        outstanding.append((cyc + stall, cyc, pc, bank, kind))
+                        n_overlapped += 1
+                        continue
+                    pending = (cyc + stall, cyc, pc, bank, kind)
+                    completion, issued, pc, bank, kind = outstanding.popleft()
+                    stall = completion - cyc
+                    if stall < 1:
+                        stall = 1
+                    elapsed = cyc - issued
+                    if elapsed < 0:
+                        elapsed = 0
+            active_c += pend
+            e_active += p_active * (pend / cfreq)
+            pend = 0
             n_off += 1
             off_cyc += stall
 
@@ -713,12 +845,13 @@ class FastSimulator:
             # consults it.
             if mode_mapg:
                 entry, latency, confidence = lookup(pc, bank, kind)
-                gate_mode, planned, est = plan_gate(latency, confidence, kind)
+                gate_mode, planned, est = plan_gate(latency, confidence, kind,
+                                                    elapsed)
             elif mode_never:
                 gate_mode = None
                 est = 0
             else:
-                decision = decide(pc, bank, stall, kind, 0)
+                decision = decide(pc, bank, stall, kind, elapsed)
                 gate_mode = decision.mode if decision.gate else None
                 planned = decision.planned_wake_offset
                 est = decision.predicted_cycles
@@ -727,7 +860,7 @@ class FastSimulator:
                 err = est - stall if est > stall else stall - est
                 error_observe(err)
                 relative_error_observe(err / (stall if stall > 1 else 1))
-            # --- outcome (resolve_wakeup inlined, token_delay 0) ---
+            # --- outcome (the controller's _gated_outcome, token_delay 0) ---
             penalty = 0
             gated = False
             if gate_mode is None:
@@ -744,31 +877,20 @@ class FastSimulator:
                     # the controller's ConfigError for the unknown mode.
                     wake_m = sim.controller.analyzer.wake_cycles_for(
                         gate_mode)
-                if planned is not None and planned < drain:
-                    raise SimulationError(
-                        f"planned wake offset {planned} precedes drain "
-                        f"end {drain}")
-                if stall <= drain:
-                    # Abort: data returned during drain.
-                    cc_aborted += 1
-                    drain_c += stall
-                    e_drain += p_drain * (stall / cfreq)
-                else:
-                    trigger = (planned if planned is not None
-                               and planned < stall else stall)
-                    sleep = trigger - drain
-                    ready = trigger + wake_m
-                    if ready >= stall:
-                        penalty = ready - stall
-                        idle = 0
-                    else:
-                        idle = stall - ready
-                    if wake_m == 0 and sleep == 0:
-                        # The controller's abort branch would mis-tile here
-                        # (wake==sleep==0 but stall > drain); it raises.
+                timeline = wakeup_timeline(stall, drain, wake_m, planned)
+                drained, sleep, wake_m, idle, penalty, __ = timeline
+                if wake_m == 0 and sleep == 0:
+                    # Abort: data returned during drain.  With a zero
+                    # wake and a drain-end wake timer this branch would
+                    # mis-tile a longer stall; the controller raises.
+                    if drained != stall:
                         raise SimulationError(
-                            f"outcome intervals tile {drain} cycles, "
+                            f"outcome intervals tile {drained} cycles, "
                             f"expected stall {stall} + penalty 0")
+                    cc_aborted += 1
+                    drain_c += drained
+                    e_drain += p_drain * (drained / cfreq)
+                else:
                     gated = True
                     cc_gated += 1
                     if gate_mode == "full":
@@ -787,9 +909,9 @@ class FastSimulator:
                     cc_penalty_sum += penalty
                     if idle:
                         cc_idle_sum += idle
-                    if drain:
-                        drain_c += drain
-                        e_drain += p_drain * (drain / cfreq)
+                    if drained:
+                        drain_c += drained
+                        e_drain += p_drain * (drained / cfreq)
                     if sleep:
                         if gate_mode == "retention":
                             sret_c += sleep
@@ -806,18 +928,17 @@ class FastSimulator:
                     if ee > 0.0:
                         ev_energy += ee
                         ev_count += 1
-            # Learning, in the controller's order: observe, then feedback
-            # on a completed gate.
+            # Learning, in the controller's order: observe the blocking
+            # access's total latency, then feedback on a completed gate.
             if mode_mapg:
-                entry.observe(stall, table_alpha, table_tol)
-                observe_fallback(kind, stall)
+                entry.observe(stall + elapsed, table_alpha, table_tol)
+                observe_fallback(kind, stall + elapsed)
                 if gated and adapt is not None:
                     adapt(penalty, idle)
             elif not mode_never:
-                observe(pc, bank, stall, kind)
+                observe(pc, bank, stall + elapsed, kind)
                 if gated and feedback is not None:
-                    feedback(WakeupPlan(drain=drain, sleep=sleep, wake=wake_m,
-                                        idle_awake=idle, penalty=penalty))
+                    feedback(WakeupPlan(*timeline))
 
             # Penalty feeds the core clock (add_delay) before the stall
             # advance in the oracle; the sum is order-independent.
@@ -832,13 +953,25 @@ class FastSimulator:
         if pend:
             active_c += pend
             e_active += p_active * (pend / cfreq)
+        if windowed and trace.num_ops:
+            # The oracle's last retirement: at the final cycle, before a
+            # window-full stall's new miss registers, and again after it
+            # when trailing compute blocks (each >= 1 busy cycle) follow.
+            if outstanding and outstanding[0][0] <= cyc:
+                retire(cyc)
+            if pending is not None:
+                outstanding.append(pending)
+                if delta:
+                    retire(cyc)
 
         # ---- flush measurements into the wrapped simulator ----
         self._l1m_min = l1m_min
         self._l2m_min = l2m_min
         sim._cycle = cyc
         sim.core._cycle = cyc
-        sim.core._last_offchip_end = last_off
+        if not windowed:
+            # WindowedCore models MLP by its window, not by this marker.
+            sim.core._last_offchip_end = last_off
 
         # Merge loop-local counters into the shared slots (the rare-path
         # writeback methods already counted there); derivable totals are
@@ -888,6 +1021,9 @@ class FastSimulator:
         if n_on:
             core_counters.add("onchip_stalls", n_on)
             core_counters.add("onchip_stall_cycles", on_cyc)
+        self._flush_counters(core_counters, (
+            ("overlapped_misses", n_overlapped),
+            ("dependence_stalls", n_dependence)))
 
         hierarchy = sim.hierarchy
         self._flush_counters(hierarchy.counters, (

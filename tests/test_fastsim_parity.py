@@ -15,6 +15,7 @@ itself.  Each comparison is the canonical JSON of every
 
 import dataclasses
 import json
+import pathlib
 import random
 
 import pytest
@@ -256,6 +257,124 @@ class TestKernelResolvesEveryStall:
         assert messages[1] == messages[0]
 
 
+WINDOWS = (2, 4, 8)
+WINDOW_PROFILES = ("mcf_like", "milc_like", "libquantum_like")
+#: The stall paths: never, MAPG's rule methods (plain and adaptive), and
+#: a generic policy's own decide().
+WINDOW_POLICIES = ("never", "mapg", "mapg_adaptive", "bet_guard")
+BENCHMARKS = pathlib.Path(__file__).resolve().parent.parent / "benchmarks"
+
+
+def core_state(core):
+    """A WindowedCore's counters, outstanding misses and clock."""
+    return core.counters.as_dict(), list(core._outstanding), core.cycle
+
+
+def with_window(config, window, **core):
+    return config.replace(core=dataclasses.replace(
+        config.core, miss_window=window, **core))
+
+
+class TestWindowedCore:
+    """``miss_window > 1``: WindowedCore's timing model on the kernel.
+
+    mcf_like chases pointers (dependence stalls), milc_like and
+    libquantum_like stream independent misses (window-full stalls and
+    dependent uses of merged lines).
+    """
+
+    @pytest.mark.parametrize("window", WINDOWS)
+    @pytest.mark.parametrize("profile", WINDOW_PROFILES)
+    def test_every_policy_cold_and_warmed_up(self, profile, window):
+        for policy in WINDOW_POLICIES:
+            config = with_window(with_policy(SystemConfig(), policy), window)
+            assert not fallback_reasons(config)
+            for warmup in (0, 300):
+                assert_identical(config, profile, 1200, seed=11,
+                                 warmup_ops=warmup)
+
+    def test_mlp_overlap_is_ignored_alike(self):
+        # WindowedCore never applies the blocking core's MLP shortcut.
+        config = with_window(with_policy(SystemConfig(), "mapg"), 4,
+                             mlp_overlap=0.5)
+        assert_identical(config, "milc_like", 1500, seed=3, warmup_ops=300)
+
+    @pytest.mark.parametrize("window", WINDOWS)
+    def test_core_counters_and_outstanding_misses_match(self, window):
+        # Not part of SimulationResult: the overlap counters and the
+        # outstanding-miss deque, at the warmup boundary and at the end.
+        config = with_window(with_policy(SystemConfig(), "mapg"), window)
+        warm, measured = shared_columnar_store().traces(
+            "mcf_like", 1200, seed=5, warmup_ops=300)
+        oracle = Simulator(config, workload="mcf_like", seed=5)
+        fast = FastSimulator(config, workload="mcf_like", seed=5)
+        oracle.warm_up(warm.ops())
+        fast.warm_up(warm)
+        assert core_state(fast.sim.core) == core_state(oracle.core)
+        assert canonical(fast.run(measured)) == \
+            canonical(oracle.run(measured.ops()))
+        counters, __, __ = core_state(oracle.core)
+        assert counters["overlapped_misses"] and counters["hidden_misses"] \
+            and counters["dependence_stalls"]
+        assert core_state(fast.sim.core) == core_state(oracle.core)
+
+    @pytest.mark.parametrize("case_seed", range(12))
+    def test_random_region_boundaries(self, case_seed):
+        # Short random regions end in every state (a window-full stall's
+        # new miss just registered, misses still in flight, trailing
+        # compute or none); each boundary must leave the same core state.
+        rng = random.Random(case_seed)
+        config = with_window(with_policy(SystemConfig(), rng.choice(POLICIES)),
+                             rng.choice(WINDOWS))
+        warm = TestRandomizedSegments._random_ops(rng, rng.choice((1, 3, 40)))
+        measured = TestRandomizedSegments._random_ops(rng, 400)
+        oracle = Simulator(config, workload="fuzz", seed=1)
+        fast = FastSimulator(config, workload="fuzz", seed=1)
+        oracle.warm_up(iter(warm))
+        fast.warm_up(ColumnarTrace(warm))
+        assert core_state(fast.sim.core) == core_state(oracle.core)
+        assert canonical(fast.run(ColumnarTrace(measured))) == \
+            canonical(oracle.run(iter(measured)))
+        assert core_state(fast.sim.core) == core_state(oracle.core)
+
+    @pytest.mark.parametrize("trailing", (False, True))
+    def test_window_full_stall_ending_a_region(self, trailing):
+        # Two misses fill a 2-wide window; the third stalls on the oldest
+        # past its own completion (naive gating adds the wake penalty).
+        # The oracle registers that miss after its last retirement, so it
+        # stays outstanding unless a trailing compute block retires it.
+        ops = [MemoryAccess(address=address, pc=pc, is_write=True)
+               for address, pc in ((7044912, 4160), (3648, 4224),
+                                   (256600, 4228))]
+        ops += [ComputeBlock(instructions=2)] * trailing
+        config = with_window(with_policy(SystemConfig(), "naive"), 2)
+        oracle = Simulator(config, workload="fuzz", seed=1)
+        fast = FastSimulator(config, workload="fuzz", seed=1)
+        oracle.warm_up(iter(ops))
+        fast.warm_up(ColumnarTrace(ops))
+        assert core_state(fast.sim.core) == core_state(oracle.core)
+        __, outstanding, cycle = core_state(oracle.core)
+        assert bool(outstanding) != trailing
+        assert all(completion <= cycle for completion, *__ in outstanding)
+
+    def test_f15_cells_take_the_fast_path(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(BENCHMARKS))
+        import bench_f15_mlp
+
+        windows = []
+
+        def run_on_the_kernel(config, profile, num_ops, **kwargs):
+            assert fallback_reasons(config) == [], config.core
+            windows.append(config.core.miss_window)
+            return run_workload(config, profile, 300, **kwargs)
+
+        monkeypatch.setattr(bench_f15_mlp, "run_workload", run_on_the_kernel)
+        bench_f15_mlp.build_report()
+        assert sorted(set(windows)) == [1, 2, 4, 8]
+        assert len(windows) == 2 * len(bench_f15_mlp.WINDOWS) \
+            * len(bench_f15_mlp.WORKLOADS)
+
+
 #: Every MAPG tunable at its one owner: ``(owner, attribute, patched value,
 #: policies whose result the patch must change)``.  The fast kernel calls
 #: the owners' rule methods, so a patch moves both engines alike.  The
@@ -343,8 +462,6 @@ class TestEngineContract:
 #: Leaves the kernel refuses, each with a non-default value that must make
 #: it fall back and the reason it is outside the fast envelope.
 REFUSED_LEAVES = {
-    "core.miss_window": (2, "the windowed-MLP core is modelled only by "
-                            "the oracle"),
     "l1.replacement": ("plru", "the kernel inlines LRU only"),
     "l2.replacement": ("random", "the kernel inlines LRU only"),
     "prefetcher.enabled": (True, "the stride prefetcher runs only on the "
@@ -361,10 +478,11 @@ MULTI_CORE_LEAVES = {
     "token.token_wait_limit_cycles": "bounds the multi-core TAP token wait",
 }
 
-#: Every other leaf: ``random_config`` draws each of them.
+#: Every other leaf: ``random_config`` draws each of them, but for
+#: ``core.miss_window``, which ``fuzz_case`` draws last.
 DRAWN_LEAVES = (
     "core.frequency_hz", "core.pipeline_depth", "core.issue_width",
-    "core.mlp_overlap",
+    "core.mlp_overlap", "core.miss_window",
     *(f"{level}.{name}" for level in ("l1", "l2")
       for name in ("name", "size_bytes", "line_bytes", "associativity",
                    "hit_latency_cycles", "write_back", "mshr_entries")),
@@ -471,8 +589,11 @@ def fuzz_case(seed):
     """``(config, profile, trace seed, warmup ops, temperature)`` for a seed."""
     rng = random.Random(seed)
     config = random_config(rng)
-    return (config, rng.choice(profile_names()), rng.randint(1, 10_000),
+    case = (rng.choice(profile_names()), rng.randint(1, 10_000),
             rng.choice((0, rng.randint(50, 300))), rng.uniform(0.0, 120.0))
+    # Drawn after every other value, so each seed keeps its earlier draws.
+    config = with_leaf(config, "core.miss_window", rng.choice((1, 2, 4, 8)))
+    return (config, *case)
 
 
 class TestFuzzedConfigs:

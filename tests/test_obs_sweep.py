@@ -293,8 +293,8 @@ class TestEngineTelemetry:
     def _mixed_specs(self, num_ops=200):
         """Two oracle cells, one eligible fast cell, one fast fallback."""
         config = SystemConfig()
-        windowed = config.replace(
-            core=dataclasses.replace(config.core, miss_window=2))
+        prefetching = config.replace(
+            prefetcher=dataclasses.replace(config.prefetcher, enabled=True))
         return [
             JobSpec(config=with_policy(config, "never"),
                     profile="gcc_like", num_ops=num_ops, seed=3,
@@ -305,7 +305,7 @@ class TestEngineTelemetry:
             JobSpec(config=with_policy(config, "mapg"),
                     profile="mcf_like", num_ops=num_ops, seed=3,
                     engine="fast"),
-            JobSpec(config=with_policy(windowed, "mapg"),
+            JobSpec(config=with_policy(prefetching, "mapg"),
                     profile="mcf_like", num_ops=num_ops, seed=3,
                     engine="fast"),
         ]
@@ -317,7 +317,7 @@ class TestEngineTelemetry:
         assert counters["engines"] == {"oracle": 2, "fast": 1,
                                        "fast_fallback": 1}
         assert counters["fallback_reasons"] == {
-            "miss_window > 1 (WindowedCore)": 1}
+            "prefetcher enabled": 1}
         manifest = recorder.manifest()
         assert validate_sweep_manifest(manifest) == []
         by_profile_engine = {
@@ -326,7 +326,7 @@ class TestEngineTelemetry:
             for record in manifest["cells"].values()}
         assert by_profile_engine[("gcc_like", "oracle")] == []
         assert by_profile_engine[("mcf_like", "fast")] in (
-            [], ["miss_window > 1 (WindowedCore)"])
+            [], ["prefetcher enabled"])
 
     def test_pool_sweep_counts_engines_and_reasons(self):
         recorder = SweepRecorder()
@@ -335,7 +335,7 @@ class TestEngineTelemetry:
         assert counters["engines"] == {"oracle": 2, "fast": 1,
                                        "fast_fallback": 1}
         assert counters["fallback_reasons"] == {
-            "miss_window > 1 (WindowedCore)": 1}
+            "prefetcher enabled": 1}
         assert validate_sweep_manifest(recorder.manifest()) == []
 
     def test_cell_events_carry_engine_fields(self):
