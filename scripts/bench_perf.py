@@ -6,7 +6,8 @@
 Runs ``perfbench/run.py [--quick] --trace`` at seed 11, times a 9-cell
 matrix on the fast engine against a fresh ``ResultCache`` cold then warm,
 and once more cold on the oracle, checks ``FLOORS`` on the medians and that
-row, and writes the perfbench/1 document (``--compare`` reads it) plus a
+row, times cold generation of the benchmark's unique traces (report-only),
+and writes the perfbench/1 document (``--compare`` reads it) plus a
 ``gates`` block to ``--output`` atomically.  Verdicts against the
 checked-in ledger print when mode and seed match; they are report-only.
 Exit 0: all gates hold; 1: a floor failed; 2: a digest, cache or engine
@@ -29,6 +30,8 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.config import SystemConfig
 from repro.exec import JobSpec, ResultCache, SweepRunner, result_to_dict
 from repro.sim.runner import with_policy
+from repro.workloads.profiles import get_profile
+from repro.workloads.synthetic import SyntheticTraceGenerator
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
@@ -52,8 +55,9 @@ def cache_row() -> Dict[str, Any]:
     """Wall time of a 9-cell matrix cold, warm, then cold on the oracle.
 
     The fast passes share one cache.  The oracle pass gets a fresh cache,
-    because job keys leave the engine out, and, with its own runner, a
-    fresh trace store.  Both identities are recorded.
+    because job keys leave the engine out; its traces come from the
+    process's trace memo, which the cold pass filled.  Both identities
+    are recorded.
     """
     specs = [JobSpec(config=with_policy(SystemConfig(), policy),
                      profile=workload, num_ops=CACHE_OPS, seed=SEED,
@@ -75,6 +79,36 @@ def cache_row() -> Dict[str, Any]:
                                      sort_keys=True)
     return dict(row, identical=dumps["cold"] == dumps["warm"],
                 oracle_identical=dumps["oracle"] == dumps["cold"])
+
+
+def trace_row(quick: bool) -> Dict[str, Any]:
+    """Cold in-process generation of the benchmark's unique traces.
+
+    Report-only: each pass generates every distinct (profile, seed,
+    warmup, ops) trace of the benchmark's workloads once, straight from
+    the generator (no memo); the row keeps the fastest of 5 passes, in ms
+    per 30 000 generated ops.
+    """
+    sys.path.insert(0, PERFBENCH)
+    import shapes  # perfbench's cell lists
+
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as handle:
+        workloads = [entry["name"] for entry in json.load(handle)["workloads"]]
+    keys = sorted({(cell.spec.profile, cell.spec.seed, cell.spec.warmup_ops,
+                    cell.spec.num_ops)
+                   for name in workloads
+                   for cell in shapes.cells(shapes.build(name, SEED, quick))})
+    passes = []
+    for _ in range(5):
+        start = time.perf_counter()
+        for profile, seed, warmup, num_ops in keys:
+            generator = SyntheticTraceGenerator(get_profile(profile), seed=seed)
+            generator.columns(warmup)
+            generator.columns(num_ops)
+        passes.append(time.perf_counter() - start)
+    ops = sum(warmup + num_ops for __, __, warmup, num_ops in keys)
+    return {"traces": len(keys), "ops": ops,
+            "ms_per_30k_ops": min(passes) * 1e3 * 30_000 / ops}
 
 
 def gate(document: Dict[str, Any], cache: Dict[str, Any]
@@ -138,6 +172,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print("FAIL: perfbench wrote no document", file=sys.stderr)
         return 2
     cache = cache_row()
+    trace = trace_row(args.quick)
     code, records, failures = gate(document, cache)
     if os.path.exists(LEDGER):  # verdicts first: --output may overwrite it
         with open(LEDGER, encoding="utf-8") as handle:
@@ -149,11 +184,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             lines, _ = run["compare"](ledger, document, run["load_definitions"]())
             report = "\n".join(f"vs ledger: {line}" for line in lines)
         print(report)
-    document["gates"] = {"cache": cache, "floors": records, "exit": code}
+    document["gates"] = {"cache": cache, "trace": trace, "floors": records,
+                         "exit": code}
     tmp_path = f"{args.output}.{os.getpid()}.tmp"
     with open(tmp_path, "w", encoding="utf-8") as handle:
         json.dump(document, handle, indent=1, sort_keys=True)
     os.replace(tmp_path, args.output)
+    print(f"trace generation {trace['ms_per_30k_ops']:.1f} ms per 30k ops "
+          f"({trace['traces']} unique traces, {trace['ops']} ops, min of 5; "
+          f"report-only)")
     for r in records:
         print(f"gate {r['name']} {r['observed']:.4g} (floor {r['floor']:g}) "
               f"{'ok' if r['ok'] else 'FAIL'}")

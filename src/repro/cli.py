@@ -29,7 +29,8 @@ from typing import List, Optional, Sequence
 from repro.analysis.tables import format_fraction_pct, format_table
 from repro.config import SystemConfig, TokenConfig
 from repro.errors import ReproError
-from repro.fastsim import DEFAULT_ENGINE, fallback_reasons, validate_engine
+from repro.fastsim import (DEFAULT_ENGINE, fallback_reasons,
+                           shared_columnar_store, validate_engine)
 from repro.power.gating import SleepTransistorNetwork
 from repro.power.technology import TECHNOLOGY_NODES, get_technology
 from repro.sim.results import SimulationResult
@@ -270,6 +271,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
         profiler = SelfProfiler()
     if profiler is not None:
+        if not args.workload.endswith((".jsonl", ".bin")):
+            with profiler.stage("trace") as stage:  # through the trace memo
+                shared_columnar_store().traces(args.workload, args.ops,
+                                               seed=args.seed)
+                stage.add_events(args.ops)
         with profiler.stage("simulate") as stage:
             result = _run_one(config, args, engine, recorder)
             stage.add_events(result.instructions)
@@ -323,7 +329,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         simulate = next((stage for stage in report["stages"]
                          if stage["name"] == "simulate"), None)
         rss = report.get("peak_rss_bytes")
-        print(f"\nself-profile: {report['total_wall_s']:.3f} s wall"
+        stages = ", ".join(f"{stage['name']} {stage['wall_s']:.3f} s"
+                           for stage in report["stages"])
+        print(f"\nself-profile: {report['total_wall_s']:.3f} s wall "
+              f"({stages})"
               + (f", {simulate['events_per_sec']:,.0f} instructions/s"
                  if simulate else "")
               + (f", peak RSS {rss / (1024 * 1024):.1f} MiB"

@@ -8,19 +8,21 @@ cells and returns their results **in input order**, built in three steps:
    skip simulation entirely.
 2. **Execution** — each cell on its spec's engine (the fast kernel
    unless the spec asks for the oracle); cache misses run either inline
-   (``jobs=1``, sharing one :class:`~repro.exec.tracestore.TraceStore`
-   so identical traces are generated once per process and replayed by
-   either engine) or over a spawn-safe ``multiprocessing``
+   (``jobs=1``, through a :class:`~repro.exec.tracestore.TraceStore`
+   over the process's trace memo, which generates each trace once per
+   process for either engine) or over a spawn-safe ``multiprocessing``
    pool of at most one worker per CPU.  The pool is one per process:
    built by the first pooled run, reused by every later one, rebuilt
    when a run needs another worker count, and terminated at interpreter
    exit (or at once, if a run is abandoned with cells in flight).
    Workers receive plain-dict payloads (no pickled code objects),
-   rebuild the spec, and keep a module-level trace store of their own
-   that outlives each run, so a worker simulating several policies of
+   rebuild the spec, and take traces from their process's trace memo,
+   which outlives each run, so a worker simulating several policies of
    one workload — in one run or across runs — generates its trace once.
-   Both executors yield the same ``(key, result, worker)`` outcomes into
-   one merge loop, which stores each result in the cache as it lands.
+   A worker that dies mid-run fails the cells still in flight, and the
+   next run rebuilds the pool.  Both executors yield the same ``(key,
+   result, worker)`` outcomes into one merge loop, which stores each
+   result in the cache as it lands.
 3. **Deterministic merge** — results are keyed by the spec's sha256 job
    key and emitted in the caller's spec order, so sweep output is
    byte-identical at any worker count and any completion order.
@@ -57,13 +59,12 @@ from repro.sim.results import SimulationResult
 # Workers are started fresh (never forked), so they inherit no parent state.
 _START_METHOD = "spawn"
 
-# One trace store per pool worker, lazily built on the first task so the
-# parent never ships trace data across the process boundary.
-_WORKER_STORE: Optional[TraceStore] = None  # mapglint: declared-cache
-
 # The parent's pool, kept across runs: {worker count: pool}, at most one
 # entry.  It holds processes, not results, so it cannot change any output.
 _POOLS: Dict[int, Any] = {}  # mapglint: declared-cache
+
+# How long a pooled run waits for a result before checking its workers.
+_POLL_S = 0.1
 
 # (job key, result or error record, worker pid; 0 = the parent process)
 _Outcome = Tuple[str, Any, int]
@@ -90,13 +91,9 @@ def _execute_payload(item: "Tuple[str, Dict[str, Any]]"  # mapglint: error-bound
     same key, and the parent aggregates them into one
     :class:`~repro.errors.SweepError` after the surviving cells land.
     """
-    global _WORKER_STORE
-    if _WORKER_STORE is None:
-        _WORKER_STORE = TraceStore()
     key, payload = item
     try:
-        result = JobSpec.from_payload(payload).execute(
-            trace_store=_WORKER_STORE)
+        result = JobSpec.from_payload(payload).execute()
     except Exception as exc:
         return key, _error_record(exc), os.getpid()
     return key, result_to_dict(result), os.getpid()
@@ -132,14 +129,40 @@ atexit.register(_drop_pool)
 
 def _pool_outcomes(missing: "List[Tuple[str, JobSpec]]",
                    workers: int) -> Iterator[_Outcome]:
-    """The pool executor: ``missing`` fanned over ``workers`` processes."""
+    """The pool executor: ``missing`` fanned over ``workers`` processes.
+
+    A worker that exits mid-run takes its cell with it, and the pool would
+    wait for that result forever: so results are awaited in short polls,
+    and once a worker of the run has exited the pool is dropped and every
+    cell still in flight comes back as a failure."""
     payloads = [(key, spec.to_payload()) for key, spec in missing]
     pool = _shared_pool(workers)
+    # CPython's Pool keeps its worker processes in ``_pool``.
+    processes = [process for process in pool._pool
+                 if process.exitcode is None]
+    pending = dict(missing)
     try:
         # The worker's only effect beyond its payload is os.getpid() for
         # the telemetry side channel; the pid never reaches a result.
-        yield from pool.imap_unordered(  # mapglint: disable=PURE01
+        results = pool.imap_unordered(  # mapglint: disable=PURE01
             _execute_payload, payloads, chunksize=1)
+        while pending:
+            try:
+                outcome = results.next(timeout=_POLL_S)
+            except multiprocessing.TimeoutError:
+                dead = [process for process in processes
+                        if process.exitcode is not None]
+                if not dead:
+                    continue
+                _drop_pool()
+                lost = {"__mapg_error__": (
+                    f"pool worker {dead[0].pid} exited with code "
+                    f"{dead[0].exitcode} while this cell was in flight")}
+                for key in pending:
+                    yield key, lost, 0
+                return
+            del pending[outcome[0]]
+            yield outcome
     except BaseException:
         # Closed early (GeneratorExit) or broken: cells may still be in
         # flight, and they must not hold the next run's workers.

@@ -72,10 +72,15 @@ class JobSpec:
     @property
     def key(self) -> str:
         """Stable sha256 over the canonical form (code version excluded —
-        the :class:`~repro.exec.cache.ResultCache` mixes that in)."""
-        payload = json.dumps(self.canonical(), sort_keys=True,
-                             separators=(",", ":"))
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        the :class:`~repro.exec.cache.ResultCache` mixes that in),
+        computed once per spec: a sweep reads it three times per cell."""
+        key = self.__dict__.get("_key")
+        if key is None:
+            payload = json.dumps(self.canonical(), sort_keys=True,
+                                 separators=(",", ":"))
+            key = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+            object.__setattr__(self, "_key", key)  # a memo, not a field
+        return key
 
     def to_payload(self) -> Dict[str, Any]:
         """A picklable, spawn-safe wire form for pool workers."""

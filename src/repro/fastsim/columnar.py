@@ -19,17 +19,18 @@ The kernel additionally needs each interval's *busy cycles*, which depend
 on the core's issue width: the oracle charges ``ceil(instructions /
 issue_width)`` **per block** (a sum of ceilings, not a ceiling of sums),
 so :meth:`ColumnarTrace.busy_cycles_for` pre-folds each interval with
-exactly that per-block ``math.ceil`` and memoizes per width.  Building a
-``ColumnarTrace`` is a one-time linear pass; :meth:`ColumnarTrace.ops`
-reconstructs the original op stream for the oracle.
+exactly that per-block ``math.ceil`` and memoizes per width.  The trace
+generator writes the arrays directly; building a ``ColumnarTrace`` from
+op objects (trace files) is a linear pass, and :meth:`ColumnarTrace.ops`
+reconstructs the op stream for the oracle.
 
-:class:`ColumnarTraceStore` is the one trace memo, serving both engines:
-the fast kernel replays its ``ColumnarTrace`` pairs directly and the
-oracle replays their :meth:`~ColumnarTrace.ops`.  One generator pass
-yields the warmup ops and *continues* into the measured ops, so a stored
-pair is op-for-op identical to ``run_workload``'s streamed two-call
-shape.  :class:`repro.exec.TraceStore` is the same store under the exec
-layer's name.
+One memo of ``(warmup, measured)`` pairs per process serves both
+engines, the oracle replaying their :meth:`~ColumnarTrace.ops`.  One
+generator pass yields the warmup ops and *continues* into the measured
+ops, so a pair is op-for-op identical to one generator's two-call
+shape.  Every :class:`ColumnarTraceStore` (the shared one, each sweep's
+:class:`repro.exec.TraceStore`) is a view of that memo with its own
+hit and miss counts.
 """
 
 from __future__ import annotations
@@ -37,12 +38,15 @@ from __future__ import annotations
 import math
 from array import array
 from collections import OrderedDict
-from typing import Dict, Iterable, Iterator, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import ConfigError, TraceError
 from repro.trace.format import ComputeBlock, MemoryAccess, TraceOp
 from repro.workloads.profiles import get_profile
 from repro.workloads.synthetic import SyntheticTraceGenerator
+
+
+_Columns = Tuple[array, array, bytearray, bytearray, array, array, int]
 
 
 class ColumnarTrace:
@@ -54,40 +58,42 @@ class ColumnarTrace:
                  "total_block_instructions", "_busy_by_width",
                  "_keys_by_geometry")
 
-    def __init__(self, ops: Iterable[TraceOp]) -> None:
-        addresses = array("q")
-        pcs = array("q")
-        write_flags = bytearray()
-        dependent_flags = bytearray()
-        block_instructions = array("q")
-        block_bounds = array("q", [0])
-        total_instr = 0
-        for op in ops:
-            if type(op) is ComputeBlock:
-                block_instructions.append(op.instructions)
-                total_instr += op.instructions
-            elif type(op) is MemoryAccess:
-                addresses.append(op.address)
-                pcs.append(op.pc)
-                write_flags.append(1 if op.is_write else 0)
-                dependent_flags.append(1 if op.dependent else 0)
-                block_bounds.append(len(block_instructions))
-            else:
-                raise TraceError(
-                    f"unknown trace op type {type(op).__name__}")
-        # Close the trailing interval (compute blocks after the last
-        # memory access).
-        block_bounds.append(len(block_instructions))
-        self.addresses = addresses
-        self.pcs = pcs
-        self.write_flags = write_flags
-        self.dependent_flags = dependent_flags
-        self.block_instructions = block_instructions
-        self.block_bounds = block_bounds
-        self.num_memory_ops = len(addresses)
-        self.num_blocks = len(block_instructions)
+    def __init__(self, ops: Iterable[TraceOp] = (),
+                 columns: "Optional[_Columns]" = None) -> None:
+        """Ingest ``ops``, or take ``columns`` as the trace generator
+        writes them: the arrays below in slot order, then the total."""
+        if columns is None:
+            addresses = array("q")
+            pcs = array("q")
+            write_flags = bytearray()
+            dependent_flags = bytearray()
+            block_instructions = array("q")
+            block_bounds = array("q", [0])
+            total_instr = 0
+            for op in ops:
+                if type(op) is ComputeBlock:
+                    block_instructions.append(op.instructions)
+                    total_instr += op.instructions
+                elif type(op) is MemoryAccess:
+                    addresses.append(op.address)
+                    pcs.append(op.pc)
+                    write_flags.append(1 if op.is_write else 0)
+                    dependent_flags.append(1 if op.dependent else 0)
+                    block_bounds.append(len(block_instructions))
+                else:
+                    raise TraceError(
+                        f"unknown trace op type {type(op).__name__}")
+            # Close the trailing interval (compute blocks after the last
+            # memory access).
+            block_bounds.append(len(block_instructions))
+            columns = (addresses, pcs, write_flags, dependent_flags,
+                       block_instructions, block_bounds, total_instr)
+        (self.addresses, self.pcs, self.write_flags, self.dependent_flags,
+         self.block_instructions, self.block_bounds,
+         self.total_block_instructions) = columns
+        self.num_memory_ops = len(self.addresses)
+        self.num_blocks = len(self.block_instructions)
         self.num_ops = self.num_memory_ops + self.num_blocks
-        self.total_block_instructions = total_instr
         self._busy_by_width: Dict[int, array] = {}
         self._keys_by_geometry: Dict[Tuple[int, int],
                                      Tuple[List[int], List[int],
@@ -162,26 +168,26 @@ class ColumnarTrace:
 _TraceKey = Tuple[str, int, int, int]
 _ColumnarPair = Tuple[ColumnarTrace, ColumnarTrace]
 
-_EMPTY_TRACE = ColumnarTrace(())
+# The per-process memo every store serves from: a pure function of the
+# (profile, seed, warmup_ops, num_ops) key, LRU-bounded because a long
+# sweep may touch many workloads (evicting means regenerating later).
+_PAIRS: "OrderedDict[_TraceKey, _ColumnarPair]" = OrderedDict()  # mapglint: declared-cache
+_MAX_PAIRS = 8
 
 
 class ColumnarTraceStore:
-    """LRU-bounded memo of ``(warmup, measured)`` columnar trace pairs.
+    """A counted view of the per-process memo of ``(warmup, measured)``
+    columnar trace pairs.
 
     Each ``(profile, seed, warmup_ops, num_ops)`` pair is generated once
-    per store: one generator yields the warmup ops and then continues
-    into the measured ops, so the phase schedule and RNG advance across
-    the boundary exactly as a streamed run's do.  Bounded because a long
-    sweep may touch many workloads; evicting means regenerating later.
+    per process, whichever store asks first: one generator yields the
+    warmup ops and then continues into the measured ops, so the phase
+    schedule and RNG advance across the boundary exactly as a streamed
+    run's do.  Each store counts its own ``hits`` (served from the memo)
+    and ``misses`` (generated by this call).
     """
 
-    def __init__(self, max_entries: int = 8) -> None:
-        if max_entries < 1:
-            raise ConfigError(
-                f"{type(self).__name__} needs max_entries >= 1, "
-                f"got {max_entries}")
-        self.max_entries = max_entries
-        self._entries: "OrderedDict[_TraceKey, _ColumnarPair]" = OrderedDict()
+    def __init__(self) -> None:
         self.hits = 0
         self.misses = 0
 
@@ -189,27 +195,28 @@ class ColumnarTraceStore:
                warmup_ops: int = 0) -> _ColumnarPair:
         """The (warmup, measured) columnar traces for one simulation cell."""
         trace_key: _TraceKey = (profile, seed, warmup_ops, num_ops)
-        cached = self._entries.get(trace_key)
-        if cached is not None:
+        pair = _PAIRS.get(trace_key)
+        if pair is None:
+            self.misses += 1
+            generator = SyntheticTraceGenerator(get_profile(profile), seed=seed)
+            pair = (generator.columns(warmup_ops), generator.columns(num_ops))
+        else:
             self.hits += 1
-            self._entries.move_to_end(trace_key)
-            return cached
-        self.misses += 1
-        generator = SyntheticTraceGenerator(get_profile(profile), seed=seed)
-        pair: _ColumnarPair = (
-            ColumnarTrace(generator.operations(warmup_ops)) if warmup_ops
-            else _EMPTY_TRACE,
-            ColumnarTrace(generator.operations(num_ops)),
-        )
-        self._entries[trace_key] = pair
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
+        last = next(reversed(_PAIRS), None)
+        if last is not None and last != trace_key:
+            # The pair going idle keeps its columns, not its per-core
+            # caches (~2.5x the columns' size); they are rebuilt if needed.
+            for trace in _PAIRS[last]:
+                trace._busy_by_width.clear()
+                trace._keys_by_geometry.clear()
+        _PAIRS[trace_key] = pair
+        _PAIRS.move_to_end(trace_key)
+        while len(_PAIRS) > _MAX_PAIRS:
+            _PAIRS.popitem(last=False)
         return pair
 
 
-# Per-process memo of generated columnar traces, used by cells that are
-# given no store: a pure function of the (profile, seed, warmup_ops,
-# num_ops) key.  # mapglint: declared-cache
+# The store of cells run with no store of their own.  # mapglint: declared-cache
 _SHARED_STORE = ColumnarTraceStore()
 
 

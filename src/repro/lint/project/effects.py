@@ -33,7 +33,7 @@ A module global that is a *deliberate, content-pure memo* (a cache whose
 value is derived entirely from the payload or the source tree) can be
 declared on its definition line::
 
-    _WORKER_STORE = None  # mapglint: declared-cache
+    _PAIRS = OrderedDict()  # mapglint: declared-cache
 
 Declared caches produce no global-read/global-write effects; the
 declaration is the author's auditable claim that the memo cannot change

@@ -24,8 +24,7 @@ from repro.memory.dram import Dram
 from repro.obs.spans import NullRecorder
 from repro.sim.results import MulticoreResult, SimulationResult
 from repro.sim.simulator import Simulator, static_offchip_latency_cycles
-from repro.workloads.profiles import get_profile
-from repro.workloads.synthetic import SyntheticTraceGenerator, generate_trace
+from repro.workloads.synthetic import generate_trace
 
 __all__ = [
     "run_workload",
@@ -67,10 +66,9 @@ def run_workload(config: SystemConfig, profile_name: str, num_ops: int,
     :func:`repro.fastsim.fallback_reasons`).  Unknown names raise
     :class:`~repro.errors.ConfigError`.
 
-    The fast engine takes its traces from the per-process memo of
-    columnar arrays (a few bytes per op).  On the oracle the generator
-    **streams** into the simulator — the op trace is never materialized,
-    so memory stays flat however long the run is.
+    Both engines take the trace from the per-process memo of columnar
+    arrays (a few bytes per op); the oracle replays it one op object at a
+    time, so no list of op objects is ever built.
     """
     return simulate_cell(config, profile_name, num_ops, seed=seed,
                          temperature_c=temperature_c, warmup_ops=warmup_ops,
@@ -90,11 +88,9 @@ def simulate_cell(config: SystemConfig, profile_name: str, num_ops: int, *,
     default) or an oracle :class:`~repro.sim.simulator.Simulator` and
     feeds it the (warmup, measured) traces from ``trace_store`` (a
     :class:`repro.fastsim.ColumnarTraceStore`, such as a sweep's
-    :class:`repro.exec.TraceStore`) on either engine: the kernel replays
-    the columnar pair, the oracle its ``ops()``.  With no store the fast
-    engine uses the per-process
-    :func:`~repro.fastsim.shared_columnar_store` and the oracle streams
-    the generator straight into the simulator.
+    :class:`repro.exec.TraceStore`; by default the per-process
+    :func:`~repro.fastsim.shared_columnar_store`): the kernel replays the
+    columnar pair, the oracle its ``ops()``.
     :func:`run_workload` and :meth:`repro.exec.JobSpec.execute` are thin
     calls to this; neither calls the other, so each cell is timed once.
     """
@@ -105,23 +101,17 @@ def simulate_cell(config: SystemConfig, profile_name: str, num_ops: int, *,
     if fast:
         simulator = FastSimulator(config, workload=profile_name, seed=seed,
                                   recorder=recorder, **kwargs)
-        if trace_store is None:
-            trace_store = shared_columnar_store()
     else:
         simulator = Simulator(config, workload=profile_name, seed=seed,
                               recorder=recorder, **kwargs)
-    if trace_store is not None:
-        warm_trace, measured_trace = trace_store.traces(
-            profile_name, num_ops, seed=seed, warmup_ops=warmup_ops)
-        if not fast:  # the oracle replays the same traces as op objects
-            warm_trace, measured_trace = warm_trace.ops(), measured_trace.ops()
-        if warmup_ops:
-            simulator.warm_up(warm_trace)
-        return simulator.run(measured_trace)
-    generator = SyntheticTraceGenerator(get_profile(profile_name), seed=seed)
+    store = trace_store if trace_store is not None else shared_columnar_store()
+    warm_trace, measured_trace = store.traces(
+        profile_name, num_ops, seed=seed, warmup_ops=warmup_ops)
+    if not fast:  # the oracle replays the same traces as op objects
+        warm_trace, measured_trace = warm_trace.ops(), measured_trace.ops()
     if warmup_ops:
-        simulator.warm_up(generator.operations(warmup_ops))
-    return simulator.run(generator.operations(num_ops))
+        simulator.warm_up(warm_trace)
+    return simulator.run(measured_trace)
 
 
 def run_policy_comparison(config: SystemConfig, profile_names: Sequence[str],

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from pathlib import Path
 
 import pytest
@@ -26,6 +27,18 @@ def repo_lint_report():
     baseline = Baseline.load(str(REPO_ROOT / "lint-baseline.json"))
     return lint_paths([str(REPO_ROOT / "src"), str(REPO_ROOT / "tests")],
                       baseline=baseline)
+
+
+@pytest.fixture(autouse=True)
+def fresh_trace_memo(monkeypatch):
+    """An empty per-process trace memo for each test; the old one returns after.
+
+    Every trace store serves from one memo per process, so a test that
+    counts trace generations holds in any test order.
+    """
+    import repro.fastsim.columnar as columnar
+
+    monkeypatch.setattr(columnar, "_PAIRS", OrderedDict())
 
 
 @pytest.fixture

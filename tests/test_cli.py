@@ -37,6 +37,29 @@ class TestRun:
         second = json.loads(capsys.readouterr().out)
         assert first == second
 
+    @pytest.mark.parametrize("engine", ["fast", "oracle"])
+    def test_self_profile_splits_trace_from_simulate(self, capsys, engine):
+        def stages():
+            assert main(["run", "gcc_like", "--ops", "10000", "--json",
+                         "--self-profile", "--engine", engine]) == 0
+            report = json.loads(capsys.readouterr().out)["self_profile"]
+            return {stage["name"]: stage["wall_s"]
+                    for stage in report["stages"]}
+
+        first = stages()
+        assert list(first) == ["trace", "simulate"]
+        # The second identical run finds its trace in the process memo.
+        second = stages()
+        assert second["trace"] < min(0.01, first["trace"])
+        assert second["simulate"] > 0
+
+    def test_self_profile_line_names_the_stages(self, capsys):
+        assert main(["run", "gcc_like", "--ops", "800",
+                     "--self-profile"]) == 0
+        line = capsys.readouterr().out.splitlines()[-1]
+        assert line.startswith("self-profile:")
+        assert "(trace " in line and ", simulate " in line
+
     def test_unknown_workload_is_clean_error(self, capsys):
         assert main(["run", "nonexistent_like", "--ops", "100"]) == 2
         assert "error:" in capsys.readouterr().err

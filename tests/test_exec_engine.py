@@ -6,17 +6,22 @@ output must be byte-identical (as a sorted-key JSON dump) at any
 they exercise plumbing, not throughput.
 """
 
+import dataclasses
 import json
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import threading
+import time
 
 import pytest
 
+import repro.exec.engine as engine_module
 import repro.fastsim.columnar as columnar_module
 import repro.sim.runner as runner_module
-from repro.config import SystemConfig
+from repro.config import PrefetcherConfig, SystemConfig
 from repro.errors import ConfigError, ReproError, SweepError
 from repro.exec import JobSpec, ResultCache, SweepRunner, result_to_dict
 from repro.fastsim import ColumnarTraceStore
@@ -245,6 +250,47 @@ class TestPoolReuse:
         assert canonical_bytes(results) \
             == canonical_bytes(SweepRunner(jobs=1).run(specs))
 
+    def test_dead_worker_fails_its_cells_and_the_pool_is_rebuilt(self):
+        # A worker killed mid-cell never returns its result.  The run must
+        # fail the cells still in flight, not wait for them forever.
+        specs = [JobSpec(config=with_policy(SystemConfig(), policy),
+                         profile="mcf_like", num_ops=1_000_000, seed=5,
+                         engine="oracle")
+                 for policy in ("never", "mapg")]
+        outcome = {}
+
+        def sweep():
+            try:
+                SweepRunner(jobs=2).run(specs)
+            except SweepError as exc:
+                outcome["error"], outcome["at"] = exc, time.monotonic()
+
+        engine_module._drop_pool()
+        runner = threading.Thread(target=sweep, daemon=True)
+        runner.start()
+        deadline = time.monotonic() + 60
+        while not engine_module._POOLS and time.monotonic() < deadline:
+            time.sleep(0.01)
+        pool, = engine_module._POOLS.values()
+        time.sleep(2.0)  # both workers are inside their ~10 s cells
+        killed_at = time.monotonic()
+        os.kill(pool._pool[0].pid, signal.SIGKILL)
+        runner.join(timeout=30)
+
+        assert not runner.is_alive(), "the sweep hung on a dead worker"
+        assert "error" in outcome, "the sweep finished despite the kill"
+        assert outcome["at"] - killed_at < 5
+        failures = outcome["error"].failures
+        assert failures.keys() == {spec.key for spec in specs}
+        assert all("exited with code -9" in error
+                   for error in failures.values())
+        assert not engine_module._POOLS  # dropped
+        results, workers = self.pooled_run(tiny_specs())
+        assert engine_module._POOLS[2] is not pool
+        assert workers and workers <= self.pool_pids()
+        assert canonical_bytes(results) \
+            == canonical_bytes(SweepRunner(jobs=1).run(tiny_specs()))
+
     def test_interpreter_exits_cleanly_with_a_live_pool(self, tmp_path):
         # Spawn workers re-import __main__, so the sweep runs from a file.
         script = tmp_path / "pooled_sweep.py"
@@ -270,9 +316,25 @@ class TestPoolReuse:
         assert proc.stderr == ""
 
 
+class _NoSimulation:
+    """Stands in for either engine: takes its traces, simulates nothing."""
+
+    def __init__(self, *args, **kwargs):
+        pass
+
+    def warm_up(self, trace):
+        pass
+
+    def run(self, trace):
+        return None
+
+
 class TestTraceMemoization:
-    def count_generations(self, monkeypatch):
-        """Record each trace generator built by the one trace store."""
+    """One trace memo per process: every runner, store and cell reads it."""
+
+    @pytest.fixture
+    def generations(self, monkeypatch):
+        """Record each trace generator built by the memo."""
         constructions = []
         real = columnar_module.SyntheticTraceGenerator
 
@@ -284,35 +346,84 @@ class TestTraceMemoization:
                             counting)
         return constructions
 
-    def test_trace_generated_once_per_workload(self, monkeypatch):
+    def comparisons(self, generations, engine):
+        run_policy_comparison(SystemConfig(), ["gcc_like"],
+                              ["never", "naive", "mapg"], 200, seed=3,
+                              engine=engine)
+        assert generations == [("gcc_like", 3)]
+
+        generations.clear()
+        run_policy_comparison(SystemConfig(), ["gcc_like", "mcf_like"],
+                              ["never", "mapg"], 200, seed=3, engine=engine)
+        assert generations == [("mcf_like", 3)]  # gcc_like is still held
+
+    def test_trace_generated_once_per_workload(self, generations):
         # The old bug: run_policy_comparison used to regenerate the
-        # identical trace once per *policy*.  Through the engine's
-        # TraceStore it is generated once per (profile, seed).
-        constructions = self.count_generations(monkeypatch)
-        run_policy_comparison(SystemConfig(), ["gcc_like"],
-                              ["never", "naive", "mapg"], 200, seed=3,
-                              engine="oracle")
-        assert constructions == [("gcc_like", 3)]
+        # identical trace once per *policy*.  Through the memo it is
+        # generated once per (profile, seed) in the process.
+        self.comparisons(generations, "oracle")
 
-        constructions.clear()
-        run_policy_comparison(SystemConfig(), ["gcc_like", "mcf_like"],
-                              ["never", "mapg"], 200, seed=3,
-                              engine="oracle")
-        assert constructions == [("gcc_like", 3), ("mcf_like", 3)]
+    def test_fast_engine_generates_once_per_workload(self, generations):
+        # The fast engine replays the same memo's traces.
+        self.comparisons(generations, "fast")
 
-    def test_fast_engine_generates_once_per_workload(self, monkeypatch):
-        # The fast engine replays the same store's traces: one generation
-        # per (profile, seed), never one per policy.
-        constructions = self.count_generations(monkeypatch)
-        run_policy_comparison(SystemConfig(), ["gcc_like"],
-                              ["never", "naive", "mapg"], 200, seed=3,
-                              engine="fast")
-        assert constructions == [("gcc_like", 3)]
+    def test_runs_and_cells_generate_once_per_process(self, generations):
+        # Two runners and a run_workload cell on one key: one generation.
+        config = SystemConfig()
+        first, second = SweepRunner(jobs=1), SweepRunner(jobs=1)
+        first.run([JobSpec(config=with_policy(config, policy),
+                           profile="gcc_like", num_ops=200, seed=3)
+                   for policy in ("never", "mapg")])
+        second.run([JobSpec(config=with_policy(config, "naive"),
+                            profile="gcc_like", num_ops=200, seed=3,
+                            engine="oracle")])
+        run_workload(with_policy(config, "bet_guard"), "gcc_like", 200,
+                     seed=3)
+        assert generations == [("gcc_like", 3)]
+        # Each store keeps its own counts.
+        assert (first.trace_store.misses, first.trace_store.hits) == (1, 1)
+        assert (second.trace_store.misses, second.trace_store.hits) == (0, 1)
 
-        constructions.clear()
-        run_policy_comparison(SystemConfig(), ["gcc_like", "mcf_like"],
-                              ["never", "mapg"], 200, seed=3, engine="fast")
-        assert constructions == [("gcc_like", 3), ("mcf_like", 3)]
+    def test_sweep_serial_generates_only_its_unique_traces(self,
+                                                            monkeypatch):
+        # The design-space figures' call sequence as `pytest benchmarks/`
+        # makes it at 15 000 ops: F3 and F4 each one SweepRunner call on
+        # gcc_like, then F11 and F15 one run_workload per cell.  Two
+        # unique traces, so 30 000 generated ops.  Nothing is simulated.
+        for engine in ("Simulator", "FastSimulator"):
+            monkeypatch.setattr(runner_module, engine, _NoSimulation)
+        generated = []
+        real = SyntheticTraceGenerator.columns
+
+        def counting(generator, num_ops):
+            generated.append(num_ops)
+            return real(generator, num_ops)
+
+        monkeypatch.setattr(SyntheticTraceGenerator, "columns", counting)
+        base = SystemConfig()
+        ops = 15_000
+        SweepRunner(jobs=1).run(
+            [JobSpec(config=with_policy(base, "never"), profile="gcc_like",
+                     num_ops=ops, seed=11)]
+            + [JobSpec(config=with_policy(base, "mapg", bet_scale=scale),
+                       profile="gcc_like", num_ops=ops, seed=11)
+               for scale in (0.25, 1.0, 4.0)])
+        SweepRunner(jobs=1).run(
+            [JobSpec(config=with_policy(
+                base.replace(dram=base.dram.scaled(scale)), policy),
+                profile="gcc_like", num_ops=ops, seed=11)
+             for scale in (0.5, 2.0) for policy in ("never", "mapg")])
+        prefetching = base.replace(
+            prefetcher=PrefetcherConfig(enabled=True, degree=4))
+        for config in (base, prefetching):
+            run_workload(with_policy(config, "mapg"), "gcc_like", ops,
+                         seed=11)
+        for window in (1, 4):
+            config = base.replace(
+                core=dataclasses.replace(base.core, miss_window=window))
+            run_workload(with_policy(config, "mapg"), "libquantum_like",
+                         ops, seed=11)
+        assert sum(generated) == 2 * ops
 
 
 class TestStreamingMemory:

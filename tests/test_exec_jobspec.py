@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+import repro.fastsim.columnar as columnar
 from repro.config import SystemConfig
 from repro.errors import ConfigError
 from repro.exec import JobSpec, TraceStore
@@ -45,6 +46,19 @@ class TestJobSpecKey:
         assert base not in keys
         assert len(keys) == len(variants)
 
+    def test_key_is_computed_once_per_spec(self, monkeypatch):
+        import repro.exec.jobspec as jobspec_module
+
+        calls = []
+        real = jobspec_module.config_digest
+        monkeypatch.setattr(jobspec_module, "config_digest",
+                            lambda config: calls.append(1) or real(config))
+        cell = spec()
+        assert cell.key == cell.key == spec().key
+        assert len(calls) == 2  # one per instance
+        assert cell == spec()  # the memo is not a field
+        assert dataclasses.replace(cell, engine="oracle").key == cell.key
+
     def test_payload_round_trip_preserves_key(self):
         original = spec(warmup_ops=200, temperature_c=95.0)
         rebuilt = JobSpec.from_payload(original.to_payload())
@@ -84,6 +98,12 @@ class TestTraceStore:
         assert first is second
         assert store.hits == 1 and store.misses == 1
 
+    def test_stores_share_the_process_memo(self):
+        first = TraceStore().traces("gcc_like", 200, seed=3)
+        other = TraceStore()
+        assert other.traces("gcc_like", 200, seed=3) is first
+        assert other.hits == 1 and other.misses == 0
+
     def test_reproduces_the_two_call_generator_shape(self):
         # The generator's phase schedule advances across the warmup
         # boundary; the store must be op-for-op identical to run_workload's
@@ -101,15 +121,13 @@ class TestTraceStore:
         assert len(tuple(measured.ops())) == 100
 
     def test_lru_eviction_is_bounded(self):
-        store = TraceStore(max_entries=2)
-        for seed in (1, 2, 3):
+        store = TraceStore()
+        for seed in range(1, columnar._MAX_PAIRS + 2):
             store.traces("gcc_like", 50, seed=seed)
+        store.traces("gcc_like", 50, seed=2)  # still held
         store.traces("gcc_like", 50, seed=1)  # evicted: regenerates
-        assert store.misses == 4
-
-    def test_rejects_bad_bound(self):
-        with pytest.raises(ConfigError):
-            TraceStore(max_entries=0)
+        assert len(columnar._PAIRS) == columnar._MAX_PAIRS
+        assert (store.hits, store.misses) == (1, columnar._MAX_PAIRS + 2)
 
 
 class TestDigestTree:
