@@ -34,7 +34,11 @@ MULTICORE_OPS = 6_000
 # uncached path so a stock `pytest benchmarks/` still measures the
 # simulator, not the cache.
 #
-# * MAPG_BENCH_JOBS=N   — fan cache-missing cells over N worker processes.
+# * MAPG_BENCH_JOBS=N   — fan cache-missing cells over up to N worker
+#   processes.  A sweep builds the pool only when its cells' estimated
+#   cost exceeds a cold pool's start-up (SweepRunner.run), or when an
+#   earlier sweep left one running; the F3/F4 sweeps at SWEEP_OPS are
+#   below that and run inline.
 # * MAPG_BENCH_CACHE=1  — reuse results across runs via the default
 #   content-addressed cache dir; any other non-empty value is used as the
 #   cache directory itself.

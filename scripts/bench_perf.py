@@ -46,7 +46,9 @@ FLOORS = {
     "figure-grid cells/s": 1.73,  # fast kernel: 51 639 ops/s
     "grid-fast cells/s": 1.73,  # fast kernel: 51 639 ops/s
     "fast / oracle speedup": 1.33,  # the cache row's cold passes
-    "sweep-pool / sweep-serial cells/s": 0.95,  # never slower than serial
+    # never slower than serial: 1.37-2.10 in 6 --quick runs on 2 vCPUs
+    # once the pool is built only when it pays back its start-up
+    "sweep-pool / sweep-serial cells/s": 1.2,
     "warm / cold cache speedup": 32.0,
 }
 

@@ -12,8 +12,9 @@ twice:
   model code invalidates every entry at once (the same recipe as
   ``repro.lint.cache``).
 * :class:`SweepRunner` — fans cache-missing cells over a spawn-safe
-  ``multiprocessing`` pool and merges results in deterministic job-key
-  order, so sweep output is byte-identical at any worker count.
+  ``multiprocessing`` pool when they outweigh its start-up (else runs
+  them inline) and merges results in deterministic job-key order, so
+  sweep output is byte-identical at any worker count.
 
 ``run_policy_comparison`` / ``run_seed_study`` and the ``benchmarks/``
 harness route through this engine; see docs/PERFORMANCE.md for the

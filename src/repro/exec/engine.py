@@ -8,13 +8,17 @@ cells and returns their results **in input order**, built in three steps:
    skip simulation entirely.
 2. **Execution** — each cell on its spec's engine (the fast kernel
    unless the spec asks for the oracle); cache misses run either inline
-   (``jobs=1``, through a :class:`~repro.exec.tracestore.TraceStore`
-   over the process's trace memo, which generates each trace once per
-   process for either engine) or over a spawn-safe ``multiprocessing``
-   pool of at most one worker per CPU.  The pool is one per process:
-   built by the first pooled run, reused by every later one, rebuilt
-   when a run needs another worker count, and terminated at interpreter
-   exit (or at once, if a run is abandoned with cells in flight).
+   (through a :class:`~repro.exec.tracestore.TraceStore` over the
+   process's trace memo, which generates each trace once per process
+   for either engine) or over a spawn-safe ``multiprocessing`` pool of
+   at most one worker per CPU, used only when it pays back its start-up:
+   with two or more workers, and when an earlier run left it running or
+   the cells' estimated inline cost (:func:`_serial_cost`, from the
+   specs alone) outweighs a cold pool's start-up.
+   The pool is one per process: built by the first pooled run, reused
+   by every later one, rebuilt when a run needs another worker count,
+   and terminated at interpreter exit (or at once, if a run is
+   abandoned with cells in flight).
    Workers receive plain-dict payloads (no pickled code objects),
    rebuild the spec, and take traces from their process's trace memo,
    which outlives each run, so a worker simulating several policies of
@@ -66,6 +70,19 @@ _POOLS: Dict[int, Any] = {}  # mapglint: declared-cache
 # How long a pooled run waits for a result before checking its workers.
 _POLL_S = 0.1
 
+# What starting a cold pool costs, in fast-kernel op-equivalents (one
+# measured or warmup op of a cell on the kernel).  Probe on a 2-vCPU host,
+# Python 3.11, gcc_like cells at seed 11, one sweep call per fresh process,
+# 3 runs each: 8 kernel cells of 45k ops ran in 0.42-0.46 s inline against
+# 0.56-0.64 s on a cold Pool(2); at 60k ops 0.52-0.67 s against 0.59-0.80 s;
+# at 90k ops 0.87-1.07 s against 0.83-0.86 s.  Break-even is ~500k ops at
+# two workers, so the start-up is ~250k ops (0.2-0.3 s at 0.8-1.3 us/op).
+_POOL_START_OPS = 250_000
+# An oracle cell's cost per op, in kernel ops.  Same probe: 4 oracle cells
+# broke even at 10k ops each (0.30-0.50 s inline against 0.46-0.60 s), and
+# lost at 5k; with the memo warm, an oracle op cost 12.6 kernel ops.
+_ORACLE_WEIGHT = 10
+
 # (job key, result or error record, worker pid; 0 = the parent process)
 _Outcome = Tuple[str, Any, int]
 
@@ -97,6 +114,19 @@ def _execute_payload(item: "Tuple[str, Dict[str, Any]]"  # mapglint: error-bound
     except Exception as exc:
         return key, _error_record(exc), os.getpid()
     return key, result_to_dict(result), os.getpid()
+
+
+def _serial_cost(missing: "List[Tuple[str, JobSpec]]") -> int:
+    """The cells' estimated inline cost, in fast-kernel op-equivalents.
+
+    Each cell counts its measured and warmup ops; a cell that runs on the
+    oracle (asked for, or outside the kernel's envelope) counts them
+    ``_ORACLE_WEIGHT`` times.
+    """
+    return sum((spec.num_ops + spec.warmup_ops)
+               * (_ORACLE_WEIGHT if spec.engine == "oracle"
+                  or fallback_reasons(spec.config) else 1)
+               for __, spec in missing)
 
 
 def _shared_pool(workers: int) -> Any:
@@ -236,12 +266,20 @@ class SweepRunner:
             key=lambda item: (item[1].profile, item[1].seed,
                               item[1].warmup_ops, item[1].num_ops, item[0]))
         failures: Dict[str, str] = {}
-        pooled = self.jobs > 1 and len(missing) > 1
-        workers = min(self.jobs, len(missing), os.cpu_count() or 1) \
-            if pooled else 1
+        workers = min(self.jobs, len(missing), os.cpu_count() or 1)
+        cost = _serial_cost(missing)
+        # w workers take about cost / w plus the start-up, so a cold pool
+        # pays back only when cost * (w - 1) > start * w; a warm one has
+        # paid already.  One worker is never faster than inline.
+        pooled = workers > 1 and (
+            workers in _POOLS
+            or cost * (workers - 1) > _POOL_START_OPS * workers)
+        if not pooled:
+            workers = 1
         if missing and self._obs.enabled:
             self._obs.dispatch(cells=len(missing), workers=workers,
-                               mode="pool" if pooled else "serial")
+                               mode="pool" if pooled else "serial",
+                               cost_ops=cost)
         outcomes = (_pool_outcomes(missing, workers) if pooled
                     else self._inline_outcomes(missing))
         with closing(outcomes):  # an escaping error drops the pool

@@ -58,7 +58,7 @@ EVENT_REQUIRED_KEYS: Dict[str, Tuple[str, ...]] = {
     "cell_queued": ("key", "profile", "policy", "seed", "num_ops"),
     "cache_hit": ("key",),
     "cache_miss": ("key",),
-    "dispatch": ("cells", "workers", "mode"),
+    "dispatch": ("cells", "workers", "mode", "cost_ops"),
     "cell_start": ("key",),
     "cell_done": ("key", "wall_s", "worker"),
     "cell_failed": ("key", "error", "worker"),
@@ -115,7 +115,8 @@ class NullSweepRecorder:
     def cell_cache_miss(self, key: str) -> None:
         """Record nothing."""
 
-    def dispatch(self, cells: int, workers: int, mode: str) -> None:
+    def dispatch(self, cells: int, workers: int, mode: str,
+                 cost_ops: int) -> None:
         """Record nothing."""
 
     def cell_start(self, key: str) -> None:
@@ -238,10 +239,17 @@ class SweepRecorder(NullSweepRecorder):
         self.misses += 1
         self._emit("cache_miss", key=key)
 
-    def dispatch(self, cells: int, workers: int, mode: str) -> None:
-        """The miss batch is handed to the serial loop or the pool."""
+    def dispatch(self, cells: int, workers: int, mode: str,
+                 cost_ops: int) -> None:
+        """The miss batch is handed to the serial loop or the pool.
+
+        ``cost_ops`` is the batch's estimated inline cost in fast-kernel
+        op-equivalents, the figure the runner weighed against a cold
+        pool's start-up to choose ``mode``.
+        """
         self._dispatch_t = self._emit("dispatch", cells=cells,
-                                      workers=workers, mode=mode)
+                                      workers=workers, mode=mode,
+                                      cost_ops=cost_ops)
 
     def cell_start(self, key: str) -> None:
         """Serial path only: this cell starts executing right now."""

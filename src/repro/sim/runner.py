@@ -127,7 +127,8 @@ def run_policy_comparison(config: SystemConfig, profile_names: Sequence[str],
     generated once per (profile, seed) and replayed per policy.
 
     Routed through :class:`repro.exec.SweepRunner`: ``jobs > 1`` fans the
-    matrix over a process pool and ``cache`` (a
+    matrix over a process pool when its cells outweigh the pool's
+    start-up, and ``cache`` (a
     :class:`repro.exec.ResultCache`) skips cells simulated before; the
     returned matrix is bit-identical at any ``jobs``/cache setting, and
     — by the fast kernel's parity contract — at any ``engine`` setting.

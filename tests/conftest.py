@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import os
 from collections import OrderedDict
+from contextlib import closing
 from pathlib import Path
 
 import pytest
@@ -39,6 +41,35 @@ def fresh_trace_memo(monkeypatch):
     import repro.fastsim.columnar as columnar
 
     monkeypatch.setattr(columnar, "_PAIRS", OrderedDict())
+
+
+@pytest.fixture
+def forced_pool(monkeypatch):
+    """Pooled sweeps start the pool whatever their size.
+
+    The sweep runner builds a cold pool only when its cells outweigh the
+    start-up constant, and never with one worker; with the constant at 0
+    and at least two CPUs, every sweep of two or more cells at ``jobs>1``
+    runs on the pool.  Returns the worker pid of each outcome the pool
+    yields (0 for a cell lost with its worker), so a test can show that a
+    pool worker really ran a cell.
+    """
+    import repro.exec.engine as engine
+
+    cpus = os.cpu_count() or 1
+    monkeypatch.setattr(os, "cpu_count", lambda: max(2, cpus))
+    monkeypatch.setattr(engine, "_POOL_START_OPS", 0)
+    workers = []
+    pool_outcomes = engine._pool_outcomes
+
+    def recorded(missing, count):
+        with closing(pool_outcomes(missing, count)) as outcomes:
+            for outcome in outcomes:
+                workers.append(outcome[2])
+                yield outcome
+
+    monkeypatch.setattr(engine, "_pool_outcomes", recorded)
+    return workers
 
 
 @pytest.fixture

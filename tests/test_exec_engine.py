@@ -134,12 +134,13 @@ class TestGracefulDegradation:
         assert warm.cache_hits == 19
         assert len(results) == 19
 
-    def test_pool_path_degrades_identically(self, tmp_path):
+    def test_pool_path_degrades_identically(self, tmp_path, forced_pool):
         specs, poison = self._specs_with_poison(total=4)
         cache = ResultCache(str(tmp_path))
         with pytest.raises(SweepError) as excinfo:
             SweepRunner(jobs=4, cache=cache).run(specs)
         assert poison.key in str(excinfo.value)
+        assert any(forced_pool)
 
         warm = SweepRunner(cache=ResultCache(str(tmp_path)))
         warm.run(specs[:-1])
@@ -147,13 +148,15 @@ class TestGracefulDegradation:
 
 
 class TestWorkerCountInvariance:
-    def test_sweep_identical_serial_vs_parallel(self):
+    def test_sweep_identical_serial_vs_parallel(self, forced_pool):
         specs = tiny_specs()
         serial = SweepRunner(jobs=1).run(specs)
         parallel = SweepRunner(jobs=4).run(specs)
         assert canonical_bytes(serial) == canonical_bytes(parallel)
+        assert any(forced_pool)
 
-    def test_policy_comparison_identical_cold_and_warm(self, tmp_path):
+    def test_policy_comparison_identical_cold_and_warm(self, tmp_path,
+                                                       forced_pool):
         args = (SystemConfig(), ["gcc_like", "mcf_like"], ["never", "mapg"],
                 250)
         serial_cold = run_policy_comparison(*args, seed=3)
@@ -167,14 +170,16 @@ class TestWorkerCountInvariance:
         assert canonical_bytes(parallel_cold) == reference
         assert canonical_bytes(serial_warm) == reference
         assert canonical_bytes(parallel_warm) == reference
+        assert any(forced_pool)  # the cold parallel run
 
-    def test_seed_study_identical_serial_vs_parallel(self):
+    def test_seed_study_identical_serial_vs_parallel(self, forced_pool):
         config = with_policy(SystemConfig(), "mapg")
         serial = run_seed_study(config, "gcc_like", 250, (3, 5))
         parallel = run_seed_study(config, "gcc_like", 250, (3, 5), jobs=4)
         assert serial == parallel  # float tuples compare bit-exactly
+        assert any(forced_pool)
 
-    def test_pool_capped_at_cpu_count(self, monkeypatch):
+    def test_pool_capped_at_cpu_count(self, monkeypatch, forced_pool):
         # jobs=64 on a 2-vCPU host used to spawn 64 interpreters.
         specs = tiny_specs()
         serial = SweepRunner(jobs=1).run(specs)
@@ -186,14 +191,16 @@ class TestWorkerCountInvariance:
         assert [(event["mode"], event["workers"]) for event in dispatch] \
             == [("pool", 2)]
         assert canonical_bytes(parallel) == canonical_bytes(serial)
+        assert any(forced_pool)
 
 
 class TestPoolReuse:
     """One spawn pool per process, kept across ``SweepRunner.run`` calls."""
 
     @pytest.fixture(autouse=True)
-    def two_cpus(self, monkeypatch):
+    def two_cpus(self, monkeypatch, forced_pool):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        self.outcome_workers = forced_pool
 
     @staticmethod
     def pool_pids():
@@ -216,8 +223,10 @@ class TestPoolReuse:
         # Either run may hand every tiny cell to one worker, so both are
         # checked against the pool the first run left behind.
         assert len(pool) == 2
-        assert first_workers <= pool and second_workers <= pool
+        assert first_workers and first_workers <= pool
+        assert second_workers and second_workers <= pool
         assert self.pool_pids() == pool
+        assert all(self.outcome_workers)
 
     def test_failed_cell_keeps_the_pool(self):
         specs = tiny_specs()
@@ -230,7 +239,8 @@ class TestPoolReuse:
         results, workers = self.pooled_run(specs)
         assert canonical_bytes(results) \
             == canonical_bytes(SweepRunner(jobs=1).run(specs))
-        assert workers <= pool and self.pool_pids() == pool
+        assert workers and workers <= pool and self.pool_pids() == pool
+        assert all(self.outcome_workers)
 
     def test_escaping_error_drops_the_pool(self):
         class BrokenRecorder(SweepRecorder):
@@ -249,6 +259,7 @@ class TestPoolReuse:
         assert not workers & old_pool
         assert canonical_bytes(results) \
             == canonical_bytes(SweepRunner(jobs=1).run(specs))
+        assert all(self.outcome_workers)
 
     def test_dead_worker_fails_its_cells_and_the_pool_is_rebuilt(self):
         # A worker killed mid-cell never returns its result.  The run must
@@ -285,25 +296,36 @@ class TestPoolReuse:
         assert all("exited with code -9" in error
                    for error in failures.values())
         assert not engine_module._POOLS  # dropped
+        assert self.outcome_workers == [0, 0]  # both cells lost
         results, workers = self.pooled_run(tiny_specs())
         assert engine_module._POOLS[2] is not pool
         assert workers and workers <= self.pool_pids()
         assert canonical_bytes(results) \
             == canonical_bytes(SweepRunner(jobs=1).run(tiny_specs()))
+        assert all(self.outcome_workers[2:])
 
     def test_interpreter_exits_cleanly_with_a_live_pool(self, tmp_path):
-        # Spawn workers re-import __main__, so the sweep runs from a file.
+        # Spawn workers re-import __main__, so the sweep runs from a file,
+        # which forces the pool for its two tiny cells and prints the
+        # pids of the workers that ran them.
         script = tmp_path / "pooled_sweep.py"
         script.write_text(
+            "import os\n"
+            "import repro.exec.engine as engine\n"
             "from repro.config import SystemConfig\n"
             "from repro.exec import JobSpec, SweepRunner\n"
+            "from repro.obs import SweepRecorder\n"
             "from repro.sim.runner import with_policy\n"
             "if __name__ == '__main__':\n"
+            "    os.cpu_count = lambda: 2\n"
+            "    engine._POOL_START_OPS = 0\n"
             "    specs = [JobSpec(config=with_policy(SystemConfig(), p),\n"
             "                     profile='gcc_like', num_ops=200, seed=3)\n"
             "             for p in ('never', 'mapg')]\n"
+            "    recorder = SweepRecorder()\n"
+            "    SweepRunner(jobs=2, recorder=recorder).run(specs)\n"
             "    SweepRunner(jobs=2).run(specs)\n"
-            "    SweepRunner(jobs=2).run(specs)\n",
+            "    print(*recorder.summary()['per_worker'])\n",
             encoding="utf-8")
         src = os.path.join(os.path.dirname(os.path.dirname(
             os.path.abspath(__file__))), "src")
@@ -314,6 +336,103 @@ class TestPoolReuse:
             text=True, timeout=120)
         assert proc.returncode == 0
         assert proc.stderr == ""
+        workers = proc.stdout.split()
+        assert workers and "0" not in workers
+
+
+class TestPoolGate:
+    """A cold pool is built only when the sweep's cells pay back its start."""
+
+    @pytest.fixture(autouse=True)
+    def cold_two_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        engine_module._drop_pool()
+        self.children = {child.pid
+                         for child in multiprocessing.active_children()}
+
+    @staticmethod
+    def dispatched(specs):
+        """(results, the dispatch event, worker pids) of one jobs=2 run."""
+        recorder = SweepRecorder()
+        results = SweepRunner(jobs=2, recorder=recorder).run(specs)
+        dispatch, = [event for event in recorder.events()
+                     if event["event"] == "dispatch"]
+        return results, dispatch, {
+            int(pid) for pid in recorder.summary()["per_worker"]}
+
+    def no_child_started(self):
+        return not engine_module._POOLS and {
+            child.pid for child in multiprocessing.active_children()
+        } <= self.children
+
+    def test_cold_small_sweep_runs_inline(self):
+        specs = tiny_specs()
+        results, dispatch, workers = self.dispatched(specs)
+        assert (dispatch["mode"], dispatch["workers"]) == ("serial", 1)
+        assert dispatch["cost_ops"] == 4 * 250
+        assert workers == {0}
+        assert self.no_child_started()
+        assert canonical_bytes(results) \
+            == canonical_bytes(SweepRunner(jobs=1).run(specs))
+
+    def test_sweep_above_the_threshold_builds_the_pool(self, monkeypatch):
+        # Four 250-op kernel cells are 1000 op-equivalents: two workers
+        # pay back a start-up of less than 500, and not one of 500.
+        specs = tiny_specs()
+        monkeypatch.setattr(engine_module, "_POOL_START_OPS", 500)
+        __, dispatch, __ = self.dispatched(specs)
+        assert dispatch["mode"] == "serial"
+        assert self.no_child_started()
+        monkeypatch.setattr(engine_module, "_POOL_START_OPS", 499)
+        results, dispatch, workers = self.dispatched(specs)
+        assert (dispatch["mode"], dispatch["workers"]) == ("pool", 2)
+        assert list(engine_module._POOLS) == [2]
+        assert workers and 0 not in workers
+        assert canonical_bytes(results) \
+            == canonical_bytes(SweepRunner(jobs=1).run(specs))
+
+    def test_cost_counts_warmup_and_weighs_oracle_cells(self):
+        config = SystemConfig()
+        prefetching = config.replace(
+            prefetcher=PrefetcherConfig(enabled=True, degree=4))
+        # Job keys leave the engine out, so each cell has its own policy.
+        specs = [JobSpec(config=with_policy(base, policy),
+                         profile="gcc_like", num_ops=100, warmup_ops=20,
+                         seed=3, engine=engine)
+                 for base, policy, engine in (
+                     (config, "mapg", "fast"), (config, "never", "oracle"),
+                     (prefetching, "mapg", "fast"))]
+        __, dispatch, __ = self.dispatched(specs)
+        assert dispatch["cost_ops"] \
+            == 120 * (1 + 2 * engine_module._ORACLE_WEIGHT)
+
+    def test_warm_pool_is_reused(self, monkeypatch):
+        start = engine_module._POOL_START_OPS
+        monkeypatch.setattr(engine_module, "_POOL_START_OPS", 0)
+        self.dispatched(tiny_specs())
+        pool = engine_module._POOLS[2]
+        pids = {process.pid for process in pool._pool}
+        monkeypatch.setattr(engine_module, "_POOL_START_OPS", start)
+        specs = tiny_specs(num_ops=150)
+        results, dispatch, workers = self.dispatched(specs)
+        assert (dispatch["mode"], dispatch["workers"]) == ("pool", 2)
+        assert dispatch["cost_ops"] <= 2 * start  # too small for a cold pool
+        assert engine_module._POOLS[2] is pool
+        assert workers and workers <= pids
+        assert canonical_bytes(results) \
+            == canonical_bytes(SweepRunner(jobs=1).run(specs))
+
+    def test_one_cpu_never_spawns_a_one_worker_pool(self, monkeypatch,
+                                                     forced_pool):
+        # jobs=2 on a 1-CPU host used to start a pool of one worker.
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        specs = tiny_specs()
+        results, dispatch, workers = self.dispatched(specs)
+        assert (dispatch["mode"], dispatch["workers"]) == ("serial", 1)
+        assert workers == {0} and not forced_pool
+        assert self.no_child_started()
+        assert canonical_bytes(results) \
+            == canonical_bytes(SweepRunner(jobs=1).run(specs))
 
 
 class _NoSimulation:

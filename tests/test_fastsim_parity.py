@@ -108,11 +108,12 @@ class TestThroughSweepRunner:
         assert [canonical(r) for r in fast] == \
             [canonical(r) for r in oracle]
 
-    def test_parallel_fast_equals_serial_oracle(self):
+    def test_parallel_fast_equals_serial_oracle(self, forced_pool):
         oracle = SweepRunner(jobs=1).run(self._specs("oracle"))
         fast = SweepRunner(jobs=4).run(self._specs("fast"))
         assert [canonical(r) for r in fast] == \
             [canonical(r) for r in oracle]
+        assert all(forced_pool)
 
 
 class TestRandomizedSegments:

@@ -73,11 +73,12 @@ class TestNeutrality:
         assert canonical_bytes(on_warm) == canonical_bytes(off_cold)
         assert canonical_bytes(off_warm) == canonical_bytes(off_cold)
 
-    def test_byte_identical_on_off_at_jobs_4(self):
+    def test_byte_identical_on_off_at_jobs_4(self, forced_pool):
         specs = tiny_specs()
         off = SweepRunner(jobs=4).run(specs)
         on = SweepRunner(jobs=4, recorder=SweepRecorder()).run(specs)
         assert canonical_bytes(on) == canonical_bytes(off)
+        assert any(forced_pool)
 
 
 class TestReconciliation:
@@ -130,7 +131,7 @@ class TestReconciliation:
             assert record["wall_s"] >= 0.0
         assert validate_sweep_manifest(manifest) == []
 
-    def test_pool_run_attributes_workers(self):
+    def test_pool_run_attributes_workers(self, forced_pool):
         specs = tiny_specs()
         recorder = SweepRecorder()
         SweepRunner(jobs=4, recorder=recorder).run(specs)
@@ -140,6 +141,7 @@ class TestReconciliation:
         assert "0" not in counters["per_worker"]
         assert counters["worker_utilization"] is not None
         assert 0.0 < counters["worker_utilization"] <= 1.0
+        assert all(forced_pool)
 
 
 class TestFailureRecords:
@@ -166,7 +168,7 @@ class TestFailureRecords:
         assert counters["executed"] == len(specs) - 1
         assert validate_sweep_events(recorder.events()) == []
 
-    def test_failed_cell_lands_in_manifest_pool(self):
+    def test_failed_cell_lands_in_manifest_pool(self, forced_pool):
         specs, poison = self._specs_with_poison()
         recorder = SweepRecorder()
         with pytest.raises(SweepError):
@@ -175,6 +177,7 @@ class TestFailureRecords:
         assert set(manifest["failures"]) == {poison.key}
         assert manifest["counters"]["failed"] == 1
         assert validate_sweep_manifest(manifest) == []
+        assert all(forced_pool)
 
 
 class TestEventStream:
@@ -328,9 +331,10 @@ class TestEngineTelemetry:
         assert by_profile_engine[("mcf_like", "fast")] in (
             [], ["prefetcher enabled"])
 
-    def test_pool_sweep_counts_engines_and_reasons(self):
+    def test_pool_sweep_counts_engines_and_reasons(self, forced_pool):
         recorder = SweepRecorder()
         SweepRunner(jobs=4, recorder=recorder).run(self._mixed_specs())
+        assert all(forced_pool)
         counters = recorder.summary()
         assert counters["engines"] == {"oracle": 2, "fast": 1,
                                        "fast_fallback": 1}
