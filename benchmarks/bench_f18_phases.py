@@ -29,8 +29,7 @@ NUM_WINDOWS = 24
 def build_report() -> ExperimentReport:
     config = with_policy(SystemConfig(), "mapg")
     # Oracle on purpose: the fast kernel does not record the timeline yet.
-    simulator = Simulator(config, workload=WORKLOAD, seed=11,
-                          record_timeline=True)
+    simulator = Simulator(config, workload=WORKLOAD, record_timeline=True)
     result = simulator.run(generate_trace(WORKLOAD, FULL_OPS, seed=11))
 
     window_cycles = result.total_cycles // NUM_WINDOWS + 1

@@ -28,7 +28,7 @@ def build_report() -> ExperimentReport:
                  "p95", "mean"])
     threshold = None
     for name in profile_names():
-        fast = FastSimulator(config, workload=name, seed=11)
+        fast = FastSimulator(config, workload=name)
         __, trace = shared_columnar_store().traces(name, FULL_OPS, seed=11)
         result = fast.run(trace)
         histogram = fast.sim.stall_histogram

@@ -208,10 +208,10 @@ def _run_one(config: SystemConfig, args: argparse.Namespace, engine: str,
 
             fast = FastSimulator(config, workload=args.workload,
                                  temperature_c=args.temperature,
-                                 seed=args.seed, recorder=recorder)
+                                 recorder=recorder)
             return fast.run(ColumnarTrace(trace))
         simulator = Simulator(config, workload=args.workload,
-                              temperature_c=args.temperature, seed=args.seed,
+                              temperature_c=args.temperature,
                               recorder=recorder)
         return simulator.run(trace)
     return run_workload(config, args.workload, args.ops, seed=args.seed,

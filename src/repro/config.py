@@ -72,11 +72,10 @@ class CacheConfig:
     line_bytes: int = 64
     associativity: int = 8
     hit_latency_cycles: int = 3
-    replacement: str = "lru"  # one of: lru, random, plru
+    # LRU is the only policy; the key stays so saved configs still load.
+    replacement: str = "lru"
     write_back: bool = True
     mshr_entries: int = 8
-
-    _REPLACEMENT_POLICIES = ("lru", "random", "plru")
 
     def __post_init__(self) -> None:
         _require(bool(self.name), "cache name must be non-empty")
@@ -93,8 +92,8 @@ class CacheConfig:
                  f"number of sets ({lines // self.associativity}) must be a power of two")
         _require(self.hit_latency_cycles >= 0,
                  f"hit_latency_cycles must be >= 0, got {self.hit_latency_cycles}")
-        _require(self.replacement in self._REPLACEMENT_POLICIES,
-                 f"replacement must be one of {self._REPLACEMENT_POLICIES}, got {self.replacement!r}")
+        _require(self.replacement == "lru",
+                 f"replacement must be 'lru', got {self.replacement!r}")
         _require(self.mshr_entries >= 1, f"mshr_entries must be >= 1, got {self.mshr_entries}")
 
     @property

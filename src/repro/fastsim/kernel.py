@@ -36,6 +36,12 @@ window fills, and the dependence, window-full and dependent-use stalls
 all reach the one off-chip resolution block, with the blocking access's
 age passed to the policy as ``elapsed``.
 
+The stride prefetcher is trained by owner-call too: each L2 access calls
+the hierarchy's own ``StridePrefetcher.train`` and fills its targets
+through the kernel's L2 tag and MSHR state and the DRAM helper the
+writebacks use, scoring useful and late prefetches against the
+hierarchy's own prefetched-line set (:meth:`FastSimulator._prefetch`).
+
 Architectural state (cache tags as insertion-ordered per-set dicts whose
 order provably equals the oracle's LRU stacks, MSHR fill maps with the
 oracle's eager expiry replayed at the same call points, DRAM bank state)
@@ -49,14 +55,13 @@ by direct state transplant into the freshly-reset objects.
 ``Simulator.reset_measurements()`` and ``Simulator.result()`` then run
 unmodified, so the result path is shared with the oracle.
 
-Fallback: configurations the kernel does not replicate (prefetchers,
-non-LRU replacement, shared DRAM, token arbiters, timeline recording,
-attached span recorders) transparently run the oracle on the
-reconstructed op stream; see :func:`fallback_reasons`.  Policies other
-than Never/Mapg/AdaptiveMapg (or non-table predictors) decide through
-their own ``decide()`` per off-chip stall; the kernel then resolves the
-stall with the same wakeup algebra and bookkeeping as the MAPG path, and
-calls the policy's real ``observe``/``feedback``.
+Fallback: runs the kernel does not replicate (shared DRAM, token
+arbiters, timeline recording, attached span recorders) transparently run
+the oracle on the reconstructed op stream; see :func:`fallback_reasons`.
+Policies other than Never/Mapg/AdaptiveMapg (or non-table predictors)
+decide through their own ``decide()`` per off-chip stall; the kernel then
+resolves the stall with the same wakeup algebra and bookkeeping as the
+MAPG path, and calls the policy's real ``observe``/``feedback``.
 """
 
 from __future__ import annotations
@@ -81,7 +86,8 @@ from repro.power.temperature import NOMINAL_TEMPERATURE_C
 from repro.predict.table import HistoryTablePredictor
 from repro.sim.results import SimulationResult
 from repro.sim.simulator import Simulator
-from repro.units import CYCLE_CEIL_EPSILON, NS, cycles_to_ns
+from repro.units import (
+    CYCLE_CEIL_EPSILON, NS, cycles_to_ns, seconds_to_cycles_ceil)
 
 _INF = float("inf")
 # A stall bound no merge reaches (the blocking core's dependent-use test).
@@ -95,7 +101,8 @@ _L1_ACC, _L1_WR, _L1_HIT, _L1_MISS, _L1_WB = range(6, 11)
 _L2_ACC, _L2_WR, _L2_HIT, _L2_MISS, _L2_WB = range(11, 16)
 (_D_ACC, _D_ROW_HIT, _D_ROW_CLOSED, _D_ROW_CONFLICT, _D_WR, _D_BUF_WR,
  _D_DRAIN, _D_REFRESH) = range(16, 24)
-_MC_SLOTS = 24
+_PF_FILL, _PF_REDUNDANT, _PF_DROPPED, _PF_USEFUL, _PF_LATE = range(24, 29)
+_MC_SLOTS = 29
 
 _MISSING = object()
 
@@ -111,17 +118,10 @@ def fallback_reasons(config: SystemConfig, *,
     so callers can learn whether a cell takes the fast path without
     building or running it.
     """
+    # Every SystemConfig a single core accepts is inside the envelope
+    # (the stride prefetcher and the windowed-MLP core included); only
+    # the multi-core coupling objects and the observability sinks are not.
     reasons: List[str] = []
-    if config.prefetcher.enabled:
-        # The whole prefetcher subsystem sits outside the fast
-        # envelope: its config knobs and counters never occur on a
-        # fast-path run because this check falls back first.  (The
-        # windowed-MLP core, miss_window > 1, is inside it.)
-        reasons.append("prefetcher enabled")
-    if config.l1.replacement != "lru":
-        reasons.append(f"l1 replacement {config.l1.replacement!r}")
-    if config.l2.replacement != "lru":
-        reasons.append(f"l2 replacement {config.l2.replacement!r}")
     if shared_dram is not None:
         reasons.append("shared DRAM (multi-core contention)")
     if token_arbiter is not None:
@@ -171,13 +171,12 @@ class FastSimulator:
                  temperature_c: float = NOMINAL_TEMPERATURE_C,
                  shared_dram: Optional[Dram] = None,
                  token_arbiter: Optional[TokenArbiter] = None,
-                 core_id: int = 0, seed: int = 0,
-                 record_timeline: bool = False,
+                 core_id: int = 0, record_timeline: bool = False,
                  recorder: Optional[NullRecorder] = None) -> None:
         self.sim = Simulator(
             config, workload=workload, temperature_c=temperature_c,
             shared_dram=shared_dram, token_arbiter=token_arbiter,
-            core_id=core_id, seed=seed, record_timeline=record_timeline,
+            core_id=core_id, record_timeline=record_timeline,
             recorder=recorder)
         self.config = config
         self.fallback_reasons = fallback_reasons(
@@ -302,7 +301,7 @@ class FastSimulator:
 
     def _reset_dram_histogram(self) -> None:
         # Stats ride in one list ([n, sum, min, max]) so the replay loop's
-        # local reference and the rare-path write method share them.
+        # local reference and the rare-path DRAM helper share them.
         self._dh_counts = [0] * (len(self._dh_edges) + 1)
         self._dh_stats: List[Any] = [0, 0.0, _INF, -_INF]
 
@@ -392,7 +391,11 @@ class FastSimulator:
         bisect = bisect_right
         c2ns = cycles_to_ns
         wb_l2 = self._wb_l2
-        dram_write = self._dram_write
+        dram_access = self._dram_access
+        # The stride prefetcher (inline MemoryHierarchy._run_prefetcher):
+        # one falsy test per L2 access when it is off.
+        prefetch = (self._prefetch if sim.hierarchy.prefetcher is not None
+                    else None)
         mlp_on = self._mlp_overlap > 0.0
         mlp_factor = self._mlp_factor
 
@@ -403,7 +406,7 @@ class FastSimulator:
         n_on = 0
         on_cyc = 0
         # Hot memory counters (merged into `mc` at flush; the rare-path
-        # writeback methods count into `mc` directly).
+        # writeback and prefetch methods count into `mc` directly).
         n_l1_miss = 0
         n_l1_merge = 0
         n_l1_wb = 0
@@ -603,6 +606,8 @@ class FastSimulator:
                                 del l2m[k]
                                 del l2mi[k]
                             l2m_min = min(l2m.values()) if l2m else _INF
+                    if prefetch:
+                        l2m_min = prefetch(pc, addr, issue, l2m_min)
                     fill2 = l2m_get(l2_block)
                     l2_idx = l2_block & l2_mask
                     l2_tag = l2_block >> l2_idx_bits
@@ -732,7 +737,7 @@ class FastSimulator:
                             l2m_min = fillc2
                         if wb2 is not None:
                             h_wb += 1
-                            dram_write(wb2, issue2)
+                            dram_access(wb2, issue2, True)
                         off = True
 
                     total = wait1 + l1_lat + below
@@ -974,10 +979,10 @@ class FastSimulator:
             sim.core._last_offchip_end = last_off
 
         # Merge loop-local counters into the shared slots (the rare-path
-        # writeback methods already counted there); derivable totals are
-        # reconstructed instead of counted per iteration: every access is
-        # one hierarchy access and one L1 tag access, writes are the trace's
-        # write flags, and hits are the non-misses.
+        # writeback and prefetch methods already counted there); derivable
+        # totals are reconstructed instead of counted per iteration: every
+        # access is one hierarchy access and one L1 tag access, writes are
+        # the trace's write flags, and hits are the non-misses.
         n_mem = trace.num_memory_ops
         mc[_H_ACC] += n_mem
         mc[_H_L1_MERGE] += n_l1_merge
@@ -1032,7 +1037,12 @@ class FastSimulator:
             ("l1_mshr_stalls", mc[_H_L1_STALL]),
             ("l2_mshr_merges", mc[_H_L2_MERGE]),
             ("l2_mshr_stalls", mc[_H_L2_STALL]),
-            ("writebacks", mc[_H_WB])))
+            ("writebacks", mc[_H_WB]),
+            ("prefetch_fills", mc[_PF_FILL]),
+            ("prefetch_redundant", mc[_PF_REDUNDANT]),
+            ("prefetch_dropped", mc[_PF_DROPPED]),
+            ("useful_prefetches", mc[_PF_USEFUL]),
+            ("late_prefetches", mc[_PF_LATE])))
         self._flush_counters(hierarchy.l1.counters, (
             ("accesses", mc[_L1_ACC]), ("writes", mc[_L1_WR]),
             ("hits", mc[_L1_HIT]), ("misses", mc[_L1_MISS]),
@@ -1085,8 +1095,8 @@ class FastSimulator:
             if count:
                 add(name, count)
 
-    # ---- rare-path descents (victim writebacks only; the demand path is
-    # fully inlined in _replay) --------------------------------------------------
+    # ---- rare-path descents (victim writebacks and prefetches; the demand
+    # path is fully inlined in _replay) ---------------------------------------
 
     def _l2_tag_access(self, addr: int,
                        is_write: bool) -> Tuple[bool, Optional[int]]:
@@ -1120,15 +1130,67 @@ class FastSimulator:
         hit, wb = self._l2_tag_access(addr, True)
         if not hit and wb is not None:
             self._mc[_H_WB] += 1
-            self._dram_write(wb, issue)
+            self._dram_access(wb, issue, True)
 
-    def _dram_write(self, addr: int, at: int) -> None:
-        """Inlined ``Dram.access`` for a writeback issued at cycle ``at``.
+    def _prefetch(self, pc: int, addr: int, issue: int,
+                  l2m_min: float) -> float:
+        """Inlined ``MemoryHierarchy._run_prefetcher`` at cycle ``issue``.
 
-        The oracle's writeback path discards the returned latency, so only
-        bank-state mutation, counters, and (for unbuffered writes) the
-        latency histogram matter.  Histogram stats go through the shared
-        ``_dh_counts`` / ``_dh_stats`` accumulators so observations from
+        Trains the hierarchy's own prefetcher and fills each target as the
+        oracle does: redundant if resident or in flight, dropped if the L2
+        MSHR is full, else a DRAM read, an MSHR entry and an L2 fill whose
+        dirty victim is written to DRAM.  Then scores the demand's coming
+        L2 lookup against the hierarchy's own prefetched-line set (a merge
+        is a late useful prefetch, a hit a useful one), so the loop pays
+        no second test.  Returns the L2 MSHR's new tracked minimum fill.
+        """
+        hierarchy = self.sim.hierarchy
+        mc = self._mc
+        l2m = self._l2m
+        l2_sets = self._l2_sets
+        off = self._l2_off
+        mask = self._l2_mask
+        idx_bits = self._l2_idx_bits
+        lines = hierarchy._prefetched_lines
+        for target in hierarchy.prefetcher.train(pc, addr):
+            block = target >> off
+            if block in l2m or (block >> idx_bits) in l2_sets[block & mask]:
+                mc[_PF_REDUNDANT] += 1
+                continue
+            if len(l2m) >= self._l2_cap:
+                mc[_PF_DROPPED] += 1
+                continue
+            line = block << off
+            fill = issue + seconds_to_cycles_ceil(
+                self._dram_access(line, issue, False) * NS, self._freq)
+            l2m[block] = fill
+            self._l2mi[block] = issue
+            if fill < l2m_min:
+                l2m_min = fill
+            __, wb = self._l2_tag_access(line, False)
+            if wb is not None:
+                self._dram_access(wb, issue, True)
+            mc[_PF_FILL] += 1
+            if len(lines) >= hierarchy._PREFETCH_TRACK_LIMIT:
+                lines.pop(next(iter(lines)))
+            lines[line] = None
+        if lines:
+            block = addr >> off
+            merge = block in l2m
+            if (merge or (block >> idx_bits) in l2_sets[block & mask]) and \
+                    lines.pop(block << off, _MISSING) is None:
+                mc[_PF_USEFUL] += 1
+                if merge:
+                    mc[_PF_LATE] += 1
+        return l2m_min
+
+    def _dram_access(self, addr: int, at: int, is_write: bool) -> float:
+        """Inlined ``Dram.access`` off the demand path, issued at cycle ``at``.
+
+        Serves writebacks and prefetch reads; returns the latency in ns (a
+        buffered write's, which the oracle discards, as 0.0).  Counters and
+        histogram stats go through the shared ``mc`` slots and
+        ``_dh_counts`` / ``_dh_stats`` accumulators, so observations from
         this rare path interleave with the replay loop's demand reads in
         oracle (chronological) order.
         """
@@ -1152,16 +1214,17 @@ class FastSimulator:
             debt[bank] -= drained
             busy[bank] += drained
         mc[_D_ACC] += 1
-        mc[_D_WR] += 1
-        if self._d_wbpb > 0:
-            debt[bank] += self._d_wserv_ns
-            mc[_D_BUF_WR] += 1
-            if debt[bank] > self._d_wcap_ns:
-                start = arrival if arrival > busy[bank] else busy[bank]
-                busy[bank] = start + debt[bank]
-                debt[bank] = 0.0
-                mc[_D_DRAIN] += 1
-            return
+        if is_write:
+            mc[_D_WR] += 1
+            if self._d_wbpb > 0:
+                debt[bank] += self._d_wserv_ns
+                mc[_D_BUF_WR] += 1
+                if debt[bank] > self._d_wcap_ns:
+                    start = arrival if arrival > busy[bank] else busy[bank]
+                    busy[bank] = start + debt[bank]
+                    debt[bank] = 0.0
+                    mc[_D_DRAIN] += 1
+                return 0.0
         queue_wait = busy[bank] - arrival
         if queue_wait < 0.0:
             queue_wait = 0.0
@@ -1200,3 +1263,4 @@ class FastSimulator:
             stats[2] = dlat
         if dlat > stats[3]:
             stats[3] = dlat
+        return dlat

@@ -1,4 +1,4 @@
-"""Set-associative cache with LRU, random, and tree-PLRU replacement.
+"""Set-associative cache with LRU replacement.
 
 The cache tracks tag state only (no data payloads — the simulator never
 needs values).  Stores are write-allocate; with ``config.write_back`` (the
@@ -11,12 +11,10 @@ time by the caller.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.config import CacheConfig
-from repro.errors import SimulationError
 from repro.stats import CounterSet
 
 
@@ -47,7 +45,7 @@ class Cache:
     Write-back versus write-through is selected by ``config.write_back``.
     """
 
-    def __init__(self, config: CacheConfig, seed: int = 0) -> None:
+    def __init__(self, config: CacheConfig) -> None:
         self.config = config
         self._num_sets = config.num_sets
         self._ways = config.associativity
@@ -58,10 +56,6 @@ class Cache:
         self._sets: List[Optional[List[_Line]]] = [None] * self._num_sets
         # LRU: per-set list of way indices, most-recent last.
         self._lru: Dict[int, List[int]] = {}
-        # Tree-PLRU: per-set bit array over a complete binary tree (ways must
-        # be a power of two for PLRU; validated lazily on first use).
-        self._plru: Dict[int, List[int]] = {}
-        self._rng = random.Random(seed)
         self.counters = CounterSet()
 
     # ---- address mapping ---------------------------------------------------
@@ -147,76 +141,21 @@ class Cache:
         lines = [_Line() for __ in range(self._ways)]
         self._sets[index] = lines
         self._lru[index] = list(range(self._ways))
-        self._plru[index] = [0] * max(1, self._ways - 1)
         return lines
 
-    # ---- replacement -------------------------------------------------------
+    # ---- replacement (LRU) -------------------------------------------------
 
     def _touch(self, index: int, way: int) -> None:
-        policy = self.config.replacement
-        if policy == "lru":
-            order = self._lru[index]
-            order.remove(way)
-            order.append(way)
-        elif policy == "plru":
-            self._plru_touch(index, way)
-        # random: stateless
+        order = self._lru[index]
+        order.remove(way)
+        order.append(way)
 
     def _choose_victim(self, index: int, lines: List[_Line]) -> int:
-        # Prefer an invalid way regardless of policy.
+        # Prefer an invalid way; else the least recently used.
         for way, line in enumerate(lines):
             if not line.valid:
                 return way
-        policy = self.config.replacement
-        if policy == "lru":
-            return self._lru[index][0]
-        if policy == "random":
-            return self._rng.randrange(self._ways)
-        if policy == "plru":
-            return self._plru_victim(index)
-        raise SimulationError(f"unknown replacement policy {policy!r}")
-
-    def _plru_check(self) -> None:
-        if self._ways & (self._ways - 1):
-            raise SimulationError(
-                f"tree-PLRU requires power-of-two associativity, got {self._ways}")
-
-    def _plru_touch(self, index: int, way: int) -> None:
-        self._plru_check()
-        if self._ways == 1:
-            return
-        bits = self._plru[index]
-        node = 0
-        span = self._ways
-        low = 0
-        while span > 1:
-            half = span // 2
-            if way < low + half:
-                bits[node] = 1  # point away: right subtree is older
-                node = 2 * node + 1
-            else:
-                bits[node] = 0
-                node = 2 * node + 2
-                low += half
-            span = half
-
-    def _plru_victim(self, index: int) -> int:
-        self._plru_check()
-        if self._ways == 1:
-            return 0
-        bits = self._plru[index]
-        node = 0
-        span = self._ways
-        low = 0
-        while span > 1:
-            half = span // 2
-            if bits[node]:
-                node = 2 * node + 2  # bit points at the older (right) side
-                low += half
-            else:
-                node = 2 * node + 1
-            span = half
-        return low
+        return self._lru[index][0]
 
     # ---- statistics ----------------------------------------------------------
 

@@ -67,12 +67,12 @@ class MemoryHierarchy:
     _PREFETCH_TRACK_LIMIT = 4096
 
     def __init__(self, l1_config: CacheConfig, l2_config: CacheConfig,
-                 dram_config: DramConfig, frequency_hz: float, seed: int = 0,
+                 dram_config: DramConfig, frequency_hz: float,
                  shared_dram: "Dram | None" = None,
                  prefetcher_config: "PrefetcherConfig | None" = None,
                  recorder: "NullRecorder | None" = None) -> None:
-        self.l1 = Cache(l1_config, seed=seed)
-        self.l2 = Cache(l2_config, seed=seed + 1)
+        self.l1 = Cache(l1_config)
+        self.l2 = Cache(l2_config)
         # Multi-core systems pass one Dram shared by all hierarchies so bank
         # contention couples the cores; single-core builds its own.
         self.dram = shared_dram if shared_dram is not None else Dram(dram_config)

@@ -99,10 +99,10 @@ def simulate_cell(config: SystemConfig, profile_name: str, num_ops: int, *,
     fast = engine == "fast"
     simulator: "Simulator | FastSimulator"
     if fast:
-        simulator = FastSimulator(config, workload=profile_name, seed=seed,
+        simulator = FastSimulator(config, workload=profile_name,
                                   recorder=recorder, **kwargs)
     else:
-        simulator = Simulator(config, workload=profile_name, seed=seed,
+        simulator = Simulator(config, workload=profile_name,
                               recorder=recorder, **kwargs)
     store = trace_store if trace_store is not None else shared_columnar_store()
     warm_trace, measured_trace = store.traces(
@@ -275,8 +275,7 @@ def run_multicore(config: SystemConfig, profile_names: Sequence[str],
                        if per_core_configs is not None else config)
         simulators.append(Simulator(
             core_config, workload=profile_name, shared_dram=shared_dram,
-            token_arbiter=arbiter, core_id=core_id, seed=seed + core_id,
-            recorder=recorder))
+            token_arbiter=arbiter, core_id=core_id, recorder=recorder))
         traces.append(generate_trace(profile_name, num_ops, seed=seed + core_id))
 
     scheduler = MultiCoreScheduler([simulator.core for simulator in simulators])

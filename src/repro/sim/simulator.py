@@ -91,8 +91,7 @@ class Simulator:
                  temperature_c: float = NOMINAL_TEMPERATURE_C,
                  shared_dram: Optional[Dram] = None,
                  token_arbiter: Optional[TokenArbiter] = None,
-                 core_id: int = 0, seed: int = 0,
-                 record_timeline: bool = False,
+                 core_id: int = 0, record_timeline: bool = False,
                  recorder: Optional[NullRecorder] = None) -> None:
         self.config = config
         self.workload = workload
@@ -102,7 +101,7 @@ class Simulator:
 
         self.hierarchy = MemoryHierarchy(
             config.l1, config.l2, config.dram, config.core.frequency_hz,
-            seed=seed, shared_dram=shared_dram,
+            shared_dram=shared_dram,
             prefetcher_config=config.prefetcher, recorder=self._obs)
         self.core = make_core(config.core, self.hierarchy)
 

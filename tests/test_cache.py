@@ -9,11 +9,10 @@ from repro.memory.cache import Cache
 from repro.sim.simulator import Simulator
 
 
-def make_cache(sets=4, ways=2, line=64, replacement="lru", **kwargs):
+def make_cache(sets=4, ways=2, line=64, **kwargs):
     size = sets * ways * line
     return Cache(CacheConfig(name="T", size_bytes=size, line_bytes=line,
-                             associativity=ways, replacement=replacement,
-                             **kwargs))
+                             associativity=ways, **kwargs))
 
 
 class TestBasicHitMiss:
@@ -47,23 +46,6 @@ class TestBasicHitMiss:
         assert cache.hit_rate == pytest.approx(1 / 3)
 
 
-def writeback_sequence(replacement):
-    """Writeback addresses of an all-write stream over 4 sets x 4 ways.
-
-    Set 0 overflows, then the untouched set 3 fills and overflows, then
-    set 0 again: each eviction's victim shows as its writeback address.
-    Sets 1 and 2 are never touched.
-    """
-    cache = Cache(CacheConfig(name="T", size_bytes=4 * 4 * 64, line_bytes=64,
-                              associativity=4, replacement=replacement),
-                  seed=7)
-    return [cache.access((tag * 4 + set_index) * 0x40,
-                         is_write=True).writeback_address
-            for set_index, tags in ((0, range(6)), (3, range(6)),
-                                    (0, (1, 6, 7, 8)))
-            for tag in tags]
-
-
 class TestLru:
     def test_lru_evicts_least_recently_used(self):
         cache = make_cache(sets=1, ways=2)
@@ -81,45 +63,6 @@ class TestLru:
         cache.access(4 * 0x40)  # evicts line 0
         assert not cache.probe(0x000)
         assert all(cache.probe(i * 0x40) for i in range(1, 5))
-
-
-class TestPlru:
-    def test_plru_victim_is_not_most_recent(self):
-        cache = make_cache(sets=1, ways=4, replacement="plru")
-        for i in range(4):
-            cache.access(i * 0x40)
-        most_recent = 3 * 0x40
-        cache.access(4 * 0x40)  # forces an eviction
-        assert cache.probe(most_recent)
-
-    def test_plru_victims_across_untouched_sets(self):
-        assert writeback_sequence("plru") == [
-            None, None, None, None, 0x0, 0x200, None, None, None, None,
-            0xC0, 0x2C0, None, 0x300, 0x400, 0x500]
-
-    def test_plru_hits_still_work(self):
-        cache = make_cache(sets=2, ways=4, replacement="plru")
-        cache.access(0x0)
-        assert cache.access(0x0).hit
-
-
-class TestRandom:
-    def test_random_replacement_deterministic_with_seed(self):
-        config = CacheConfig(name="T", size_bytes=512, line_bytes=64,
-                             associativity=4, replacement="random")
-        results_a = []
-        results_b = []
-        for results in (results_a, results_b):
-            cache = Cache(config, seed=7)
-            for i in range(20):
-                results.append(cache.access(i * 0x40 % 0x400).hit)
-        assert results_a == results_b
-
-    def test_random_victims_across_untouched_sets(self):
-        # Pins the victim ways and therefore the _rng draw sequence.
-        assert writeback_sequence("random") == [
-            None, None, None, None, 0x200, 0x100, None, None, None, None,
-            0x3C0, 0xC0, 0x0, 0x100, 0x400, 0x600]
 
 
 class TestWriteback:

@@ -152,13 +152,21 @@ class TestEngineFallbackNote:
         assert main(["run", "gcc_like", "--ops", "400"]) == 0
         assert capsys.readouterr().err == ""
 
-    def test_fallback_names_its_reasons_once(self, capsys):
-        # A windowed core runs on the kernel: it is not among the reasons.
+    def test_prefetching_run_is_silent(self, capsys):
+        assert main(["run", "libquantum_like", "--ops", "2000",
+                     "--prefetch-degree", "4"]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_fallback_names_its_reasons_once(self, tmp_path, capsys):
+        # A windowed core and the prefetcher run on the kernel: neither is
+        # among the reasons.
         assert main(["run", "mcf_like", "--ops", "400", "--baseline",
-                     "--miss-window", "2", "--prefetch-degree", "2"]) == 0
-        lines = capsys.readouterr().err.splitlines()
-        assert lines == ["note: engine 'fast' runs this cell on the oracle: "
-                         "prefetcher enabled"]
+                     "--miss-window", "2", "--prefetch-degree", "2",
+                     "--trace-out", str(tmp_path / "run.json")]) == 0
+        notes = [line for line in capsys.readouterr().err.splitlines()
+                 if line.startswith("note:")]
+        assert notes == ["note: engine 'fast' runs this cell on the oracle: "
+                         "span recorder attached"]
 
     def test_oracle_request_is_silent(self, capsys):
         assert main(["run", "mcf_like", "--ops", "400", "--engine", "oracle",

@@ -60,8 +60,13 @@ class TestCacheConfig:
             CacheConfig(replacement="fifo")
 
     def test_accepts_all_known_replacements(self):
-        for policy in ("lru", "random", "plru"):
-            assert CacheConfig(replacement=policy).replacement == policy
+        assert CacheConfig(replacement="lru").replacement == "lru"
+
+    @pytest.mark.parametrize("policy", ["random", "plru"])
+    def test_rejects_retired_replacements(self, policy):
+        # The key still loads from saved configs, but LRU is the only model.
+        with pytest.raises(ConfigError, match="replacement must be 'lru'"):
+            CacheConfig(replacement=policy)
 
     def test_rejects_empty_name(self):
         with pytest.raises(ConfigError):

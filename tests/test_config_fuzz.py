@@ -36,7 +36,6 @@ def system_configs(draw):
     l1 = CacheConfig(name="L1D", size_bytes=l1_kib * 1024, line_bytes=64,
                      associativity=draw(st.sampled_from([1, 2, 4])),
                      hit_latency_cycles=draw(st.sampled_from([1, 3])),
-                     replacement=draw(st.sampled_from(["lru", "plru", "random"])),
                      mshr_entries=draw(st.sampled_from([1, 4, 8])))
     l2 = CacheConfig(name="L2", size_bytes=draw(st.sampled_from([64, 256])) * 1024,
                      line_bytes=64, associativity=4,

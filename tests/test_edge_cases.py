@@ -95,16 +95,6 @@ class TestExtremeConfigurations:
         result = Simulator(config).run(generate_trace("mcf_like", 500, seed=1))
         assert result.total_cycles > 0
 
-    @pytest.mark.parametrize("replacement", ["plru", "random"])
-    def test_alternate_replacement_end_to_end(self, replacement):
-        base = SystemConfig()
-        import dataclasses
-        config = base.replace(
-            l1=dataclasses.replace(base.l1, replacement=replacement),
-            l2=dataclasses.replace(base.l2, replacement=replacement))
-        result = Simulator(config).run(generate_trace("gcc_like", 500, seed=1))
-        assert sum(result.state_cycles.values()) == result.total_cycles
-
     @pytest.mark.parametrize("technology", ["90nm", "65nm", "45nm", "32nm"])
     def test_every_node_end_to_end(self, technology):
         config = SystemConfig(technology=technology)

@@ -24,7 +24,7 @@ import repro.sim.runner as runner_module
 from repro.config import PrefetcherConfig, SystemConfig
 from repro.errors import ConfigError, ReproError, SweepError
 from repro.exec import JobSpec, ResultCache, SweepRunner, result_to_dict
-from repro.fastsim import ColumnarTraceStore
+from repro.fastsim import ColumnarTraceStore, fallback_reasons
 from repro.obs import SelfProfiler, SweepRecorder
 from repro.sim.runner import (
     run_policy_comparison,
@@ -391,20 +391,38 @@ class TestPoolGate:
         assert canonical_bytes(results) \
             == canonical_bytes(SweepRunner(jobs=1).run(specs))
 
-    def test_cost_counts_warmup_and_weighs_oracle_cells(self):
+    @staticmethod
+    def cost_specs():
+        """A kernel cell, an oracle cell and a prefetching kernel cell."""
         config = SystemConfig()
         prefetching = config.replace(
             prefetcher=PrefetcherConfig(enabled=True, degree=4))
         # Job keys leave the engine out, so each cell has its own policy.
-        specs = [JobSpec(config=with_policy(base, policy),
-                         profile="gcc_like", num_ops=100, warmup_ops=20,
-                         seed=3, engine=engine)
-                 for base, policy, engine in (
-                     (config, "mapg", "fast"), (config, "never", "oracle"),
-                     (prefetching, "mapg", "fast"))]
-        __, dispatch, __ = self.dispatched(specs)
+        return [JobSpec(config=with_policy(base, policy),
+                        profile="gcc_like", num_ops=100, warmup_ops=20,
+                        seed=3, engine=engine)
+                for base, policy, engine in (
+                    (config, "mapg", "fast"), (config, "never", "oracle"),
+                    (prefetching, "mapg", "fast"))]
+
+    def test_cost_counts_warmup_and_weighs_oracle_cells(self, monkeypatch):
+        # A cell outside the kernel's envelope counts as oracle work.
+        monkeypatch.setattr(
+            engine_module, "fallback_reasons",
+            lambda config: ["prefetcher"] if config.prefetcher.enabled
+            else [])
+        __, dispatch, __ = self.dispatched(self.cost_specs())
         assert dispatch["cost_ops"] \
             == 120 * (1 + 2 * engine_module._ORACLE_WEIGHT)
+
+    def test_prefetcher_cells_cost_kernel_work(self):
+        # The stride prefetcher runs on the kernel, so a prefetch sweep is
+        # sized as kernel work when choosing between pool and inline.
+        specs = self.cost_specs()
+        assert not fallback_reasons(specs[2].config)
+        __, dispatch, __ = self.dispatched(specs)
+        assert dispatch["cost_ops"] \
+            == 120 * (2 + engine_module._ORACLE_WEIGHT)
 
     def test_warm_pool_is_reused(self, monkeypatch):
         start = engine_module._POOL_START_OPS
@@ -556,8 +574,7 @@ class TestStreamingMemory:
                                                 seed=self.CELL["seed"])
             warm = list(generator.operations(self.CELL["warmup_ops"]))
             measured = list(generator.operations(self.CELL["num_ops"]))
-            simulator = Simulator(config, workload="gcc_like",
-                                  seed=self.CELL["seed"])
+            simulator = Simulator(config, workload="gcc_like")
             simulator.warm_up(warm)
             reference = simulator.run(measured)
         return reference, materialized.report()["peak_traced_bytes"]

@@ -5,9 +5,9 @@ oracle — same energy ledger floats, same histogram moments, same
 controller counters — not "close".  These tests sweep the whole workload
 profile x policy matrix (cold and warmed up), push fast-engine cells
 through the SweepRunner at ``jobs`` 1 and 4, fuzz randomized segment
-traces, and fuzz the configuration itself: every ``SystemConfig`` leaf the
-kernel accepts is drawn at random, and every leaf it refuses must make it
-fall back.  Generic policies are also run with the controller's
+traces, and fuzz the configuration itself: every ``SystemConfig`` leaf
+that can vary is drawn at random, and every drawn cell must take the
+fast path.  Generic policies are also run with the controller's
 per-stall entry point disabled, since the kernel resolves their stalls
 itself.  Each comparison is the canonical JSON of every
 ``SimulationResult`` field.  Any diff is a kernel bug by definition.
@@ -141,8 +141,8 @@ class TestRandomizedSegments:
         ops = self._random_ops(rng, 1500)
         policy = rng.choice(POLICIES)
         config = with_policy(SystemConfig(), policy)
-        oracle = Simulator(config, workload="fuzz", seed=1).run(iter(ops))
-        fast = FastSimulator(config, workload="fuzz", seed=1).run(
+        oracle = Simulator(config, workload="fuzz").run(iter(ops))
+        fast = FastSimulator(config, workload="fuzz").run(
             ColumnarTrace(ops))
         assert canonical(fast) == canonical(oracle), \
             f"diverged on fuzz case {case_seed} ({policy})"
@@ -307,8 +307,8 @@ class TestWindowedCore:
         config = with_window(with_policy(SystemConfig(), "mapg"), window)
         warm, measured = shared_columnar_store().traces(
             "mcf_like", 1200, seed=5, warmup_ops=300)
-        oracle = Simulator(config, workload="mcf_like", seed=5)
-        fast = FastSimulator(config, workload="mcf_like", seed=5)
+        oracle = Simulator(config, workload="mcf_like")
+        fast = FastSimulator(config, workload="mcf_like")
         oracle.warm_up(warm.ops())
         fast.warm_up(warm)
         assert core_state(fast.sim.core) == core_state(oracle.core)
@@ -329,8 +329,8 @@ class TestWindowedCore:
                              rng.choice(WINDOWS))
         warm = TestRandomizedSegments._random_ops(rng, rng.choice((1, 3, 40)))
         measured = TestRandomizedSegments._random_ops(rng, 400)
-        oracle = Simulator(config, workload="fuzz", seed=1)
-        fast = FastSimulator(config, workload="fuzz", seed=1)
+        oracle = Simulator(config, workload="fuzz")
+        fast = FastSimulator(config, workload="fuzz")
         oracle.warm_up(iter(warm))
         fast.warm_up(ColumnarTrace(warm))
         assert core_state(fast.sim.core) == core_state(oracle.core)
@@ -349,8 +349,8 @@ class TestWindowedCore:
                                    (256600, 4228))]
         ops += [ComputeBlock(instructions=2)] * trailing
         config = with_window(with_policy(SystemConfig(), "naive"), 2)
-        oracle = Simulator(config, workload="fuzz", seed=1)
-        fast = FastSimulator(config, workload="fuzz", seed=1)
+        oracle = Simulator(config, workload="fuzz")
+        fast = FastSimulator(config, workload="fuzz")
         oracle.warm_up(iter(ops))
         fast.warm_up(ColumnarTrace(ops))
         assert core_state(fast.sim.core) == core_state(oracle.core)
@@ -374,6 +374,75 @@ class TestWindowedCore:
         assert sorted(set(windows)) == [1, 2, 4, 8]
         assert len(windows) == 2 * len(bench_f15_mlp.WINDOWS) \
             * len(bench_f15_mlp.WORKLOADS)
+
+
+def with_prefetcher(config, degree=4):
+    return config.replace(
+        prefetcher=PrefetcherConfig(enabled=True, degree=degree))
+
+
+def prefetcher_state(hierarchy):
+    """The prefetcher's own counters and the tracked prefetched lines."""
+    return (hierarchy.prefetcher.counters.as_dict(),
+            list(hierarchy._prefetched_lines))
+
+
+class TestPrefetcher:
+    """The stride prefetcher on the kernel: trained by owner-call."""
+
+    @staticmethod
+    def late_prefetch_config(policy):
+        # A streaming profile, degree 8, a slow DRAM and a windowed core:
+        # demands reach lines whose prefetch is still in flight (L2 MSHR
+        # merges, late prefetches), and a 4-entry L2 MSHR drops some.
+        base = with_prefetcher(with_window(with_policy(SystemConfig(), policy),
+                                           4), degree=8)
+        return base.replace(
+            dram=dataclasses.replace(base.dram, controller_overhead_ns=80.0),
+            l2=dataclasses.replace(base.l2, mshr_entries=4))
+
+    @pytest.mark.parametrize("policy", ("mapg", "bet_guard"))
+    def test_late_prefetches_merge_alike(self, policy):
+        config = self.late_prefetch_config(policy)
+        assert not fallback_reasons(config)
+        warm, measured = shared_columnar_store().traces(
+            "lbm_like", 2000, seed=11, warmup_ops=300)
+        oracle = Simulator(config, workload="lbm_like")
+        fast = FastSimulator(config, workload="lbm_like")
+        oracle.warm_up(warm.ops())
+        fast.warm_up(warm)
+        assert prefetcher_state(fast.sim.hierarchy) == \
+            prefetcher_state(oracle.hierarchy)
+        expected = oracle.run(measured.ops())
+        assert canonical(fast.run(measured)) == canonical(expected)
+        assert prefetcher_state(fast.sim.hierarchy) == \
+            prefetcher_state(oracle.hierarchy)
+        counters = expected.memory_counters
+        for name in ("l2_mshr_merges", "late_prefetches", "prefetch_fills",
+                     "prefetch_dropped", "prefetch_redundant"):
+            assert counters.get(name, 0) > 0, name
+
+    @pytest.mark.parametrize("profile", ("gcc_like", "libquantum_like"))
+    def test_f11_cells_match_the_oracle(self, profile):
+        for policy in ("never", "mapg"):
+            config = with_prefetcher(with_policy(SystemConfig(), policy))
+            assert_identical(config, profile, 3000, seed=11, warmup_ops=500)
+
+    def test_f11_cells_take_the_fast_path(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(BENCHMARKS))
+        import bench_f11_prefetch
+
+        prefetching = []
+
+        def run_on_the_kernel(config, profile, num_ops, **kwargs):
+            assert fallback_reasons(config) == [], config.prefetcher
+            prefetching.append(config.prefetcher.enabled)
+            return run_workload(config, profile, 300, **kwargs)
+
+        monkeypatch.setattr(bench_f11_prefetch, "run_workload",
+                            run_on_the_kernel)
+        bench_f11_prefetch.build_report()
+        assert prefetching.count(True) == 2 * len(bench_f11_prefetch.WORKLOADS)
 
 
 #: Every MAPG tunable at its one owner: ``(owner, attribute, patched value,
@@ -460,13 +529,10 @@ class TestEngineContract:
 
 # ---- config fuzzing ----------------------------------------------------------
 
-#: Leaves the kernel refuses, each with a non-default value that must make
-#: it fall back and the reason it is outside the fast envelope.
-REFUSED_LEAVES = {
-    "l1.replacement": ("plru", "the kernel inlines LRU only"),
-    "l2.replacement": ("random", "the kernel inlines LRU only"),
-    "prefetcher.enabled": (True, "the stride prefetcher runs only on the "
-                                 "oracle path"),
+#: Leaves with one legal value, so there is nothing to draw.
+FIXED_LEAVES = {
+    "l1.replacement": "LRU is the only replacement policy",
+    "l2.replacement": "LRU is the only replacement policy",
 }
 
 #: Leaves only ``run_multicore`` reads: it turns them into the shared DRAM
@@ -480,7 +546,8 @@ MULTI_CORE_LEAVES = {
 }
 
 #: Every other leaf: ``random_config`` draws each of them, but for
-#: ``core.miss_window``, which ``fuzz_case`` draws last.
+#: ``core.miss_window`` and ``prefetcher.enabled``, which ``fuzz_case``
+#: draws last.
 DRAWN_LEAVES = (
     "core.frequency_hz", "core.pipeline_depth", "core.issue_width",
     "core.mlp_overlap", "core.miss_window",
@@ -496,7 +563,7 @@ DRAWN_LEAVES = (
     "gating.early_wakeup", "gating.early_margin_cycles",
     "gating.min_confidence", "gating.bet_scale", "gating.wake_scale",
     "gating.sleep_mode",
-    "prefetcher.table_entries", "prefetcher.degree",
+    "prefetcher.enabled", "prefetcher.table_entries", "prefetcher.degree",
     "prefetcher.confirmations", "prefetcher.max_stride_bytes",
     "technology",
 )
@@ -594,6 +661,7 @@ def fuzz_case(seed):
             rng.choice((0, rng.randint(50, 300))), rng.uniform(0.0, 120.0))
     # Drawn after every other value, so each seed keeps its earlier draws.
     config = with_leaf(config, "core.miss_window", rng.choice((1, 2, 4, 8)))
+    config = with_leaf(config, "prefetcher.enabled", rng.random() < 0.5)
     return (config, *case)
 
 
@@ -602,12 +670,13 @@ class TestFuzzedConfigs:
 
     def test_fuzzed_configs_match_the_oracle(self):
         modes = set()
+        prefetching = []
         for seed in FUZZ_SEEDS:
             config, profile, trace_seed, warmup, temperature = fuzz_case(seed)
             oracle = run_workload(config, profile, FUZZ_OPS, seed=trace_seed,
                                   warmup_ops=warmup,
                                   temperature_c=temperature, engine="oracle")
-            fast = FastSimulator(config, workload=profile, seed=trace_seed,
+            fast = FastSimulator(config, workload=profile,
                                  temperature_c=temperature)
             assert fast.used_fast_path, \
                 f"fuzz seed {seed} fell back: {fast.fallback_reasons}"
@@ -619,7 +688,15 @@ class TestFuzzedConfigs:
                 fast.warm_up(warm_trace)
             assert canonical(fast.run(trace)) == canonical(oracle), \
                 f"fast kernel diverged on fuzz seed {seed} ({profile})"
+            if config.prefetcher.enabled:
+                prefetching.append((warmup, oracle.memory_counters))
         assert modes == {"never", "mapg", "generic"}
+        # The prefetcher fills, its fills get used, and a warmed-up cell
+        # pins the counter reset at the warmup boundary.
+        assert any(c.get("prefetch_fills") for __, c in prefetching)
+        assert any(c.get("useful_prefetches") for __, c in prefetching)
+        assert any(warmup and c.get("prefetch_fills")
+                   for warmup, c in prefetching)
 
     def test_policy_thresholds_are_the_smallest_worthwhile_stalls(self):
         # MapgPolicy folds analyzer.worthwhile into one precomputed
@@ -641,12 +718,13 @@ class TestFuzzedConfigs:
     def test_every_config_leaf_is_drawn_or_refused(self):
         leaves = set(config_leaves(SystemConfig()))
         drawn = set(DRAWN_LEAVES)
-        refused = set(REFUSED_LEAVES)
+        fixed = set(FIXED_LEAVES)
         multi_core = set(MULTI_CORE_LEAVES)
         assert len(drawn) == len(DRAWN_LEAVES)
-        assert not drawn & refused and not drawn & multi_core \
-            and not refused & multi_core
-        assert drawn | refused | multi_core == leaves
+        assert not drawn & fixed and not drawn & multi_core \
+            and not fixed & multi_core
+        assert drawn | fixed | multi_core == leaves
+        assert all(FIXED_LEAVES.values())
 
     def test_every_drawn_leaf_varies(self):
         seen = {leaf: set() for leaf in DRAWN_LEAVES}
@@ -656,16 +734,6 @@ class TestFuzzedConfigs:
                 seen[leaf].add(values[leaf])
         assert [leaf for leaf, values in seen.items() if len(values) < 2] \
             == []
-
-    @pytest.mark.parametrize("leaf", sorted(REFUSED_LEAVES))
-    def test_refused_leaf_falls_back(self, leaf):
-        value, reason = REFUSED_LEAVES[leaf]
-        assert reason
-        config = with_leaf(SystemConfig(), leaf, value)
-        assert FastSimulator(config).fallback_reasons, leaf
-        assert fallback_reasons(config) == FastSimulator(config).fallback_reasons
-        # A fast request that falls back still returns the oracle's result.
-        assert_identical(config, "mcf_like", 600, seed=2)
 
     def test_multi_core_leaves_reach_the_kernel_only_as_refused_objects(self):
         assert all(MULTI_CORE_LEAVES.values())

@@ -20,7 +20,7 @@ def make_cores(n, shared_dram=None):
         l2 = CacheConfig(name="L2", size_bytes=4096, line_bytes=64,
                          associativity=4, hit_latency_cycles=10, mshr_entries=4)
         hierarchy = MemoryHierarchy(l1, l2, DramConfig(refresh_latency_ns=0.0),
-                                    config.frequency_hz, seed=i,
+                                    config.frequency_hz,
                                     shared_dram=shared_dram)
         cores.append(Core(config, hierarchy))
     return cores

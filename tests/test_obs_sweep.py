@@ -14,6 +14,7 @@ import json
 
 import pytest
 
+import repro.exec.engine as engine_module
 from repro.cli import main
 from repro.config import SystemConfig
 from repro.errors import SweepError
@@ -294,7 +295,7 @@ class TestArtifacts:
 
 class TestEngineTelemetry:
     def _mixed_specs(self, num_ops=200):
-        """Two oracle cells, one eligible fast cell, one fast fallback."""
+        """Two oracle cells, one fast cell, one prefetching fast cell."""
         config = SystemConfig()
         prefetching = config.replace(
             prefetcher=dataclasses.replace(config.prefetcher, enabled=True))
@@ -313,7 +314,26 @@ class TestEngineTelemetry:
                     engine="fast"),
         ]
 
-    def test_serial_sweep_counts_engines_and_reasons(self):
+    @pytest.fixture
+    def refuse_prefetching(self, monkeypatch):
+        # Every config a single core accepts now runs on the kernel, so a
+        # stand-in refusal drives the fallback telemetry: the parent's
+        # fallback_reasons is what the recorder counts.
+        monkeypatch.setattr(
+            engine_module, "fallback_reasons",
+            lambda config: ["prefetcher enabled"]
+            if config.prefetcher.enabled else [])
+
+    def test_prefetching_cells_count_as_fast(self):
+        recorder = SweepRecorder()
+        SweepRunner(recorder=recorder).run(self._mixed_specs())
+        counters = recorder.summary()
+        assert counters["engines"] == {"oracle": 2, "fast": 2,
+                                       "fast_fallback": 0}
+        assert counters["fallback_reasons"] == {}
+
+    def test_serial_sweep_counts_engines_and_reasons(self,
+                                                     refuse_prefetching):
         recorder = SweepRecorder()
         SweepRunner(recorder=recorder).run(self._mixed_specs())
         counters = recorder.summary()
@@ -331,7 +351,8 @@ class TestEngineTelemetry:
         assert by_profile_engine[("mcf_like", "fast")] in (
             [], ["prefetcher enabled"])
 
-    def test_pool_sweep_counts_engines_and_reasons(self, forced_pool):
+    def test_pool_sweep_counts_engines_and_reasons(self, forced_pool,
+                                                   refuse_prefetching):
         recorder = SweepRecorder()
         SweepRunner(jobs=4, recorder=recorder).run(self._mixed_specs())
         assert all(forced_pool)

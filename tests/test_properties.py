@@ -57,8 +57,7 @@ def cache_and_addresses(draw):
     sets = draw(st.sampled_from([1, 2, 4, 8]))
     ways = draw(st.sampled_from([1, 2, 4]))
     config = CacheConfig(name="P", size_bytes=sets * ways * 64, line_bytes=64,
-                         associativity=ways,
-                         replacement=draw(st.sampled_from(["lru", "plru", "random"])))
+                         associativity=ways)
     addresses = draw(st.lists(
         st.integers(min_value=0, max_value=1 << 20), min_size=1, max_size=200))
     return config, addresses
@@ -69,7 +68,7 @@ def cache_and_addresses(draw):
 def test_cache_immediate_rehit(params):
     """Any just-accessed address must hit if re-accessed immediately."""
     config, addresses = params
-    cache = Cache(config, seed=1)
+    cache = Cache(config)
     for address in addresses:
         cache.access(address)
         assert cache.probe(address)
@@ -80,7 +79,7 @@ def test_cache_immediate_rehit(params):
 @settings(max_examples=50)
 def test_cache_counter_consistency(params):
     config, addresses = params
-    cache = Cache(config, seed=1)
+    cache = Cache(config)
     for address in addresses:
         cache.access(address)
     counters = cache.counters
