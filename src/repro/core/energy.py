@@ -51,7 +51,7 @@ class EnergyLedger:
         in local accumulators using the exact per-interval formula
         (``state_power_w * cycles_to_seconds(interval)``, summed in event
         order) and deposits the region totals here in one call, so ledger
-        bookkeeping stays inside this module (LEDGER01).
+        bookkeeping stays inside this module.
         """
         if cycles < 0:
             raise SimulationError(f"batch cycles must be >= 0, got {cycles}")

@@ -37,9 +37,8 @@ Sweep telemetry (``recorder=``) keeps that contract: every emission is
 behind a single ``self._obs.enabled`` attribute check, all timestamps
 live inside :mod:`repro.obs.sweep` (this module stays clock-free under
 DET01), worker pids ride back beside results (never inside them), and
-each cell's engine and fallback reasons are computed in the parent from
-its spec — so output is byte-identical with the recorder attached or
-not, at any ``jobs`` count.
+each cell's engine is read in the parent from its spec — so output is
+byte-identical with the recorder attached or not, at any ``jobs`` count.
 """
 
 from __future__ import annotations
@@ -56,7 +55,6 @@ from repro.exec.cache import ResultCache, result_from_dict, result_to_dict
 from repro.exec.jobspec import JobSpec
 from repro.exec.tracestore import TraceStore
 from repro.exec.version import simulation_version
-from repro.fastsim import fallback_reasons
 from repro.obs.sweep import NULL_SWEEP_RECORDER, NullSweepRecorder
 from repro.sim.results import SimulationResult
 
@@ -119,13 +117,13 @@ def _execute_payload(item: "Tuple[str, Dict[str, Any]]"  # mapglint: error-bound
 def _serial_cost(missing: "List[Tuple[str, JobSpec]]") -> int:
     """The cells' estimated inline cost, in fast-kernel op-equivalents.
 
-    Each cell counts its measured and warmup ops; a cell that runs on the
-    oracle (asked for, or outside the kernel's envelope) counts them
-    ``_ORACLE_WEIGHT`` times.
+    Each cell counts its measured and warmup ops; an oracle cell counts
+    them ``_ORACLE_WEIGHT`` times.  Every sweep config is inside the fast
+    kernel's envelope (its fallbacks come from constructor arguments a
+    sweep never passes), so a cell's engine is the one its spec names.
     """
     return sum((spec.num_ops + spec.warmup_ops)
-               * (_ORACLE_WEIGHT if spec.engine == "oracle"
-                  or fallback_reasons(spec.config) else 1)
+               * (_ORACLE_WEIGHT if spec.engine == "oracle" else 1)
                for __, spec in missing)
 
 
@@ -295,10 +293,8 @@ class SweepRunner:
                 results[key] = outcome
                 spec = unique[key]
                 if self._obs.enabled:
-                    self._obs.cell_done(
-                        key, worker=worker, engine=spec.engine,
-                        fallback_reasons=(fallback_reasons(spec.config)
-                                          if spec.engine == "fast" else ()))
+                    self._obs.cell_done(key, worker=worker,
+                                        engine=spec.engine)
                 if self.cache is not None:
                     self.cache.store(spec, outcome)
         self.executed += len(missing)

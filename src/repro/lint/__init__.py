@@ -1,12 +1,15 @@
 """mapglint — project-specific static analysis for the MAPG reproduction.
 
-The Python runtime never checks the invariants this codebase's credibility
-rests on: cycle-ints and SI-floats must only mix inside ``repro.units``,
-every power-gate transition must be legal per ``repro.core.state``, and a
-simulation must be bit-reproducible across runs.  ``repro.lint`` enforces
-those conventions statically, in two phases: per-file AST rules, then
-whole-program rules over a project symbol table and call graph with
-dimension inference (see ``repro.lint.project``).
+The Python runtime never checks some of the conventions this codebase's
+credibility rests on: cycle-ints and SI-floats must only mix inside
+``repro.units``, a simulation must be bit-reproducible across runs, and a
+cached or pooled result must not depend on anything outside its payload.
+``repro.lint`` enforces those conventions statically, in two phases:
+per-file AST rules, then whole-program rules over a project symbol table,
+call graph and per-function effect records (see ``repro.lint.project``).
+Invariants the simulator checks while it runs (legal power-gate
+transitions, energy-ledger conservation, event ordering) are pinned by the
+runtime tests instead.
 
 Per-file rules:
 
@@ -16,30 +19,23 @@ Per-file rules:
 * **DET01** — determinism: no module-level ``random``/``numpy.random``
   calls, no wall-clock reads in simulation code, no iteration over sets
   in ``repro/sim`` and ``repro/core``.
-* **FSM01** — FSM legality: every ``(PgState.X, PgState.Y)`` pair written
-  anywhere in the codebase must be a legal transition of the power-gate
-  state machine.
 * **FLT01** — float equality: no ``==``/``!=`` between float-typed
   expressions in energy/power code.
 
 Whole-program rules:
 
-* **UNIT02** — interprocedural unit safety: argument/parameter and
-  return/use dimensions must agree across call boundaries.
-* **LEDGER01** — energy-ledger conservation: ``EnergyLedger`` mutations
-  must charge proven joules/cycles with a known component tag, through
-  the ledger API only.
 * **CFG01** — config deadness: ``SystemConfig``-tree dataclass fields
   must be read somewhere in src and numeric fields range-checked in
   ``__post_init__``.
-* **EVT01** — event-queue misuse: scheduling times must be cycle counts
-  and heap entries must carry a deterministic tie-break.
-* **CACHE01 / PURE01 / OBS01 / PAR01** — effect rules over the inferred
-  effect closure: cache-key soundness, pool-worker purity, observability
-  neutrality, and picklable pool payloads.
+* **CACHE01 / PURE01 / OBS01** — effect rules over the inferred effect
+  closure: cache-key soundness, pool-worker purity, and observability
+  neutrality.
 * **CONC01** — shared-state races over the extracted concurrency model:
   guarded fields (the ``# mapglint: guarded-by=<lock>`` pragma) and
   unsynchronized writes reachable from a thread, task or pool worker.
+* **ERR01 / ERR04** — error flow over the escaping-exception closure: no
+  exception escapes a pool worker, CLI entry point or cache path, and
+  library code raises ``ReproError`` subclasses.
 
 Run it as ``python -m repro.lint [paths]`` or ``python -m repro lint``.
 Per-file results are cached under ``.mapglint-cache/`` and recomputed in

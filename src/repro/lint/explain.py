@@ -21,35 +21,18 @@ _EXAMPLES: Dict[str, Tuple[str, str]] = {
         "stall_ns = wakeup_cycles * 1.25  # mixes cycles with SI units",
         "stall_cycles = wakeup_cycles + WAKEUP_LATENCY_CYCLES",
     ),
-    "UNIT02": (
-        "charge(ledger, idle_ns)        # callee expects cycles",
-        "charge(ledger, idle_cycles)    # dimension agrees across the call",
-    ),
     "DET01": (
         "jitter = random.random()       # global RNG in simulation code",
         "jitter = self.rng.random()     # seeded per-run Random instance",
-    ),
-    "FSM01": (
-        "self.state = PgState.OFF       # skips the DRAIN transition",
-        "self.transition(PgState.DRAIN) # legal edge, checked by the FSM",
     ),
     "FLT01": (
         "if energy_pj == budget_pj: ...",
         "if math.isclose(energy_pj, budget_pj, rel_tol=1e-9): ...",
     ),
-    "LEDGER01": (
-        "ledger.total_pj += 3.2          # direct mutation, no component",
-        "ledger.charge('bank', active_pj(cycles))  # tagged, derived",
-    ),
     "CFG01": (
         "retention_uw: float = 0.0       # never read, never range-checked",
         "retention_uw: float = 0.0  # read by idle_power(); validated "
         "in __post_init__",
-    ),
-    "EVT01": (
-        "heapq.heappush(queue, (time_ns, event))   # SI time, ties unstable",
-        "heapq.heappush(queue, (time_cycles, seq, event))  # cycle time + "
-        "deterministic tie-break",
     ),
     "CACHE01": (
         "def gate_mode():\n"
@@ -72,10 +55,6 @@ _EXAMPLES: Dict[str, Tuple[str, str]] = {
         "if recorder.enabled:\n"
         "    recorder.instant('core0', 'tick', now)",
     ),
-    "PAR01": (
-        "pool.map(lambda x: x + 1, items)   # lambdas do not pickle",
-        "pool.map(_scale_item, items)       # module-level function",
-    ),
     "CONC01": (
         "_STATE = {}  # mapglint: guarded-by=_LOCK\n"
         "def _watcher():\n"
@@ -94,35 +73,11 @@ _EXAMPLES: Dict[str, Tuple[str, str]] = {
         "    except Exception as exc:\n"
         "        return key(item), {'__mapg_error__': str(exc)}",
     ),
-    "ERR02": (
-        "try:\n"
-        "    entry = json.load(handle)\n"
-        "except Exception:\n"
-        "    pass                    # every future bug becomes silence",
-        "try:\n"
-        "    entry = json.load(handle)\n"
-        "except (OSError, ValueError) as exc:\n"
-        "    log.warning('cache entry unreadable: %s', exc)\n"
-        "    return None",
-    ),
-    "ERR03": (
-        "self._registry[name] = entry   # registered...\n"
-        "validate(entry)                # ...then the raise unwinds",
-        "validate(entry)                # raise first\n"
-        "self._registry[name] = entry   # mutate last",
-    ),
     "ERR04": (
         "raise ValueError('percentile must be in [0, 100]')  # breaks "
         "the errors.py contract",
         "raise StatsError('percentile must be in [0, 100]')  # "
         "StatsError(ReproError, ValueError) keeps old callers working",
-    ),
-    "RES01": (
-        "pool = context.Pool(workers)\n"
-        "merge(pool.map(_worker, cells))\n"
-        "pool.terminate()            # skipped when map() raises",
-        "with context.Pool(workers) as pool:\n"
-        "    merge(pool.map(_worker, cells))  # released on every exit edge",
     ),
 }
 

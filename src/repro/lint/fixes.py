@@ -28,11 +28,63 @@ import ast
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.lint.base import FileContext
-from repro.lint.project.dimensions import (
-    HERTZ, JOULES, SECONDS, WATTS, dim_of_name)
 from repro.lint.rules.float_equality import _SCOPE as _FLT_SCOPE
 from repro.lint.rules.float_equality import _is_floaty
 from repro.lint.rules.unit_safety import _is_scale_literal
+
+CYCLES = "cycles"
+SECONDS = "s"
+JOULES = "j"
+WATTS = "w"
+HERTZ = "hz"
+UNKNOWN = "unknown"
+
+#: Identifier suffixes and the dimension they declare, cycles first
+#: (``*_cycles`` also ends in ``_s``).
+_SUFFIXES: Tuple[Tuple[str, str], ...] = (
+    ("_cycles", CYCLES), ("_cycle", CYCLES),
+    ("_seconds", SECONDS), ("_ns", SECONDS), ("_us", SECONDS),
+    ("_ms", SECONDS), ("_ps", SECONDS), ("_fs", SECONDS), ("_s", SECONDS),
+    ("_joules", JOULES), ("_nj", JOULES), ("_pj", JOULES), ("_uj", JOULES),
+    ("_mj", JOULES), ("_fj", JOULES), ("_j", JOULES),
+    ("_watts", WATTS), ("_nw", WATTS), ("_uw", WATTS), ("_mw", WATTS),
+    ("_w", WATTS),
+    ("_hertz", HERTZ), ("_khz", HERTZ), ("_mhz", HERTZ), ("_ghz", HERTZ),
+    ("_hz", HERTZ),
+)
+
+_BARE_NAMES: Dict[str, str] = {
+    "cycles": CYCLES, "cycle": CYCLES,
+    "seconds": SECONDS, "ns": SECONDS, "us": SECONDS, "ms": SECONDS,
+    "ps": SECONDS, "fs": SECONDS,
+    "joules": JOULES, "nj": JOULES, "pj": JOULES, "uj": JOULES,
+    "mj": JOULES, "fj": JOULES,
+    "watts": WATTS, "nw": WATTS, "uw": WATTS, "mw": WATTS,
+    "hertz": HERTZ, "khz": HERTZ, "mhz": HERTZ, "ghz": HERTZ,
+}
+
+#: ``repro.units`` scale constants and the dimension a product with them has.
+_UNITS_CONSTANTS: Dict[str, str] = {
+    "FS": SECONDS, "PS": SECONDS, "NS": SECONDS, "US": SECONDS,
+    "MS": SECONDS,
+    "FJ": JOULES, "PJ": JOULES, "NJ": JOULES, "UJ": JOULES, "MJ": JOULES,
+    "NW": WATTS, "UW": WATTS, "MW": WATTS,
+    "KHZ": HERTZ, "MHZ": HERTZ, "GHZ": HERTZ,
+}
+
+
+def dim_of_name(name: str) -> str:
+    """Dimension an identifier declares by the naming convention."""
+    if name in _UNITS_CONSTANTS:
+        return _UNITS_CONSTANTS[name]
+    lowered = name.lower()
+    if lowered in _BARE_NAMES:
+        return _BARE_NAMES[lowered]
+    for suffix, dim in _SUFFIXES:
+        if lowered.endswith(suffix):
+            return dim
+    return UNKNOWN
+
 
 #: value -> dimension -> repro.units constant name.
 _SCALE_BY_DIM: Dict[float, Dict[str, str]] = {
@@ -77,7 +129,7 @@ class _FixCollector(ast.NodeVisitor):
         self.edits: List[_Edit] = []
         self.needs_math = False
         self.needs_units: List[str] = []
-        self._target_dim = "unknown"
+        self._target_dim = UNKNOWN
 
     # -- FLT01: float equality -> math.isclose ----------------------------
 
@@ -134,7 +186,7 @@ class _FixCollector(ast.NodeVisitor):
         by_dim = _SCALE_BY_DIM.get(value, {})
         if len(by_dim) == 1:
             return next(iter(by_dim.values()))
-        other_dim = "unknown"
+        other_dim = UNKNOWN
         if isinstance(other, ast.Name):
             other_dim = dim_of_name(other.id)
         elif isinstance(other, ast.Attribute):

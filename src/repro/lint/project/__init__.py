@@ -4,40 +4,24 @@ Phase 1 (:mod:`repro.lint.project.summary`) turns each file into a
 picklable :class:`~repro.lint.project.summary.ModuleSummary`; phase 2
 (:mod:`repro.lint.project.graph`) merges the summaries into a
 :class:`~repro.lint.project.graph.ProjectModel` that the interprocedural
-rules consume.  :mod:`repro.lint.project.dimensions` holds the dimension
-lattice both phases share.
+rules consume.
 """
 
 from __future__ import annotations
 
-from repro.lint.project.dimensions import (
-    ALL_DIMS, CYCLES, HERTZ, JOULES, NUM, SECONDS, UNKNOWN, WATTS,
-    FunctionAnalyzer, definite_mismatch, dim_of_name, is_known)
 from repro.lint.project.graph import ProjectModel, in_repro, is_test_path
 from repro.lint.project.summary import (
     CallSite, DataclassInfo, FieldInfo, FunctionInfo, ModuleSummary,
     extract_summary)
 
 __all__ = [
-    "ALL_DIMS",
-    "CYCLES",
     "CallSite",
     "DataclassInfo",
     "FieldInfo",
-    "FunctionAnalyzer",
     "FunctionInfo",
-    "HERTZ",
-    "JOULES",
     "ModuleSummary",
-    "NUM",
     "ProjectModel",
-    "SECONDS",
-    "UNKNOWN",
-    "WATTS",
-    "definite_mismatch",
-    "dim_of_name",
     "extract_summary",
     "in_repro",
-    "is_known",
     "is_test_path",
 ]

@@ -1,8 +1,7 @@
 """Effect inference for the whole-program analyzer.
 
-The dimension lattice (:mod:`repro.lint.project.dimensions`) answers *what
-quantity* an expression denotes; this module answers *what the world does
-to a function and what the function does to the world*.  Phase 1 extracts,
+This module answers *what the world does to a function and what the
+function does to the world*.  Phase 1 extracts,
 per function, a set of :class:`Effect` facts — environment-variable reads,
 filesystem access, global-RNG draws, wall-clock reads, process/pool
 management, and reads/writes of mutable module globals — each with the
@@ -20,8 +19,7 @@ machine-checked facts:
   addresses the result cache — a stale-cache hazard (CACHE01);
 * a function submitted to a ``multiprocessing`` pool must be **effect-free**
   beyond its payload, or worker scheduling leaks into results (PURE01);
-* pool payloads must be **plain-picklable** (PAR01), which is a *shape*
-  fact recorded here as :class:`PoolSubmission`.
+  the submission sites are recorded here as :class:`PoolSubmission`.
 
 Call-graph edges follow the project's agreement philosophy: effects
 propagate only through **unambiguously resolved** calls (exactly one
@@ -62,12 +60,8 @@ swallowed one corrupts a run silently.  Phase 1 therefore extracts an
   engine under-approximates rather than guesses);
 * **handler spans** — every ``except`` clause with its caught types, the
   try-body line span it protects, and whether the handler re-raises
-  (bare ``raise``), raises a replacement, logs, or returns — the facts
-  ERR01/ERR02 need to tell a boundary from a swallow;
-* **protected spans** — try bodies with a handler or ``finally``, so
-  ERR03 can see that a state mutation is exception-guarded;
-* **resource sites** — ``open``/``Pool``/``Executor``/``tempfile``
-  acquisitions with their ``with``/close/escape context (RES01);
+  (bare ``raise``) — the facts ERR01 needs to tell where an exception
+  stops;
 * **exception classes** — every ``class X(Base, ...)`` definition, so
   phase 2 can resolve project exception subtyping.
 
@@ -78,7 +72,7 @@ failure record instead of dying) declares it on its definition line::
     def load(self, spec):  # mapglint: error-boundary
 
 The pragma is the author's auditable claim that swallowing is the
-contract there; ERR01/ERR02 trust it and phase 2 records the qualname in
+contract there; ERR01 trusts it and phase 2 records the qualname in
 :attr:`ModuleEffects.error_boundaries`.
 """
 
@@ -89,19 +83,21 @@ import re
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from repro.lint.project.dimensions import dotted_name
-
 #: Bump when the effect-summary layout or inference changes; folded into
 #: the result-cache key (see :mod:`repro.lint.cache`) so upgrading the
 #: linter can never serve stale phase-1 effect summaries.
 #: 3: ModuleEffects grew the error-flow model (raise sites, handler
 #: spans, protected spans, resource sites, exception classes, and the
-#: error-boundary pragma) for ERR01–ERR04/RES01.
+#: error-boundary pragma) for the error-flow rules.
 #: 4: lock operations, persistence writes, lock-typed globals, the locks
 #: held at pool submissions, and the thread-spawn/lock-acquire effect
 #: kinds removed with the retired lock-discipline, spawn-hygiene and
 #: atomic-persistence rules.
-EFFECT_SCHEMA = 4
+#: 5: protected spans, resource sites, nested-function names, the
+#: payload-shape flags of pool submissions and the handler/raise context
+#: flags removed with the retired payload, handler, mutation-safety and
+#: resource rules.
+EFFECT_SCHEMA = 5
 
 # ---- the effect alphabet ---------------------------------------------------
 
@@ -177,8 +173,6 @@ class PoolSubmission:
     line: int
     col: int
     line_text: str = ""
-    lambda_in_args: bool = False
-    open_in_args: bool = False
 
 
 @dataclass(frozen=True)
@@ -220,7 +214,6 @@ class RaiseSite:
 
     exc_type: str              # class name, "" for a bare re-raise
     in_function: str           # qualname of the enclosing function
-    in_handler: bool           # lexically inside an except suite
     line: int
     col: int
     line_text: str = ""
@@ -246,44 +239,6 @@ class HandlerInfo:
     col: int
     line_text: str = ""
     reraises: bool = False     # bare ``raise`` in the handler suite
-    raises_new: bool = False   # typed ``raise X`` in the handler suite
-    logs: bool = False         # print()/log/warn-style call in the suite
-    returns: bool = False      # ``return`` in the handler suite
-
-
-@dataclass(frozen=True)
-class ProtectedSpan:
-    """One try-body line span guarded by a handler or ``finally``."""
-
-    in_function: str
-    start: int                 # first line of the try body
-    end: int                   # last line of the try body
-    has_finally: bool
-    has_handlers: bool
-
-
-@dataclass(frozen=True)
-class ResourceSite:
-    """One resource acquisition with its lifecycle context.
-
-    ``escapes`` is true when ownership visibly leaves the function —
-    returned/yielded, stored on ``self``/a global, passed to another
-    call, or placed in a container — in which case the closer lives
-    elsewhere and RES01 stays quiet.
-    """
-
-    kind: str                  # "open" | "pool" | "executor" | "tempfile"
-    api: str                   # source spelling ("open", "tempfile.mkstemp")
-    var: str                   # bound local name, "" when unnamed
-    in_function: str           # qualname of the enclosing function
-    line: int
-    col: int
-    line_text: str = ""
-    in_with: bool = False      # acquired as a ``with`` context manager
-    escapes: bool = False      # ownership leaves the function
-    closed: bool = False       # var.close()/terminate()/shutdown() seen
-    close_line: int = 0
-    close_in_finally: bool = False
 
 
 @dataclass(frozen=True)
@@ -311,13 +266,10 @@ class ModuleEffects:
     mutable_globals: FrozenSet[str] = frozenset()
     mutated_globals: FrozenSet[str] = frozenset()
     declared_caches: FrozenSet[str] = frozenset()
-    nested_functions: FrozenSet[str] = frozenset()
     spawn_sites: Tuple[SpawnSite, ...] = ()
     guarded_bindings: Tuple[GuardedBinding, ...] = ()
     raise_sites: Tuple[RaiseSite, ...] = ()
     handlers: Tuple[HandlerInfo, ...] = ()
-    protected_spans: Tuple[ProtectedSpan, ...] = ()
-    resource_sites: Tuple[ResourceSite, ...] = ()
     exception_classes: Tuple[ExceptionClassInfo, ...] = ()
     error_boundaries: FrozenSet[str] = frozenset()
 
@@ -563,6 +515,18 @@ def source_repr(lines: List[str], node: ast.AST, limit: int = 60) -> str:
                            lines[last].encode()[:end].decode()])
     segment = " ".join(segment.split())
     return segment if len(segment) <= limit else segment[:limit - 3] + "..."
+
+
+def dotted_name(node: ast.AST) -> str:
+    """Best-effort dotted rendering of a call target (``self.ledger.add``)."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        base = dotted_name(node.value)
+        return f"{base}.{node.attr}" if base else node.attr
+    if isinstance(node, ast.Call):
+        return dotted_name(node.func) + "()"
+    return ""
 
 
 def _call_base(func: ast.Attribute) -> str:
@@ -925,23 +889,12 @@ class _PoolSiteCollector(ast.NodeVisitor):
     def _record(self, node: ast.Call, method: str, receiver: str,
                 worker: ast.AST) -> None:
         kind, name = _worker_ref(worker)
-        others = [arg for arg in node.args if arg is not worker]
-        others.extend(kw.value for kw in node.keywords
-                      if kw.value is not worker)
-        lambda_in_args = any(isinstance(sub, ast.Lambda)
-                             for other in others
-                             for sub in ast.walk(other))
-        open_in_args = any(
-            isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)
-            and sub.func.id == "open"
-            for other in others for sub in ast.walk(other))
         self.into.append(PoolSubmission(
             method=method, worker_kind=kind, worker_name=name,
             worker_repr=source_repr(self.lines, worker),
             receiver=receiver, in_function=self.qualname,
             line=node.lineno, col=node.col_offset + 1,
-            line_text=line_at(self.lines, node.lineno),
-            lambda_in_args=lambda_in_args, open_in_args=open_in_args))
+            line_text=line_at(self.lines, node.lineno)))
 
 
 class _SpawnSiteCollector(ast.NodeVisitor):
@@ -1009,50 +962,6 @@ class _SpawnSiteCollector(ast.NodeVisitor):
 
 # ---- error-flow collection -------------------------------------------------
 
-#: Receiver methods that release a resource handle.
-_CLOSE_METHODS = frozenset({"close", "terminate", "shutdown", "cleanup"})
-
-#: Call names that count as logging inside an except suite.  Matching is
-#: by the bare attr/name: ``print``, anything spelled like a logger call,
-#: or an explicit stderr write.
-_LOG_CALL_NAMES = frozenset({"print", "debug", "info", "warning", "warn",
-                             "error", "exception", "critical", "log",
-                             "write"})
-
-#: tempfile constructors whose result needs explicit cleanup.
-_TEMPFILE_FACTORIES = frozenset({"NamedTemporaryFile", "TemporaryFile",
-                                 "SpooledTemporaryFile", "mkstemp",
-                                 "mkdtemp", "TemporaryDirectory"})
-
-_POOL_FACTORIES = frozenset({"Pool", "ThreadPool"})
-
-_EXECUTOR_FACTORIES = frozenset({"ProcessPoolExecutor",
-                                 "ThreadPoolExecutor"})
-
-
-def _acquisition_kind(node: ast.Call) -> Tuple[str, str]:
-    """``(kind, api)`` when ``node`` acquires a resource, else ``("", "")``."""
-    func = node.func
-    if isinstance(func, ast.Name):
-        if func.id == "open":
-            return "open", "open"
-        if func.id in _POOL_FACTORIES:
-            return "pool", func.id
-        if func.id in _EXECUTOR_FACTORIES:
-            return "executor", func.id
-        return "", ""
-    if isinstance(func, ast.Attribute):
-        base = _call_base(func)
-        attr = func.attr
-        spelling = f"{base}.{attr}" if base else attr
-        if base == "tempfile" and attr in _TEMPFILE_FACTORIES:
-            return "tempfile", spelling
-        if attr in _POOL_FACTORIES:
-            return "pool", spelling
-        if attr in _EXECUTOR_FACTORIES:
-            return "executor", spelling
-    return "", ""
-
 
 def _exc_type_name(exc: Optional[ast.expr]) -> str:
     """The class name an exception expression spells, or ``""``.
@@ -1083,82 +992,54 @@ def _caught_names(handler: ast.ExceptHandler) -> Tuple[Tuple[str, ...], bool]:
     return tuple(names), False
 
 
-class _ErrorFlowCollector:
-    """Raise sites, handler spans, and resource lifecycles of one body.
+def _suite_reraises(body: List[ast.stmt]) -> bool:
+    """Whether an except suite holds a bare ``raise``; each statement's
+    walk stops at its first nested def or lambda."""
+    for stmt in body:
+        for sub in ast.walk(stmt):
+            if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                ast.Lambda)):
+                break
+            if isinstance(sub, ast.Raise) and sub.exc is None:
+                return True
+    return False
 
-    A hand-rolled walker (not a NodeVisitor) so the
-    ``in_handler``/``in_finally`` context travels down the recursion and
-    nested function definitions are skipped (walked as bodies of their
-    own).  Named resource acquisitions are matched to their close and
-    escape sites in a post-pass over the same body.
+
+class _ErrorFlowCollector(ast.NodeVisitor):
+    """Raise sites and handler spans of one body.
+
+    Nested function definitions are skipped; they are walked as bodies
+    of their own.
     """
 
     def __init__(self, lines: List[str], qualname: str,
-                 raises: List[RaiseSite], handlers: List[HandlerInfo],
-                 spans: List[ProtectedSpan],
-                 resources: List[ResourceSite]) -> None:
+                 raises: List[RaiseSite],
+                 handlers: List[HandlerInfo]) -> None:
         self.lines = lines
         self.qualname = qualname
         self.raises = raises
         self.handlers = handlers
-        self.spans = spans
-        self.resources = resources
-        # Named acquisitions awaiting the close/escape post-pass.
-        self._named: List[Tuple[str, ResourceSite]] = []
-        # Acquisition Call nodes already claimed by a statement form.
-        self._claimed: Set[int] = set()
-        # (line, in_finally) of every var.close()-style call, by var.
-        self._closes: Dict[str, Tuple[int, bool]] = {}
-        self._escaped_vars: Set[str] = set()
 
-    def run(self, body: List[ast.stmt]) -> None:
-        for stmt in body:
-            self._walk(stmt, in_handler=False, in_finally=False)
-        for var, site in self._named:
-            close = self._closes.get(var)
-            self.resources.append(ResourceSite(
-                kind=site.kind, api=site.api, var=var,
-                in_function=site.in_function, line=site.line, col=site.col,
-                line_text=site.line_text, in_with=False,
-                escapes=var in self._escaped_vars,
-                closed=close is not None,
-                close_line=close[0] if close else 0,
-                close_in_finally=close[1] if close else False))
+    def visit_Raise(self, node: ast.Raise) -> None:
+        if node.exc is None:
+            self.raises.append(RaiseSite(
+                exc_type="", in_function=self.qualname, line=node.lineno,
+                col=node.col_offset + 1,
+                line_text=line_at(self.lines, node.lineno),
+                is_reraise=True))
+        else:
+            name = _exc_type_name(node.exc)
+            if name:  # else unknowable (a variable): under-approximate
+                self.raises.append(RaiseSite(
+                    exc_type=name, in_function=self.qualname,
+                    line=node.lineno, col=node.col_offset + 1,
+                    line_text=line_at(self.lines, node.lineno)))
+        self.generic_visit(node)
 
-    # -- the walk ------------------------------------------------------------
-
-    def _walk(self, node: ast.AST, in_handler: bool,
-              in_finally: bool) -> None:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.Lambda)):
-            return
-        if isinstance(node, ast.Raise):
-            self._raise(node, in_handler)
-        elif isinstance(node, ast.Try):
-            self._try(node, in_handler, in_finally)
-            return
-        elif isinstance(node, (ast.With, ast.AsyncWith)):
-            self._with_items(node)
-        elif isinstance(node, ast.Assign):
-            self._assign(node)
-        elif isinstance(node, (ast.Return, ast.Expr)) and \
-                getattr(node, "value", None) is not None:
-            self._value_stmt(node)
-        elif isinstance(node, ast.Call):
-            self._call(node, in_finally)
-        for child in ast.iter_child_nodes(node):
-            self._walk(child, in_handler, in_finally)
-
-    def _try(self, node: ast.Try, in_handler: bool,
-             in_finally: bool) -> None:
+    def visit_Try(self, node: ast.Try) -> None:
         start = node.body[0].lineno if node.body else node.lineno
         end = (getattr(node.body[-1], "end_lineno", None) or start) \
             if node.body else start
-        if node.handlers or node.finalbody:
-            self.spans.append(ProtectedSpan(
-                in_function=self.qualname, start=start, end=end,
-                has_finally=bool(node.finalbody),
-                has_handlers=bool(node.handlers)))
         for handler in node.handlers:
             caught, is_bare = _caught_names(handler)
             self.handlers.append(HandlerInfo(
@@ -1166,164 +1047,17 @@ class _ErrorFlowCollector:
                 try_start=start, try_end=end, line=handler.lineno,
                 col=handler.col_offset + 1,
                 line_text=line_at(self.lines, handler.lineno),
-                reraises=self._suite_reraises(handler.body),
-                raises_new=self._suite_raises_new(handler.body),
-                logs=self._suite_logs(handler.body),
-                returns=self._suite_returns(handler.body)))
-        for child in node.body:
-            self._walk(child, in_handler, in_finally)
-        for handler in node.handlers:
-            for child in handler.body:
-                self._walk(child, True, in_finally)
-        for child in node.orelse:
-            self._walk(child, in_handler, in_finally)
-        for child in node.finalbody:
-            self._walk(child, in_handler, True)
+                reraises=_suite_reraises(handler.body)))
+        self.generic_visit(node)
 
-    def _raise(self, node: ast.Raise, in_handler: bool) -> None:
-        if node.exc is None:
-            self.raises.append(RaiseSite(
-                exc_type="", in_function=self.qualname,
-                in_handler=in_handler, line=node.lineno,
-                col=node.col_offset + 1,
-                line_text=line_at(self.lines, node.lineno),
-                is_reraise=True))
-            return
-        name = _exc_type_name(node.exc)
-        if not name:
-            return  # unknowable (a variable): under-approximate
-        self.raises.append(RaiseSite(
-            exc_type=name, in_function=self.qualname,
-            in_handler=in_handler, line=node.lineno,
-            col=node.col_offset + 1,
-            line_text=line_at(self.lines, node.lineno)))
+    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
+        pass
 
-    # -- handler-suite classification ---------------------------------------
+    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
+        pass
 
-    @staticmethod
-    def _suite_walk(body: List[ast.stmt]):
-        for stmt in body:
-            for sub in ast.walk(stmt):
-                if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                    ast.Lambda)):
-                    break
-                yield sub
-
-    def _suite_reraises(self, body: List[ast.stmt]) -> bool:
-        return any(isinstance(sub, ast.Raise) and sub.exc is None
-                   for sub in self._suite_walk(body))
-
-    def _suite_raises_new(self, body: List[ast.stmt]) -> bool:
-        return any(isinstance(sub, ast.Raise) and sub.exc is not None
-                   for sub in self._suite_walk(body))
-
-    def _suite_logs(self, body: List[ast.stmt]) -> bool:
-        for sub in self._suite_walk(body):
-            if not isinstance(sub, ast.Call):
-                continue
-            func = sub.func
-            name = func.id if isinstance(func, ast.Name) else (
-                func.attr if isinstance(func, ast.Attribute) else "")
-            if name in _LOG_CALL_NAMES:
-                return True
-        return False
-
-    def _suite_returns(self, body: List[ast.stmt]) -> bool:
-        return any(isinstance(sub, ast.Return)
-                   for sub in self._suite_walk(body))
-
-    # -- resources -----------------------------------------------------------
-
-    def _record_resource(self, node: ast.Call, kind: str, api: str,
-                         var: str = "", in_with: bool = False,
-                         escapes: bool = False) -> None:
-        self._claimed.add(id(node))
-        site = ResourceSite(
-            kind=kind, api=api, var=var, in_function=self.qualname,
-            line=node.lineno, col=node.col_offset + 1,
-            line_text=line_at(self.lines, node.lineno),
-            in_with=in_with, escapes=escapes)
-        if var and not in_with and not escapes:
-            self._named.append((var, site))
-        else:
-            self.resources.append(site)
-
-    def _with_items(self, node: ast.AST) -> None:
-        for item in node.items:  # type: ignore[attr-defined]
-            expr = item.context_expr
-            # ``with closing(make())`` / ``with Pool() as p`` both manage.
-            calls = [expr] if isinstance(expr, ast.Call) else []
-            if isinstance(expr, ast.Call) and \
-                    isinstance(expr.func, (ast.Name, ast.Attribute)):
-                calls.extend(arg for arg in expr.args
-                             if isinstance(arg, ast.Call))
-            for call in calls:
-                kind, api = _acquisition_kind(call)
-                if kind:
-                    self._record_resource(call, kind, api, in_with=True)
-
-    def _assign(self, node: ast.Assign) -> None:
-        value = node.value
-        if isinstance(value, ast.Call):
-            kind, api = _acquisition_kind(value)
-            if kind:
-                target = node.targets[0] if len(node.targets) == 1 else None
-                if isinstance(target, ast.Name):
-                    self._record_resource(value, kind, api, var=target.id)
-                else:
-                    # self.x = open(...) / a, b = ... : ownership escapes
-                    # the function body (the closer lives elsewhere).
-                    self._record_resource(value, kind, api, escapes=True)
-        # ``self.x = var`` / containers holding var: the handle escapes.
-        for name in self._direct_names(value):
-            if any(not isinstance(t, ast.Name) for t in node.targets):
-                self._escaped_vars.add(name)
-
-    def _value_stmt(self, node: ast.AST) -> None:
-        value = node.value  # type: ignore[attr-defined]
-        if isinstance(node, ast.Return):
-            if isinstance(value, ast.Call):
-                kind, api = _acquisition_kind(value)
-                if kind:
-                    self._record_resource(value, kind, api, escapes=True)
-            for name in self._direct_names(value):
-                self._escaped_vars.add(name)
-
-    @staticmethod
-    def _direct_names(value: Optional[ast.AST]) -> List[str]:
-        """Bare names appearing directly in a value expression."""
-        if value is None:
-            return []
-        roots = [value]
-        if isinstance(value, (ast.Tuple, ast.List, ast.Set)):
-            roots = list(value.elts)
-        elif isinstance(value, ast.Dict):
-            roots = [v for v in value.values if v is not None]
-        return [root.id for root in roots if isinstance(root, ast.Name)]
-
-    def _call(self, node: ast.Call, in_finally: bool) -> None:
-        func = node.func
-        # var.close()/terminate()/shutdown(): the matching release site.
-        if isinstance(func, ast.Attribute) and \
-                func.attr in _CLOSE_METHODS and \
-                isinstance(func.value, ast.Name):
-            var = func.value.id
-            if var not in self._closes or in_finally:
-                self._closes[var] = (node.lineno, in_finally)
-        # Handles passed to or acquired inside another call escape:
-        # ownership is transferred to the callee.
-        for arg in list(node.args) + [kw.value for kw in node.keywords]:
-            if isinstance(arg, ast.Name):
-                self._escaped_vars.add(arg.id)
-            elif isinstance(arg, ast.Call) and id(arg) not in self._claimed:
-                kind, api = _acquisition_kind(arg)
-                if kind:
-                    self._record_resource(arg, kind, api, escapes=True)
-        # Anything not claimed by a statement form by the time the walk
-        # reaches it is a dropped handle (``open(p)`` as a bare call).
-        kind, api = _acquisition_kind(node)
-        if kind and id(node) not in self._claimed:
-            self._record_resource(node, kind, api)
+    def visit_Lambda(self, node: ast.Lambda) -> None:
+        pass
 
 
 # ---- module extraction -----------------------------------------------------
@@ -1401,10 +1135,7 @@ def extract_module_effects(path: str, source: str,
     spawn_sites: List[SpawnSite] = []
     raise_sites: List[RaiseSite] = []
     handler_infos: List[HandlerInfo] = []
-    protected_spans: List[ProtectedSpan] = []
-    resource_sites: List[ResourceSite] = []
     error_boundaries: Set[str] = set()
-    nested: Set[str] = set()
 
     # Project class definitions (for exception-hierarchy resolution).
     exception_classes: List[ExceptionClassInfo] = []
@@ -1444,27 +1175,22 @@ def extract_module_effects(path: str, source: str,
                 effects=tuple(visitor.effects)))
         collector = _PoolSiteCollector(lines, qualname, pool_sites)
         spawns = _SpawnSiteCollector(lines, qualname, spawn_sites)
+        errflow = _ErrorFlowCollector(lines, qualname, raise_sites,
+                                      handler_infos)
         for stmt in func.body:
             collector.visit(stmt)
             spawns.visit(stmt)
-        errflow = _ErrorFlowCollector(lines, qualname, raise_sites,
-                                      handler_infos, protected_spans,
-                                      resource_sites)
-        errflow.run(func.body)
+            errflow.visit(stmt)
         if func.lineno in boundary_lines:
             error_boundaries.add(qualname)
 
-    def walk_body(body: List[ast.stmt], class_name: str = "",
-                  in_function: bool = False) -> None:
+    def walk_body(body: List[ast.stmt], class_name: str = "") -> None:
         for stmt in body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if in_function:
-                    nested.add(stmt.name)
                 analyze(stmt, class_name)
-                walk_body(stmt.body, class_name=class_name, in_function=True)
+                walk_body(stmt.body, class_name=class_name)
             elif isinstance(stmt, ast.ClassDef):
-                walk_body(stmt.body, class_name=stmt.name,
-                          in_function=in_function)
+                walk_body(stmt.body, class_name=stmt.name)
 
     walk_body(tree.body)
 
@@ -1490,13 +1216,12 @@ def extract_module_effects(path: str, source: str,
                                        pool_sites)
         spawns = _SpawnSiteCollector(lines, f"{norm}::<module>",
                                      spawn_sites)
+        errflow = _ErrorFlowCollector(lines, f"{norm}::<module>",
+                                      raise_sites, handler_infos)
         for stmt in module_stmts:
             collector.visit(stmt)
             spawns.visit(stmt)
-        errflow = _ErrorFlowCollector(
-            lines, f"{norm}::<module>", raise_sites, handler_infos,
-            protected_spans, resource_sites)
-        errflow.run(module_stmts)
+            errflow.visit(stmt)
 
     return ModuleEffects(
         path=norm,
@@ -1506,13 +1231,10 @@ def extract_module_effects(path: str, source: str,
         mutable_globals=frozenset(mutable),
         mutated_globals=frozenset(mutated),
         declared_caches=frozenset(declared),
-        nested_functions=frozenset(nested),
         spawn_sites=tuple(spawn_sites),
         guarded_bindings=tuple(guarded),
         raise_sites=tuple(raise_sites),
         handlers=tuple(handler_infos),
-        protected_spans=tuple(protected_spans),
-        resource_sites=tuple(resource_sites),
         exception_classes=tuple(exception_classes),
         error_boundaries=frozenset(error_boundaries),
     )

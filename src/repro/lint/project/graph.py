@@ -3,17 +3,14 @@
 ``ProjectModel`` merges every :class:`~repro.lint.project.summary.ModuleSummary`
 into a project symbol table (functions by bare name, dataclasses, the union
 of attribute reads over non-test sources) and a name-resolved call graph.
-Project rules (UNIT02, LEDGER01, CFG01, EVT01) run against this model only
-— they never touch an AST, which is what lets warm cache runs skip parsing
-entirely.
+Project rules run against this model only — they never touch an AST, which
+is what lets warm cache runs skip parsing entirely.
 
 Call resolution is by bare name against functions *defined in non-test
 source*.  When several same-named functions exist (``access`` appears on
-``Cache``, ``MemoryHierarchy``, and ``Dram``), a call site is only checked
-against facts **all** candidates agree on; a disagreement means the name is
-ambiguous and the site is skipped rather than guessed at.  That keeps the
-interprocedural rules quiet exactly where static name resolution would be
-dishonest.
+``Cache``, ``MemoryHierarchy``, and ``Dram``), the name is ambiguous: the
+effect and error-flow closures follow a call only when its name resolves
+to exactly one definition, rather than guess at which one runs.
 """
 
 from __future__ import annotations
@@ -105,49 +102,6 @@ class ProjectModel:
         if self._errflow is None:
             self._errflow = ErrorFlow(self)
         return self._errflow
-
-    # ---- agreed facts across ambiguous candidates ------------------------
-
-    def agreed_param_dim(self, name: str, index: int) -> Optional[Tuple[str, str]]:
-        """``(param_name, dim)`` for positional ``index`` iff all candidates
-        that *have* such a parameter agree on both; None otherwise."""
-        candidates = self.resolve(name)
-        if not candidates:
-            return None
-        seen: Set[Tuple[str, str]] = set()
-        for info in candidates:
-            if index >= len(info.params):
-                return None  # some candidate can't even take it positionally
-            seen.add(info.params[index])
-        if len(seen) == 1:
-            return next(iter(seen))
-        return None
-
-    def agreed_keyword_dim(self, name: str, keyword: str) -> Optional[str]:
-        """Dimension of keyword param ``keyword`` iff all candidates agree."""
-        candidates = self.resolve(name)
-        if not candidates:
-            return None
-        dims: Set[str] = set()
-        for info in candidates:
-            match = [dim for param_name, dim in info.params
-                     if param_name == keyword]
-            if not match:
-                return None
-            dims.add(match[0])
-        if len(dims) == 1:
-            return next(iter(dims))
-        return None
-
-    def agreed_return_dim(self, name: str) -> Optional[str]:
-        """Return dimension iff every candidate definition agrees."""
-        candidates = self.resolve(name)
-        if not candidates:
-            return None
-        dims = {info.return_dim for info in candidates}
-        if len(dims) == 1:
-            return next(iter(dims))
-        return None
 
     # ---- call graph (exposed for tests and tooling) ----------------------
 

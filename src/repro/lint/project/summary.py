@@ -2,26 +2,24 @@
 
 ``extract_summary`` turns one parsed module into a :class:`ModuleSummary`
 — a compact, picklable record of everything the interprocedural rules need
-from that file: its functions and methods (with inferred parameter/return
-dimensions and every call they make), its dataclasses (fields and the
-names their ``__post_init__`` validates), every attribute name the module
-reads, and its per-line ``# mapglint: disable`` pragmas.
+from that file: its functions and methods (with every call they make),
+its dataclasses (fields and the names their ``__post_init__`` validates),
+every attribute name the module reads, its effect record and its per-line
+``# mapglint: disable`` pragmas.
 
 Summaries are the unit of caching: because they carry no AST nodes, a warm
 lint run deserializes them straight from ``.mapglint-cache/`` and goes
-directly to phase 2 without re-parsing or re-inferring anything.
+directly to phase 2 without re-parsing anything.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from repro.lint.project.dimensions import (
-    UNKNOWN, CallObservation, FunctionAnalyzer, dim_of_name, dotted_name)
 from repro.lint.project.effects import (
-    ModuleEffects, extract_module_effects, line_at, source_repr,
+    ModuleEffects, dotted_name, extract_module_effects, line_at,
     split_source)
 
 #: Bump when the summary layout changes so cached pickles are invalidated
@@ -29,10 +27,13 @@ from repro.lint.project.effects import (
 #: 4: ModuleEffects grew the concurrency model (spawn sites, lock ops,
 #: guarded bindings, persistence writes) for the concurrency rules.
 #: 5: ModuleEffects grew the error-flow model (raise sites, handler
-#: spans, resource sites, exception classes) for ERR01–ERR04/RES01.
+#: spans, resource sites, exception classes) for the error-flow rules.
 #: 6: ModuleTwinFacts joined the summary for the twin-drift rules.
 #: 7: ModuleTwinFacts removed with the twin-drift rules.
-SUMMARY_SCHEMA = 7
+#: 8: dimension inference (call-site argument/result dimensions and
+#: reprs, function parameter/return dimensions) and attribute-write
+#: sites removed with the unit, ledger and event-queue rules.
+SUMMARY_SCHEMA = 8
 
 
 @dataclass(frozen=True)
@@ -40,16 +41,10 @@ class CallSite:
     """One call expression, as seen from inside a function body."""
 
     name: str                  # bare callee name ("add_interval")
-    callee: str                # dotted spelling ("self.ledger.add_interval")
     receiver: str              # dotted receiver ("self.ledger"), may be ""
     line: int
     col: int
     line_text: str
-    arg_dims: Tuple[str, ...]
-    arg_reprs: Tuple[str, ...]
-    arg_tuple_lens: Tuple[Optional[int], ...]
-    kw_dims: Tuple[Tuple[str, str], ...]
-    result_context: str        # dimension the result visibly flows into
     obs_guarded: bool = False  # under an ``enabled`` observability guard
     result_used: bool = True   # False for bare statement-expressions
     result_target: str = ""    # dotted assignment target, "" if none
@@ -57,14 +52,12 @@ class CallSite:
 
 @dataclass(frozen=True)
 class FunctionInfo:
-    """One function or method: signature dimensions plus its call sites."""
+    """One function or method with its call sites."""
 
     qualname: str              # "module.py::Class.method" (display/debug)
     name: str                  # bare name used for call resolution
     line: int
     is_method: bool
-    params: Tuple[Tuple[str, str], ...]   # (name, dim), self/cls dropped
-    return_dim: str
     calls: Tuple[CallSite, ...]
 
 
@@ -89,17 +82,6 @@ class DataclassInfo:
     validated: FrozenSet[str]  # names touched (attr or string) in __post_init__
 
 
-@dataclass(frozen=True)
-class AttrWrite:
-    """One attribute-assignment site (``obj.attr = ...`` / ``+=`` / ``[k] +=``)."""
-
-    name: str                  # attribute being written ("_event_energy_j")
-    receiver: str              # dotted receiver ("self.ledger"), may be ""
-    line: int
-    col: int
-    line_text: str
-
-
 @dataclass
 class ModuleSummary:
     """Everything phase 2 needs to know about one file."""
@@ -108,7 +90,6 @@ class ModuleSummary:
     functions: List[FunctionInfo] = field(default_factory=list)
     dataclasses: List[DataclassInfo] = field(default_factory=list)
     attr_reads: Set[str] = field(default_factory=set)
-    attr_writes: List[AttrWrite] = field(default_factory=list)
     suppressions: Dict[int, FrozenSet[str]] = field(default_factory=dict)
     module_effects: Optional[ModuleEffects] = None
 
@@ -169,48 +150,164 @@ class _AttrReadCollector(ast.NodeVisitor):
         self.generic_visit(node)
 
 
+def _is_enabled_test(node: ast.AST) -> bool:
+    """Whether a condition proves the observability fast-path is on:
+    ``X.enabled``, a bare ``enabled``, or an ``and`` chain containing one."""
+    if isinstance(node, ast.Attribute) and node.attr == "enabled":
+        return True
+    if isinstance(node, ast.Name) and node.id == "enabled":
+        return True
+    if isinstance(node, ast.BoolOp) and isinstance(node.op, ast.And):
+        return any(_is_enabled_test(value) for value in node.values)
+    return False
+
+
+def _is_negative_enabled_guard(stmt: ast.stmt) -> bool:
+    """``if not X.enabled: return`` — everything after it is guarded."""
+    if not isinstance(stmt, ast.If) or stmt.orelse:
+        return False
+    test = stmt.test
+    if not (isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not)
+            and _is_enabled_test(test.operand)):
+        return False
+    return all(isinstance(sub, (ast.Return, ast.Continue, ast.Raise))
+               for sub in stmt.body)
+
+
+class _CallCollector:
+    """Every call expression of one body, in one linear pass.
+
+    A call is recorded after its arguments, with whether it sits under an observability ``enabled``
+    guard (an ``if X.enabled:`` body, or the rest of a block after
+    ``if not X.enabled: return``), whether its value is used, and the
+    dotted target it is assigned or returned to.  The walk does not
+    enter nested defs, lambdas, comprehensions, f-strings, subscript
+    slices, the callee expression of a call, or ``async for``/``async
+    with``/``match`` statements.
+    """
+
+    def __init__(self, lines: List[str]) -> None:
+        self.lines = lines
+        self.calls: List[CallSite] = []
+        self._guard_depth = 0
+
+    def block(self, stmts: Sequence[ast.stmt]) -> None:
+        bumped = 0
+        for stmt in stmts:
+            self._stmt(stmt)
+            if _is_negative_enabled_guard(stmt):
+                self._guard_depth += 1
+                bumped += 1
+        self._guard_depth -= bumped
+
+    def _stmt(self, stmt: ast.stmt) -> None:
+        if isinstance(stmt, ast.Assign):
+            target = dotted_name(stmt.targets[0]) \
+                if len(stmt.targets) == 1 else ""
+            self._expr(stmt.value, target=target)
+        elif isinstance(stmt, (ast.AnnAssign, ast.AugAssign)):
+            if stmt.value is not None:
+                self._expr(stmt.value, target=dotted_name(stmt.target))
+        elif isinstance(stmt, ast.Return):
+            if stmt.value is not None:
+                self._expr(stmt.value, target="<return>")
+        elif isinstance(stmt, ast.Expr):
+            self._expr(stmt.value, used=False)
+        elif isinstance(stmt, (ast.For, ast.While)):
+            self._expr(stmt.iter if isinstance(stmt, ast.For) else stmt.test)
+            self.block(stmt.body)
+            self.block(stmt.orelse)
+        elif isinstance(stmt, ast.If):
+            self._expr(stmt.test)
+            guarded = _is_enabled_test(stmt.test)
+            self._guard_depth += guarded
+            self.block(stmt.body)
+            self._guard_depth -= guarded
+            self.block(stmt.orelse)
+        elif isinstance(stmt, ast.With):
+            for item in stmt.items:
+                self._expr(item.context_expr)
+            self.block(stmt.body)
+        elif isinstance(stmt, ast.Try):
+            self.block(stmt.body)
+            for handler in stmt.handlers:
+                self.block(handler.body)
+            self.block(stmt.orelse)
+            self.block(stmt.finalbody)
+        elif isinstance(stmt, (ast.Raise, ast.Assert)):
+            for value in ast.iter_child_nodes(stmt):
+                if isinstance(value, ast.expr):
+                    self._expr(value)
+
+    def _expr(self, node: ast.AST, used: bool = True,
+              target: str = "") -> None:
+        """Record the calls in ``node``; ``used``/``target`` describe how
+        the top-level expression's value is consumed (nested calls are
+        always used and have no target)."""
+        if isinstance(node, ast.Call):
+            self._call(node, used, target)
+            return
+        if isinstance(node, ast.Dict):
+            children: List[Optional[ast.AST]] = [*node.keys, *node.values]
+        elif isinstance(node, (ast.Attribute, ast.Subscript, ast.Starred)):
+            children = [node.value]
+        elif isinstance(node, ast.BinOp):
+            children = [node.left, node.right]
+        elif isinstance(node, ast.UnaryOp):
+            children = [node.operand]
+        elif isinstance(node, ast.BoolOp):
+            children = list(node.values)
+        elif isinstance(node, ast.Compare):
+            children = [node.left, *node.comparators]
+        elif isinstance(node, ast.IfExp):
+            children = [node.test, node.body, node.orelse]
+        elif isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            children = list(node.elts)
+        else:
+            return
+        for child in children:
+            if child is not None:
+                self._expr(child)
+
+    def _call(self, node: ast.Call, used: bool, target: str) -> None:
+        for arg in node.args:
+            self._expr(arg)
+        for keyword in node.keywords:
+            self._expr(keyword.value)
+        func = node.func
+        if isinstance(func, ast.Name):
+            name, receiver = func.id, ""
+        elif isinstance(func, ast.Attribute):
+            name, receiver = func.attr, dotted_name(func.value)
+        else:
+            return
+        self.calls.append(CallSite(
+            name=name, receiver=receiver, line=node.lineno,
+            col=node.col_offset + 1,
+            line_text=line_at(self.lines, node.lineno),
+            obs_guarded=self._guard_depth > 0, result_used=used,
+            result_target=target))
+
+
+def _calls_in(lines: List[str], body: Sequence[ast.stmt]
+              ) -> Tuple[CallSite, ...]:
+    collector = _CallCollector(lines)
+    collector.block(body)
+    return tuple(collector.calls)
+
+
 def _analyze_function(path: str, lines: List[str],
                       func: ast.AST, class_name: str = "") -> FunctionInfo:
     assert isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
-    calls: List[CallSite] = []
-
-    def on_call(obs: CallObservation) -> None:
-        node = obs.node
-        calls.append(CallSite(
-            name=obs.name,
-            callee=_dotted_callee(node),
-            receiver=obs.receiver,
-            line=node.lineno,
-            col=node.col_offset + 1,
-            line_text=line_at(lines, node.lineno),
-            arg_dims=tuple(obs.arg_dims),
-            arg_reprs=tuple(source_repr(lines, arg) for arg in node.args),
-            arg_tuple_lens=tuple(obs.arg_tuple_lens),
-            kw_dims=tuple(sorted(obs.kw_dims.items())),
-            result_context=obs.result_context,
-            obs_guarded=obs.obs_guarded,
-            result_used=obs.result_used,
-            result_target=obs.result_target,
-        ))
-
     decorators = _decorator_names(func)
-    is_method = bool(class_name) and "staticmethod" not in decorators
-    analyzer = FunctionAnalyzer(on_call=on_call)
-    params, return_dim = analyzer.analyze(func, is_method=is_method)
     qual = f"{class_name}.{func.name}" if class_name else func.name
     return FunctionInfo(
         qualname=f"{path}::{qual}",
         name=func.name,
         line=func.lineno,
-        is_method=is_method,
-        params=tuple(params),
-        return_dim=return_dim,
-        calls=tuple(calls),
+        is_method=bool(class_name) and "staticmethod" not in decorators,
+        calls=_calls_in(lines, func.body),
     )
-
-
-def _dotted_callee(node: ast.Call) -> str:
-    return dotted_name(node.func)
 
 
 def _extract_dataclass(node: ast.ClassDef,
@@ -274,21 +371,6 @@ def extract_summary(path: str, source: str, tree: ast.Module,
             summary.attr_reads.add(node.attr)
         elif isinstance(node, ast.Call):
             collector.visit_Call(node)  # getattr/replace strings only
-        elif isinstance(node, (ast.Assign, ast.AugAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) \
-                else [node.target]
-            for target in targets:
-                # Unwrap subscripts: ``obj._state_cycles[k] += n`` writes
-                # the ``_state_cycles`` attribute.
-                while isinstance(target, ast.Subscript):
-                    target = target.value
-                if isinstance(target, ast.Attribute):
-                    summary.attr_writes.append(AttrWrite(
-                        name=target.attr,
-                        receiver=dotted_name(target.value),
-                        line=target.lineno,
-                        col=target.col_offset + 1,
-                        line_text=line_at(lines, target.lineno)))
 
     # Functions, methods, dataclasses.
     def walk_body(body: List[ast.stmt], class_name: str = "") -> None:
@@ -314,22 +396,11 @@ def extract_summary(path: str, source: str, tree: ast.Module,
     module_level = [stmt for stmt in tree.body
                     if isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.Expr,
                                          ast.If, ast.For, ast.Try))]
-    if module_level:
-        wrapper = ast.FunctionDef(
-            name="<module>", args=ast.arguments(
-                posonlyargs=[], args=[], vararg=None, kwonlyargs=[],
-                kw_defaults=[], kwarg=None, defaults=[]),
-            body=module_level, decorator_list=[], returns=None,
-            type_comment=None, lineno=1, col_offset=0)
-        try:
-            info = _analyze_function(norm, lines, wrapper)
-        except (AttributeError, TypeError):  # defensive: odd module shapes
-            info = None
-        if info is not None and info.calls:
-            summary.functions.append(FunctionInfo(
-                qualname=f"{norm}::<module>", name="<module>", line=1,
-                is_method=False, params=(), return_dim=UNKNOWN,
-                calls=info.calls))
+    module_calls = _calls_in(lines, module_level)
+    if module_calls:
+        summary.functions.append(FunctionInfo(
+            qualname=f"{norm}::<module>", name="<module>", line=1,
+            is_method=False, calls=module_calls))
 
     summary.module_effects = extract_module_effects(norm, source, tree)
 

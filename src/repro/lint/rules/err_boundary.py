@@ -23,7 +23,7 @@ The escaping sets come from phase 2's fixpoint
 statement and the real call chain it travels.  A boundary that handles
 everything intentionally — by catching broadly and returning a failure
 record — declares ``# mapglint: error-boundary`` on its definition line,
-which is both ERR01's exemption and ERR02's license to swallow there.
+which exempts it from this rule.
 """
 
 from __future__ import annotations

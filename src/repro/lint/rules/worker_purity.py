@@ -49,8 +49,8 @@ class WorkerPurityRule(ProjectRule):
 
     def _check_submission(self, model: ProjectModel, path: str,
                           submission) -> None:
-        # Lambdas / bound methods / closures are PAR01's findings; the
-        # purity check needs a resolvable definition.
+        # The purity check needs a resolvable definition; lambdas,
+        # bound methods and closures have none.
         if submission.worker_kind != "name":
             return
         candidates = model.resolve(submission.worker_name)

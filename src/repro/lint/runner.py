@@ -9,9 +9,10 @@ to a ``multiprocessing`` pool (``--jobs``) only for the cache misses.
 
 Phase 2 merges all summaries into a
 :class:`~repro.lint.project.graph.ProjectModel` and runs the whole-program
-rules (UNIT02, LEDGER01, CFG01, EVT01).  It is cheap — no ASTs, a few
-dictionary passes — and always runs in-process, which is what makes a warm
-run nearly free: cache hits skip parsing entirely and go straight here.
+rules (CFG01, CACHE01, PURE01, OBS01, CONC01, ERR01, ERR04).  It is
+cheap — no ASTs, a few dictionary passes — and always runs in-process,
+which is what makes a warm run nearly free: cache hits skip parsing
+entirely and go straight here.
 
 Per-line suppressions are applied inside phase 1 for file rules (the
 ``FileContext`` does it) and against the summaries' recorded pragma table

@@ -161,8 +161,8 @@ class Registry:
                     metric = cls(name, help=help, **kwargs)
                     # A freshly created metric always passes the kind
                     # check below, so the raise cannot unwind past this
-                    # registration — line order just can't show that.
-                    self._metrics[name] = metric  # mapglint: disable=ERR03
+                    # registration.
+                    self._metrics[name] = metric
         if not isinstance(metric, cls):
             raise MetricError(
                 f"metric {name!r} already registered as "

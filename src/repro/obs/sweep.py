@@ -13,7 +13,7 @@ artifacts:
   list, the simulation-source digest, per-cell timing/source records,
   failure records from the :class:`~repro.errors.SweepError` path, and
   aggregate counters (hit rate, dedupe count, worker utilization,
-  cells/sec, per-engine cell counts with fast-path fallback reasons)
+  cells/sec, per-engine cell counts)
   next to the environment manifest;
 * an optional **live progress/ETA line** for TTY runs.
 
@@ -64,25 +64,9 @@ EVENT_REQUIRED_KEYS: Dict[str, Tuple[str, ...]] = {
     "cell_failed": ("key", "error", "worker"),
     "sweep_end": ("wall_s", "executed", "hits", "failed", "cells_per_sec"),
 }
-# ``cell_queued`` and ``cell_done`` additionally carry ``engine`` (and
-# ``cell_done`` a ``fallback_reasons`` list) when the runner reports
-# them.  Deliberately *not* required keys: streams recorded before the
-# engine telemetry existed must keep validating.
-
-
-def _engine_bucket(engine: Optional[str],
-                   fallback_reasons: Sequence[str]) -> str:
-    """Which ``counters.engines`` bucket one executed cell lands in.
-
-    A fast-engine cell the kernel refused (non-empty fallback reasons)
-    ran bit-identically through oracle delegation; it is counted as
-    ``fast_fallback`` so the manifest shows how much of the grid
-    actually took the fast path.  Shared by the recorder and the
-    manifest validator so the two can never disagree on classification.
-    """
-    if engine == "fast":
-        return "fast_fallback" if fallback_reasons else "fast"
-    return "oracle"
+# ``cell_queued`` and ``cell_done`` additionally carry ``engine`` when
+# the runner reports it.  Deliberately *not* a required key: streams
+# recorded before the engine telemetry existed must keep validating.
 
 #: Event types that reference a cell and therefore require the key to
 #: have been announced by a prior ``cell_queued``.
@@ -122,8 +106,7 @@ class NullSweepRecorder:
     def cell_start(self, key: str) -> None:
         """Record nothing."""
 
-    def cell_done(self, key: str, engine: str, worker: int = 0,
-                  fallback_reasons: Sequence[str] = ()) -> None:
+    def cell_done(self, key: str, engine: str, worker: int = 0) -> None:
         """Record nothing."""
 
     def cell_failed(self, key: str, error: str, worker: int = 0) -> None:
@@ -178,9 +161,7 @@ class SweepRecorder(NullSweepRecorder):
         self._begin_t: Optional[float] = None
         self._dispatch_t: Optional[float] = None
         self._start_t: Dict[str, float] = {}
-        self._engine_counts: Dict[str, int] = {
-            "oracle": 0, "fast": 0, "fast_fallback": 0}
-        self._fallback_reasons: Dict[str, int] = {}
+        self._engine_counts: Dict[str, int] = {"oracle": 0, "fast": 0}
 
     # -- internals ---------------------------------------------------------
 
@@ -211,9 +192,7 @@ class SweepRecorder(NullSweepRecorder):
                     num_ops: int, engine: str) -> None:
         """Announce one distinct cell of the sweep (first-seen order).
 
-        ``engine`` is the engine the spec *requests*; whether a fast
-        cell takes the fast path is reported at :meth:`cell_done`, which
-        adds the cell's fallback reasons to the record.
+        ``engine`` is the engine the spec names.
         """
         self._emit("cell_queued", key=key, profile=profile, policy=policy,
                    seed=seed, num_ops=num_ops, engine=engine)
@@ -222,7 +201,7 @@ class SweepRecorder(NullSweepRecorder):
                 "profile": profile, "policy": policy, "seed": seed,
                 "num_ops": num_ops, "source": "queued",
                 "worker": None, "wall_s": None,
-                "engine": engine, "fallback_reasons": None,
+                "engine": engine,
             }
 
     def cell_cache_hit(self, key: str) -> None:
@@ -255,30 +234,22 @@ class SweepRecorder(NullSweepRecorder):
         """Serial path only: this cell starts executing right now."""
         self._start_t[key] = self._emit("cell_start", key=key)
 
-    def cell_done(self, key: str, engine: str, worker: int = 0,
-                  fallback_reasons: Sequence[str] = ()) -> None:
+    def cell_done(self, key: str, engine: str, worker: int = 0) -> None:
         """One cell finished; ``worker`` is 0 on the serial path.
 
-        ``engine`` is the spec's engine and ``fallback_reasons``, for a
-        fast cell, :func:`repro.fastsim.fallback_reasons` of its config;
-        the runner computes both in the parent.
+        ``engine`` is the spec's engine, as the runner read it in the
+        parent.
         """
         now = self._now()
         wall = self._cell_wall(key, now)
         self.completed += 1
         record = self._cells.get(key)
-        reasons = list(fallback_reasons)
-        bucket = _engine_bucket(engine, reasons)
-        self._engine_counts[bucket] = self._engine_counts.get(bucket, 0) + 1
-        for reason in reasons:
-            self._fallback_reasons[reason] = \
-                self._fallback_reasons.get(reason, 0) + 1
+        self._engine_counts[engine] = self._engine_counts.get(engine, 0) + 1
         self._emit("cell_done", key=key, wall_s=round(wall, 6),
-                   worker=worker, engine=engine, fallback_reasons=reasons)
+                   worker=worker, engine=engine)
         if record is not None:
             record.update(source="executed", worker=worker,
-                          wall_s=round(wall, 6), engine=engine,
-                          fallback_reasons=reasons)
+                          wall_s=round(wall, 6), engine=engine)
         self._render_progress()
 
     def cell_failed(self, key: str, error: str, worker: int = 0) -> None:
@@ -380,8 +351,6 @@ class SweepRecorder(NullSweepRecorder):
             "per_worker": per_worker,
             "worker_utilization": utilization,
             "engines": dict(self._engine_counts),
-            "fallback_reasons": dict(sorted(
-                self._fallback_reasons.items())),
         }
 
     def manifest(self) -> Dict[str, Any]:
@@ -546,14 +515,12 @@ def validate_sweep_manifest(manifest: Mapping[str, Any]) -> List[str]:
 def _validate_engine_counters(counters: Mapping[str, Any],
                               cells: Mapping[str, Any],
                               executed: Any) -> List[str]:
-    """Reconcile ``counters.engines``/``fallback_reasons`` with the cells.
+    """Reconcile ``counters.engines`` with the cells.
 
     Only runs when the manifest carries an ``engines`` counter —
     manifests recorded before the engine telemetry existed validate
-    unchanged.  Checks: the engine buckets sum to ``executed``, every
-    executed cell's recorded engine/fallback classification agrees with
-    the bucket counts, and the per-reason counters match the per-cell
-    ``fallback_reasons`` lists exactly.
+    unchanged.  Checks: the engine buckets sum to ``executed``, and the
+    executed cells' recorded engines agree with the bucket counts.
     """
     engines = counters.get("engines")
     if engines is None:
@@ -567,26 +534,13 @@ def _validate_engine_counters(counters: Mapping[str, Any],
         problems.append(f"counters.engines sum {total} != "
                         f"executed {executed}")
     recomputed: Dict[str, int] = {}
-    recomputed_reasons: Dict[str, int] = {}
     for record in cells.values():
-        if not isinstance(record, Mapping) \
-                or record.get("source") != "executed":
-            continue
-        reasons = record.get("fallback_reasons") or []
-        bucket = _engine_bucket(record.get("engine"), reasons)
-        recomputed[bucket] = recomputed.get(bucket, 0) + 1
-        for reason in reasons:
-            recomputed_reasons[reason] = \
-                recomputed_reasons.get(reason, 0) + 1
+        if isinstance(record, Mapping) and record.get("source") == "executed":
+            engine = record.get("engine")
+            recomputed[engine] = recomputed.get(engine, 0) + 1
     declared = {key: value for key, value in engines.items() if value}
     if declared != recomputed:
         problems.append(
             f"per-cell engine records {recomputed!r} disagree with "
             f"counters.engines {declared!r}")
-    declared_reasons = counters.get("fallback_reasons")
-    if isinstance(declared_reasons, Mapping) \
-            and dict(declared_reasons) != recomputed_reasons:
-        problems.append(
-            f"per-cell fallback_reasons {recomputed_reasons!r} disagree "
-            f"with counters.fallback_reasons {dict(declared_reasons)!r}")
     return problems

@@ -47,9 +47,20 @@ def _cache(cold_s=1.1, warm_s=0.007, oracle_s=5.7, identical=True,
             "oracle_identical": oracle_identical}
 
 
+def _pool(pool_s=4.4, inline_s=5.9, cpus=2, pool_mode="pool",
+          identical=True):
+    row = {"cells": 8, "num_ops": 187_500, "cpus": cpus, "pool_s": pool_s,
+           "pool_mode": pool_mode, "inline_s": inline_s,
+           "inline_mode": "serial", "identical": identical}
+    if cpus < 2:
+        row["floor_skipped"] = f"{cpus} CPU: the runner cannot start two workers"
+    return row
+
+
 class TestFloors:
     def test_realistic_run_passes(self):
-        code, records, failures = bench_perf.gate(_document(), _cache())
+        code, records, failures = bench_perf.gate(_document(), _cache(),
+                                                  _pool())
         assert code == 0
         assert failures == []
         assert [r["name"] for r in records] == list(bench_perf.FLOORS)
@@ -59,56 +70,76 @@ class TestFloors:
         (_document(figure_grid=0.12), _cache(), "figure-grid cells/s"),
         (_document(grid_fast=1.7), _cache(), "grid-fast cells/s"),
         (_document(), _cache(oracle_s=1.4), "fast / oracle speedup"),
-        (_document(sweep_pool=0.07), _cache(),
-         "sweep-pool / sweep-serial cells/s"),
+        (_document(), _cache(), "pool / inline speedup"),
         (_document(), _cache(warm_s=0.035), "warm / cold cache speedup"),
     ])
     def test_each_breach_is_named_and_exits_1(self, document, cache,
                                               breached):
-        code, records, failures = bench_perf.gate(document, cache)
+        pool = _pool(pool_s=6.5) if breached.startswith("pool") else _pool()
+        code, records, failures = bench_perf.gate(document, cache, pool)
         assert code == 1
         assert [r["name"] for r in records if not r["ok"]] == [breached]
         assert len(failures) == 1 and failures[0].startswith(breached)
 
     def test_floors_keep_the_old_gates_strength(self):
         # Old CI bands in 30 000-op cells: oracle 3 876 ops/s, fast 51 639
-        # ops/s, fast/oracle 1.33x, pool/serial 0.0185x (now never slower
-        # than serial), warm/cold 32x.
+        # ops/s, fast/oracle 1.33x, pool/serial 0.0185x (now a pool that
+        # beats inline on the same cells), warm/cold 32x.
         # figure-grid runs the default engine, now the fast kernel.
         floors = bench_perf.FLOORS
         assert floors["figure-grid cells/s"] * 30_000 >= 3_876
         assert floors["figure-grid cells/s"] * 30_000 >= 51_639
         assert floors["grid-fast cells/s"] * 30_000 >= 51_639
         assert floors["fast / oracle speedup"] >= 1.33
-        assert floors["sweep-pool / sweep-serial cells/s"] >= 1.0
+        assert floors["pool / inline speedup"] >= 1.0
         assert floors["warm / cold cache speedup"] >= 32
+
+    def test_one_cpu_host_records_the_pool_row_without_its_floor(self):
+        pool = _pool(pool_s=6.5, cpus=1, pool_mode="serial")
+        code, records, failures = bench_perf.gate(_document(), _cache(), pool)
+        assert code == 0 and failures == []
+        (record,) = [r for r in records if r["name"] == "pool / inline speedup"]
+        assert record["ok"] and "1 CPU" in record["skipped"]
 
 
 class TestCorrectness:
     def test_failed_digest_check_exits_2(self):
         document = _document()
         document["workloads"]["grid-fast"]["failed"] = 3
-        code, _, failures = bench_perf.gate(document, _cache())
+        code, _, failures = bench_perf.gate(document, _cache(), _pool())
         assert code == 2
         assert failures == ["grid-fast: 3 of 40 cell checks failed"]
 
     def test_cold_warm_mismatch_exits_2(self):
         code, _, failures = bench_perf.gate(_document(),
-                                            _cache(identical=False))
+                                            _cache(identical=False), _pool())
         assert code == 2
         assert "not byte-identical" in failures[0]
 
     def test_oracle_fast_mismatch_exits_2(self):
         code, _, failures = bench_perf.gate(_document(),
-                                            _cache(oracle_identical=False))
+                                            _cache(oracle_identical=False),
+                                            _pool())
         assert code == 2
         assert failures == [
             "oracle results are not byte-identical to the fast engine's"]
 
+    def test_pool_inline_mismatch_exits_2(self):
+        code, _, failures = bench_perf.gate(_document(), _cache(),
+                                            _pool(identical=False))
+        assert code == 2
+        assert failures == ["pooled results are not byte-identical to inline"]
+
+    def test_pool_row_that_ran_inline_exits_2(self):
+        code, _, failures = bench_perf.gate(_document(), _cache(),
+                                            _pool(pool_mode="serial"))
+        assert code == 2
+        assert failures == ["the pool row ran serial, not on a pool"]
+
     def test_correctness_outranks_a_floor_breach(self):
         document = _document(figure_grid=0.1)
         document["workloads"]["sweep-pool"]["failed"] = 1
-        code, _, failures = bench_perf.gate(document, _cache())
+        code, _, failures = bench_perf.gate(document, _cache(), _pool())
         assert code == 2
         assert len(failures) == 2
 

@@ -405,13 +405,10 @@ class TestPoolGate:
                     (config, "mapg", "fast"), (config, "never", "oracle"),
                     (prefetching, "mapg", "fast"))]
 
-    def test_cost_counts_warmup_and_weighs_oracle_cells(self, monkeypatch):
-        # A cell outside the kernel's envelope counts as oracle work.
-        monkeypatch.setattr(
-            engine_module, "fallback_reasons",
-            lambda config: ["prefetcher"] if config.prefetcher.enabled
-            else [])
-        __, dispatch, __ = self.dispatched(self.cost_specs())
+    def test_cost_counts_warmup_and_weighs_oracle_cells(self):
+        specs = self.cost_specs()
+        specs[2] = dataclasses.replace(specs[2], engine="oracle")
+        __, dispatch, __ = self.dispatched(specs)
         assert dispatch["cost_ops"] \
             == 120 * (1 + 2 * engine_module._ORACLE_WEIGHT)
 

@@ -8,9 +8,11 @@ Also proves the CLI's failure mode: a seeded violation must make
 """
 
 import textwrap
+import tokenize
 from pathlib import Path
 
-from repro.lint import Baseline
+from repro.lint import Baseline, all_rule_ids
+from repro.lint.base import parse_suppressions
 from repro.lint.cli import main as lint_main
 
 REPO_ROOT = Path(__file__).parent.parent
@@ -35,6 +37,24 @@ def test_checked_in_baseline_is_empty():
 
 def test_no_stale_baseline_entries(repo_lint_report):
     assert repo_lint_report.stale_baseline == []
+
+
+def test_every_disable_pragma_names_a_registered_rule():
+    """A ``# mapglint: disable=`` comment whose rule is gone suppresses
+    nothing, so it only misleads the reader of that line."""
+    known = set(all_rule_ids()) | {"ALL"}
+    stale = []
+    for folder in ("src", "scripts", "benchmarks"):
+        for path in sorted((REPO_ROOT / folder).rglob("*.py")):
+            with path.open("rb") as handle:
+                comments = [token for token in tokenize.tokenize(handle.readline)
+                            if token.type == tokenize.COMMENT]
+            for token in comments:
+                for rules in parse_suppressions(token.string).values():
+                    stale.extend(
+                        f"{path.relative_to(REPO_ROOT)}:{token.start[0]} {rule}"
+                        for rule in sorted(rules - known))
+    assert stale == []
 
 
 def test_seeded_violation_fails_cli(tmp_path, capsys):
@@ -72,14 +92,13 @@ def test_clean_tree_exits_zero(tmp_path, capsys):
 
 def test_json_format(tmp_path, capsys):
     bad = tmp_path / "module.py"
-    bad.write_text("pair = (PgState.SLEEP, PgState.ACTIVE)\n",
-                   encoding="utf-8")
+    bad.write_text("total = stall_cycles + wake_s\n", encoding="utf-8")
     exit_code = lint_main([str(bad), "--format", "json"])
     assert exit_code == 1
     import json
 
     payload = json.loads(capsys.readouterr().out)
-    assert payload[0]["rule"] == "FSM01"
+    assert payload[0]["rule"] == "UNIT01"
 
 
 def test_syntax_error_is_reported_not_raised(tmp_path, capsys):

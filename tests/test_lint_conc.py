@@ -302,7 +302,7 @@ class TestSuppressionAndScope:
 
 
 class TestSeededDefects:
-    """Full-pipeline seeded CONC01 defect (UNIT02-pattern)."""
+    """Full-pipeline seeded CONC01 defect."""
 
     def _tree(self, tmp_path, rel, body):
         target = tmp_path

@@ -1,9 +1,9 @@
-"""Effect inference, propagation, and the CACHE01/PURE01/OBS01/PAR01 rules.
+"""Effect inference, propagation, and the CACHE01/PURE01/OBS01 rules.
 
 Synthetic modules live under ``repro/...`` paths (a tmp-dir ``repro``
 tree is *not* a test path), mirroring test_lint_project.py; the seeded
-defects in :class:`TestSeededDefects` follow the UNIT02 seeded-regression
-pattern through the full ``lint_paths`` pipeline.
+defects in :class:`TestSeededDefects` run through the full
+``lint_paths`` pipeline.
 """
 
 import ast
@@ -192,21 +192,9 @@ class TestEffectExtraction:
         assert {"work", "inner"} <= named
         assert any(sub.worker_kind == "lambda" and sub.method == "map"
                    for sub in effects.pool_submissions)
-        assert "inner" in effects.nested_functions
         process = [sub for sub in effects.pool_submissions
                    if sub.method == "Process"]
         assert process and process[0].worker_name == "work"
-
-    def test_lambda_and_open_in_args(self):
-        effects = effects_of("repro/exec/mod.py", """
-            def submit(pool, items):
-                pool.map(work, [lambda x: x])
-                pool.map(work, open("f"))
-        """)
-        first, second = effects.pool_submissions
-        assert first.lambda_in_args and not first.open_in_args
-        assert second.open_in_args and not second.lambda_in_args
-
 
 class TestEffectPropagation:
     def test_transitive_closure_through_unique_calls(self):
@@ -485,63 +473,15 @@ class TestObsNeutralityRule:
         assert findings == []
 
 
-class TestPicklableRule:
-    def test_lambda_payload_flagged(self):
-        findings = findings_for({"repro/exec/launcher.py": """
-            def fan_out(pool, items):
-                return pool.map(lambda x: x + 1, items)
-        """}, "PAR01")
-        (finding,) = findings
-        assert "lambda" in finding.message
-
-    def test_bound_method_flagged(self):
-        findings = findings_for({"repro/exec/launcher.py": """
-            class Runner:
-                def fan_out(self, pool, items):
-                    return pool.map(self.work, items)
-        """}, "PAR01")
-        (finding,) = findings
-        assert "bound method self.work" in finding.message
-
-    def test_closure_flagged(self):
-        findings = findings_for({"repro/exec/launcher.py": """
-            def fan_out(pool, items):
-                def inner(x):
-                    return x
-                return pool.map(inner, items)
-        """}, "PAR01")
-        (finding,) = findings
-        assert "closure" in finding.message
-
-    def test_lambda_and_handle_in_args_flagged(self):
-        findings = findings_for({"repro/exec/launcher.py": """
-            def fan_out(pool, items):
-                pool.starmap(work, [(1, lambda x: x)])
-                pool.map(work, open("data.txt"))
-        """}, "PAR01")
-        messages = " | ".join(f.message for f in findings)
-        assert "lambda inside the arguments" in messages
-        assert "open file handle" in messages
-
-    def test_module_level_worker_passes(self):
-        findings = findings_for({"repro/exec/launcher.py": """
-            def _worker(item):
-                return item
-
-            def fan_out(pool, items):
-                return pool.map(_worker, items)
-        """}, "PAR01")
-        assert findings == []
-
-
 class TestProjectRuleSuppression:
-    SOURCE = {"repro/exec/launcher.py": """
-        def fan_out(pool, items):
-            return pool.map(lambda x: x, items)  # mapglint: disable=PAR01
+    SOURCE = {"repro/sim/mysim.py": """
+        class Sim:
+            def step(self, recorder):
+                recorder.instant("core0", "tick", 0)  # mapglint: disable=OBS01
     """}
 
     def test_suppression_honored_via_runner(self):
-        assert findings_for(self.SOURCE, "PAR01") == []
+        assert findings_for(self.SOURCE, "OBS01") == []
 
     def test_suppression_honored_by_direct_check_project(self):
         # The regression: every invocation path — not just the runner —
@@ -549,13 +489,14 @@ class TestProjectRuleSuppression:
         model = model_of(self.SOURCE)
         for rule_class in all_project_rules():
             assert [f for f in rule_class().check_project(model)
-                    if f.rule_id == "PAR01"] == []
+                    if f.rule_id == "OBS01"] == []
 
     def test_unsuppressed_twin_still_fires(self):
-        findings = findings_for({"repro/exec/launcher.py": """
-            def fan_out(pool, items):
-                return pool.map(lambda x: x, items)
-        """}, "PAR01")
+        findings = findings_for({"repro/sim/mysim.py": """
+            class Sim:
+                def step(self, recorder):
+                    recorder.instant("core0", "tick", 0)
+        """}, "OBS01")
         assert len(findings) == 1
 
 
@@ -580,7 +521,7 @@ class TestEffectSchemaCacheKey:
 
 
 class TestSeededDefects:
-    """Full-pipeline seeded defects, one per rule (UNIT02-pattern)."""
+    """Full-pipeline seeded defects, one per rule."""
 
     def _tree(self, tmp_path, rel, body):
         target = tmp_path
@@ -650,11 +591,3 @@ class TestSeededDefects:
         report = lint_paths([str(tmp_path)], rule_ids=["OBS01"])
         assert any(f.rule_id == "OBS01" and "cell_cache_hit" in f.message
                    for f in report.findings)
-
-    def test_seeded_lambda_payload_caught(self, tmp_path):
-        self._tree(tmp_path, "repro/exec/launcher.py", """
-            def fan_out(pool, items):
-                return pool.map(lambda x: x + 1, items)
-        """)
-        report = lint_paths([str(tmp_path)], rule_ids=["PAR01"])
-        assert any(f.rule_id == "PAR01" for f in report.findings)

@@ -1,4 +1,4 @@
-"""Error-flow extraction, the escaping fixpoint, and ERR01–ERR04/RES01.
+"""Error-flow extraction, the escaping fixpoint, and ERR01/ERR04.
 
 Synthetic modules live under ``repro/...`` paths (a tmp-dir ``repro``
 tree is *not* a test path), mirroring test_lint_conc.py; the seeded
@@ -67,7 +67,7 @@ class TestErrorFlowExtraction:
                     raise
         """)
         (site,) = effects.raise_sites
-        assert site.is_reraise and site.in_handler
+        assert site.is_reraise
 
     def test_handler_span_and_classification(self):
         effects = effects_of("repro/obs/x.py", """
@@ -83,12 +83,9 @@ class TestErrorFlowExtraction:
         """)
         first, second = effects.handlers
         assert first.caught == ("OSError", "ValueError")
-        assert first.logs and first.returns
-        assert not first.reraises and not first.raises_new
-        assert second.caught == ("Exception",) and second.raises_new
+        assert not first.reraises
+        assert second.caught == ("Exception",)
         assert first.try_start == second.try_start
-        (span,) = effects.protected_spans
-        assert span.has_handlers and not span.has_finally
 
     def test_bare_and_unnameable_handlers(self):
         effects = effects_of("repro/obs/x.py", """
@@ -133,44 +130,6 @@ class TestErrorFlowExtraction:
         effects = effects_of("repro/exec/c.py", source)
         assert effects.error_boundaries == frozenset({
             "repro/exec/c.py::Cache.load"})
-
-    def test_resource_sites_with_and_named(self):
-        effects = effects_of("repro/obs/x.py", """
-            def fine(path):
-                with open(path) as handle:
-                    return handle.read()
-
-            def leak(path):
-                handle = open(path)
-                data = handle.read()
-                return data
-
-            def managed(path):
-                handle = open(path)
-                try:
-                    return handle.read()
-                finally:
-                    handle.close()
-        """)
-        by_func = {site.in_function.split("::")[-1]: site
-                   for site in effects.resource_sites}
-        assert by_func["fine"].in_with
-        assert not by_func["leak"].closed and not by_func["leak"].escapes
-        assert by_func["managed"].closed
-        assert by_func["managed"].close_in_finally
-
-    def test_escaping_handles_are_not_local(self):
-        effects = effects_of("repro/obs/x.py", """
-            class Log:
-                def open_stream(self, path):
-                    self._stream = open(path, "a")
-
-            def handoff(path):
-                handle = open(path)
-                register(handle)
-        """)
-        assert all(site.escapes for site in effects.resource_sites)
-
 
 class TestEscapingFixpoint:
     def test_escape_propagates_through_the_chain(self):
@@ -327,158 +286,6 @@ class TestBoundaryEscape:
         assert "miss" in finding.message
 
 
-class TestHandlerHygiene:
-    def test_bare_except_fires(self):
-        findings = findings_for({"repro/obs/x.py": """
-            def f():
-                try:
-                    g()
-                except:
-                    pass
-        """}, "ERR02")
-        (finding,) = findings
-        assert "KeyboardInterrupt" in finding.message
-
-    def test_broad_silent_swallow_fires(self):
-        findings = findings_for({"repro/obs/x.py": """
-            def f():
-                try:
-                    return g()
-                except Exception:
-                    return None
-        """}, "ERR02")
-        (finding,) = findings
-        assert "silence" in finding.message
-
-    def test_logged_swallow_is_silent(self):
-        findings = findings_for({"repro/obs/x.py": """
-            def f():
-                try:
-                    return g()
-                except Exception as exc:
-                    print("g failed:", exc)
-                    return None
-        """}, "ERR02")
-        assert findings == []
-
-    def test_boundary_function_may_swallow(self):
-        findings = findings_for({"repro/obs/x.py": """
-            def f():  # mapglint: error-boundary
-                try:
-                    return g()
-                except Exception:
-                    return None
-        """}, "ERR02")
-        assert findings == []
-
-    def test_imprecise_repro_error_catch_fires(self):
-        findings = findings_for({"repro/errors.py": """
-            class ReproError(Exception):
-                pass
-
-            class ConfigError(ReproError):
-                pass
-        """, "repro/sim/x.py": """
-            def run():
-                try:
-                    return _load()
-                except ReproError:
-                    raise SystemExit(1)
-
-            def _load():
-                raise ConfigError("bad knob")
-        """}, "ERR02")
-        (finding,) = findings
-        assert "ConfigError" in finding.message
-
-    def test_precise_catch_is_silent(self):
-        findings = findings_for({"repro/errors.py": """
-            class ReproError(Exception):
-                pass
-
-            class ConfigError(ReproError):
-                pass
-        """, "repro/sim/x.py": """
-            def run():
-                try:
-                    return _load()
-                except ConfigError:
-                    raise SystemExit(1)
-
-            def _load():
-                raise ConfigError("bad knob")
-        """}, "ERR02")
-        assert findings == []
-
-
-class TestExceptionUnsafeMutation:
-    def test_mutate_then_raising_call_fires(self):
-        findings = findings_for({"repro/obs/x.py": """
-            _REGISTRY = {}
-
-            def register(name, value):
-                _REGISTRY[name] = value
-                _validate(value)
-
-            def _validate(value):
-                if not value:
-                    raise ValueError("empty")
-        """}, "ERR03")
-        (finding,) = findings
-        assert "_REGISTRY" in finding.message or \
-            "_REGISTRY" in finding.line_text
-        assert "_validate" in finding.message
-        assert "ValueError" in finding.message
-
-    def test_validate_before_mutate_is_silent(self):
-        findings = findings_for({"repro/obs/x.py": """
-            _REGISTRY = {}
-
-            def register(name, value):
-                _validate(value)
-                _REGISTRY[name] = value
-
-            def _validate(value):
-                if not value:
-                    raise ValueError("empty")
-        """}, "ERR03")
-        assert findings == []
-
-    def test_protected_mutation_is_trusted(self):
-        findings = findings_for({"repro/obs/x.py": """
-            _REGISTRY = {}
-
-            def register(name, value):
-                try:
-                    _REGISTRY[name] = value
-                    _validate(value)
-                finally:
-                    _REGISTRY.pop(name, None)
-
-            def _validate(value):
-                if not value:
-                    raise ValueError("empty")
-        """}, "ERR03")
-        assert findings == []
-
-    def test_absorbed_escape_is_silent(self):
-        findings = findings_for({"repro/obs/x.py": """
-            _REGISTRY = {}
-
-            def register(name, value):
-                _REGISTRY[name] = value
-                try:
-                    _validate(value)
-                except ValueError:
-                    print("rejected", name)
-
-            def _validate(value):
-                if not value:
-                    raise ValueError("empty")
-        """}, "ERR03")
-        assert findings == []
-
-
 class TestHierarchyDiscipline:
     def test_public_bare_builtin_raise_fires(self):
         findings = findings_for({"repro/stats/x.py": """
@@ -538,80 +345,8 @@ class TestHierarchyDiscipline:
         assert findings == []
 
 
-class TestResourceLifecycle:
-    def test_never_closed_handle_fires(self):
-        findings = findings_for({"repro/obs/x.py": """
-            def leak(path):
-                handle = open(path)
-                data = handle.read()
-                return data
-        """}, "RES01")
-        (finding,) = findings
-        assert "never released" in finding.message
-        assert "file descriptor" in finding.message
-
-    def test_with_block_is_silent(self):
-        findings = findings_for({"repro/obs/x.py": """
-            def fine(path):
-                with open(path) as handle:
-                    return handle.read()
-        """}, "RES01")
-        assert findings == []
-
-    def test_happy_path_close_with_raising_call_fires(self):
-        findings = findings_for({"repro/obs/x.py": """
-            def export(path, payload):
-                handle = open(path, "w")
-                _encode(payload)
-                handle.close()
-
-            def _encode(payload):
-                if not payload:
-                    raise ValueError("empty payload")
-        """}, "RES01")
-        (finding,) = findings
-        assert "happy path" in finding.message
-        assert "ValueError" in finding.message
-        assert "finally" in finding.message
-
-    def test_close_in_finally_is_silent(self):
-        findings = findings_for({"repro/obs/x.py": """
-            def export(path, payload):
-                handle = open(path, "w")
-                try:
-                    _encode(payload)
-                finally:
-                    handle.close()
-
-            def _encode(payload):
-                if not payload:
-                    raise ValueError("empty payload")
-        """}, "RES01")
-        assert findings == []
-
-    def test_escaping_handle_is_not_this_rules_problem(self):
-        findings = findings_for({"repro/obs/x.py": """
-            class Log:
-                def open_stream(self, path):
-                    self._stream = open(path, "a")
-        """}, "RES01")
-        assert findings == []
-
-    def test_unterminated_pool_fires(self):
-        findings = findings_for({"repro/exec/x.py": """
-            def sweep(context, items):
-                pool = context.Pool(4)
-                out = pool.map(_cell, items)
-                return out
-
-            def _cell(item):
-                return item
-        """}, "RES01")
-        assert any("worker processes" in f.message for f in findings)
-
-
 class TestSeededDefects:
-    """Full-pipeline seeded defects, one per ERR/RES rule."""
+    """Full-pipeline seeded defects, one per ERR rule."""
 
     def _tree(self, tmp_path, rel, body):
         target = tmp_path
@@ -642,37 +377,6 @@ class TestSeededDefects:
         assert "_cell -> _simulate" in finding.message
         assert "model.py" in finding.message
 
-    def test_seeded_silent_swallow_caught(self, tmp_path):
-        self._tree(tmp_path, "repro/obs/reader.py", """
-            def read_report(path):
-                try:
-                    with open(path) as handle:
-                        return handle.read()
-                except Exception:
-                    return ""
-        """)
-        report = lint_paths([str(tmp_path)], rule_ids=["ERR02"])
-        (finding,) = report.findings
-        assert finding.rule_id == "ERR02"
-        assert "silence" in finding.message
-
-    def test_seeded_unsafe_mutation_caught(self, tmp_path):
-        self._tree(tmp_path, "repro/obs/registry.py", """
-            _REGISTRY = {}
-
-            def register(name, value):
-                _REGISTRY[name] = value
-                _validate(value)
-
-            def _validate(value):
-                if not value:
-                    raise ValueError("empty")
-        """)
-        report = lint_paths([str(tmp_path)], rule_ids=["ERR03"])
-        (finding,) = report.findings
-        assert finding.rule_id == "ERR03"
-        assert "_validate" in finding.message
-
     def test_seeded_bare_builtin_raise_caught(self, tmp_path):
         self._tree(tmp_path, "repro/stats/quantile.py", """
             def percentile(values, p):
@@ -683,14 +387,3 @@ class TestSeededDefects:
         (finding,) = report.findings
         assert finding.rule_id == "ERR04"
         assert "ReproError subclass" in finding.message
-
-    def test_seeded_leaked_handle_caught(self, tmp_path):
-        self._tree(tmp_path, "repro/obs/exporter.py", """
-            def export(path, payload):
-                handle = open(path, "w")
-                handle.write(payload)
-        """)
-        report = lint_paths([str(tmp_path)], rule_ids=["RES01"])
-        (finding,) = report.findings
-        assert finding.rule_id == "RES01"
-        assert "never released" in finding.message

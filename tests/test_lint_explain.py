@@ -29,9 +29,9 @@ class TestExplainRule:
 
 class TestExplainCli:
     def test_explain_prints_and_exits_zero(self, capsys):
-        assert lint_main(["--explain", "PAR01"]) == 0
+        assert lint_main(["--explain", "PURE01"]) == 0
         out = capsys.readouterr().out
-        assert "PAR01" in out and "lambda" in out
+        assert "PURE01" in out and "_SEEN" in out
 
     def test_unknown_rule_is_a_usage_error(self, capsys):
         assert lint_main(["--explain", "NOPE01"]) == 2

@@ -58,35 +58,6 @@ class TestDet01CoversFastsim:
         assert findings == []
 
 
-class TestUnit02CoversFastsim:
-    LIB = """
-        def wake_penalty(t_access_s):
-            return t_access_s * 2.0
-    """
-
-    def test_dimension_mismatch_at_kernel_call_site_flagged(self):
-        findings = findings_for({
-            "repro/power/lib.py": self.LIB,
-            "repro/fastsim/kernel.py": """
-                def charge(stall_cycles):
-                    return wake_penalty(stall_cycles)
-            """,
-        }, "UNIT02")
-        (finding,) = findings
-        assert finding.rule_id == "UNIT02"
-        assert finding.path == "repro/fastsim/kernel.py"
-
-    def test_matching_dimension_passes(self):
-        findings = findings_for({
-            "repro/power/lib.py": self.LIB,
-            "repro/fastsim/kernel.py": """
-                def charge(stall_s):
-                    return wake_penalty(stall_s)
-            """,
-        }, "UNIT02")
-        assert findings == []
-
-
 class TestObs01CoversFastsim:
     def test_unguarded_emission_in_kernel_flagged(self):
         findings = findings_for({"repro/fastsim/kernel.py": """

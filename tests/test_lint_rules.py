@@ -22,9 +22,9 @@ def rule_ids(findings):
 
 
 class TestRegistry:
-    def test_all_four_rules_registered(self):
+    def test_all_three_file_rules_registered(self):
         assert [r.rule_id for r in all_rules()] == \
-            ["DET01", "FLT01", "FSM01", "UNIT01"]
+            ["DET01", "FLT01", "UNIT01"]
 
     def test_get_rule(self):
         assert get_rule("UNIT01").rule_id == "UNIT01"
@@ -177,31 +177,6 @@ class TestDet01SetIteration:
     def test_silent_outside_scoped_packages(self):
         source = "for name in {'a', 'b'}:\n    print(name)\n"
         assert run_lint(source, path="src/repro/analysis/report.py") == []
-
-
-class TestFsm01:
-    def test_flags_illegal_pair(self):
-        source = "pair = (PgState.SLEEP, PgState.ACTIVE)\n"
-        findings = run_lint(source)
-        assert rule_ids(findings) == ["FSM01"]
-        assert "SLEEP -> ACTIVE" in findings[0].message
-
-    def test_flags_unknown_state(self):
-        findings = run_lint("state = PgState.HIBERNATE\n")
-        assert rule_ids(findings) == ["FSM01"]
-
-    def test_silent_on_legal_pair(self):
-        assert run_lint("pair = (PgState.DRAIN, PgState.SLEEP)\n") == []
-
-    def test_silent_on_self_pair(self):
-        assert run_lint("pair = (PgState.ACTIVE, PgState.ACTIVE)\n") == []
-
-    def test_silent_on_mixed_tuple(self):
-        # (state, cycle) tuples are schedules, not transitions.
-        assert run_lint("step = (PgState.STALL, 10)\n") == []
-
-    def test_silent_on_enum_api_access(self):
-        assert run_lint("names = PgState.__members__\n") == []
 
 
 class TestFlt01:

@@ -14,7 +14,6 @@ import json
 
 import pytest
 
-import repro.exec.engine as engine_module
 from repro.cli import main
 from repro.config import SystemConfig
 from repro.errors import SweepError
@@ -314,53 +313,28 @@ class TestEngineTelemetry:
                     engine="fast"),
         ]
 
-    @pytest.fixture
-    def refuse_prefetching(self, monkeypatch):
-        # Every config a single core accepts now runs on the kernel, so a
-        # stand-in refusal drives the fallback telemetry: the parent's
-        # fallback_reasons is what the recorder counts.
-        monkeypatch.setattr(
-            engine_module, "fallback_reasons",
-            lambda config: ["prefetcher enabled"]
-            if config.prefetcher.enabled else [])
-
     def test_prefetching_cells_count_as_fast(self):
         recorder = SweepRecorder()
         SweepRunner(recorder=recorder).run(self._mixed_specs())
         counters = recorder.summary()
-        assert counters["engines"] == {"oracle": 2, "fast": 2,
-                                       "fast_fallback": 0}
-        assert counters["fallback_reasons"] == {}
+        assert counters["engines"] == {"oracle": 2, "fast": 2}
 
-    def test_serial_sweep_counts_engines_and_reasons(self,
-                                                     refuse_prefetching):
+    def test_serial_sweep_counts_engines(self):
         recorder = SweepRecorder()
         SweepRunner(recorder=recorder).run(self._mixed_specs())
-        counters = recorder.summary()
-        assert counters["engines"] == {"oracle": 2, "fast": 1,
-                                       "fast_fallback": 1}
-        assert counters["fallback_reasons"] == {
-            "prefetcher enabled": 1}
         manifest = recorder.manifest()
         assert validate_sweep_manifest(manifest) == []
-        by_profile_engine = {
-            (record["profile"], record["engine"]):
-                record["fallback_reasons"]
-            for record in manifest["cells"].values()}
-        assert by_profile_engine[("gcc_like", "oracle")] == []
-        assert by_profile_engine[("mcf_like", "fast")] in (
-            [], ["prefetcher enabled"])
+        assert sorted((record["profile"], record["engine"])
+                      for record in manifest["cells"].values()) == [
+            ("gcc_like", "oracle"), ("gcc_like", "oracle"),
+            ("mcf_like", "fast"), ("mcf_like", "fast")]
 
-    def test_pool_sweep_counts_engines_and_reasons(self, forced_pool,
-                                                   refuse_prefetching):
+    def test_pool_sweep_counts_engines(self, forced_pool):
         recorder = SweepRecorder()
         SweepRunner(jobs=4, recorder=recorder).run(self._mixed_specs())
         assert all(forced_pool)
         counters = recorder.summary()
-        assert counters["engines"] == {"oracle": 2, "fast": 1,
-                                       "fast_fallback": 1}
-        assert counters["fallback_reasons"] == {
-            "prefetcher enabled": 1}
+        assert counters["engines"] == {"oracle": 2, "fast": 2}
         assert validate_sweep_manifest(recorder.manifest()) == []
 
     def test_cell_events_carry_engine_fields(self):
@@ -371,8 +345,7 @@ class TestEngineTelemetry:
         assert queued_engines.count("fast") == 2
         done = [event for event in recorder.events()
                 if event["event"] == "cell_done"]
-        assert all("engine" in event and "fallback_reasons" in event
-                   for event in done)
+        assert [event["engine"] for event in done].count("oracle") == 2
         assert validate_sweep_events(recorder.events()) == []
 
     def test_manifest_validator_reconciles_engine_counters(self):
@@ -394,21 +367,14 @@ class TestEngineTelemetry:
         assert any("disagree with counters.engines" in problem
                    for problem in validate_sweep_manifest(broken))
 
-        broken = json.loads(json.dumps(good))
-        broken["counters"]["fallback_reasons"]["invented reason"] = 2
-        assert any("counters.fallback_reasons" in problem
-                   for problem in validate_sweep_manifest(broken))
-
     def test_manifest_without_engine_counters_still_validates(self):
         """Forward compatibility: pre-telemetry manifests stay valid."""
         recorder = SweepRecorder()
         SweepRunner(recorder=recorder).run(tiny_specs(num_ops=120))
         old = json.loads(json.dumps(recorder.manifest()))
         del old["counters"]["engines"]
-        del old["counters"]["fallback_reasons"]
         for record in old["cells"].values():
             del record["engine"]
-            del record["fallback_reasons"]
         assert validate_sweep_manifest(old) == []
 
 

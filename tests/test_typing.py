@@ -28,9 +28,9 @@ def test_strict_list_covers_config_and_events():
     """The strict list must keep growing, never shrink.
 
     ``repro.config`` and ``repro.events`` were promoted alongside the
-    whole-program linter (their field names and signatures are what CFG01
-    and EVT01 reason about); this guards against them silently dropping
-    back out of the list.
+    whole-program linter (``repro.config``'s field names are what CFG01
+    reasons about); this guards against them silently dropping back out
+    of the list.
     """
     pyproject = (REPO_ROOT / "pyproject.toml").read_text(encoding="utf-8")
     for module_path in ("src/repro/config.py", "src/repro/events.py"):
