@@ -9,8 +9,7 @@ twice:
 * :class:`ResultCache` — a content-addressed store of finished results
   under ``.mapg-result-cache/``, keyed by the cell's :class:`JobSpec`
   digest *and* a digest of the simulation-package sources, so editing any
-  model code invalidates every entry at once (the same recipe as
-  ``repro.lint.cache``).
+  model code invalidates every entry at once.
 * :class:`SweepRunner` — fans cache-missing cells over a spawn-safe
   ``multiprocessing`` pool when they outweigh its start-up (else runs
   them inline) and merges results in deterministic job-key order, so

@@ -3,9 +3,8 @@
 A cached :class:`~repro.sim.results.SimulationResult` is only valid while
 the code that produced it is unchanged, so every cache key embeds a hash
 over the source of the whole ``repro`` package (the lint tree excluded —
-it has its own cache and cannot influence simulation output).  Editing any
-model file invalidates every entry at once, with no manual version bump to
-forget — the same recipe as :func:`repro.lint.cache.ruleset_version`.
+it cannot influence simulation output).  Editing any model file
+invalidates every entry at once, with no manual version bump to forget.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from typing import Optional
 RESULT_SCHEMA = "mapg.sim-result/1"
 
 # Subpackages of repro that cannot influence a SimulationResult and would
-# only cause spurious invalidations: the linter caches itself.
+# only cause spurious invalidations.
 _EXCLUDED_DIRS = ("lint", "__pycache__")
 
 _simulation_version: Optional[str] = None  # mapglint: declared-cache

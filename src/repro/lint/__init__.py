@@ -16,9 +16,12 @@ Per-file rules:
 * **UNIT01** — unit safety: no arithmetic mixing cycle-suffixed and
   SI-suffixed identifiers outside ``repro/units.py``; no raw scale
   literals (``1e-9`` …) where the ``units`` constants belong.
-* **DET01** — determinism: no module-level ``random``/``numpy.random``
-  calls, no wall-clock reads in simulation code, no iteration over sets
-  in ``repro/sim`` and ``repro/core``.
+* **DET01** — determinism: no process-global ``random``/``numpy.random``
+  calls anywhere, no wall-clock reads in the simulation, observability
+  and execution packages (``repro/sim``, ``core``, ``cpu``, ``memory``,
+  ``obs``, ``exec``, ``fastsim``; the self-profiler and sweep telemetry
+  excepted), and no iteration over sets in ``repro/sim``, ``core``,
+  ``exec`` and ``fastsim``.
 * **FLT01** — float equality: no ``==``/``!=`` between float-typed
   expressions in energy/power code.
 
@@ -37,12 +40,10 @@ Whole-program rules:
   exception escapes a pool worker, CLI entry point or cache path, and
   library code raises ``ReproError`` subclasses.
 
-Run it as ``python -m repro.lint [paths]`` or ``python -m repro lint``.
-Per-file results are cached under ``.mapglint-cache/`` and recomputed in
-parallel with ``--jobs``; ``--format sarif`` emits SARIF 2.1.0 for code
-scanning, and ``--fix`` applies the mechanical rewrites.  Findings can be
-suppressed per line with ``# mapglint: disable=RULE`` or grandfathered
-through a baseline file (see ``docs/LINTING.md``).
+Run it as ``python -m repro.lint [paths]`` or ``python -m repro lint``;
+``--format sarif`` emits SARIF 2.1.0 for code scanning.  Findings can be
+suppressed per line with ``# mapglint: disable=RULE`` (see
+``docs/LINTING.md``).
 """
 
 from __future__ import annotations
@@ -50,27 +51,20 @@ from __future__ import annotations
 from repro.lint.base import (
     LintRule, ProjectRule, all_project_rules, all_rule_ids, all_rules,
     get_rule, register_project_rule, register_rule)
-from repro.lint.baseline import Baseline
-from repro.lint.cache import ResultCache, ruleset_version
 from repro.lint.findings import Finding, Severity, format_json, format_text
-from repro.lint.fixes import fix_files, fix_source
 from repro.lint.runner import (
     LintReport, lint_files, lint_paths, run_project_rules)
 from repro.lint.sarif import format_sarif, to_sarif
 
 __all__ = [
-    "Baseline",
     "Finding",
     "LintReport",
     "LintRule",
     "ProjectRule",
-    "ResultCache",
     "Severity",
     "all_project_rules",
     "all_rule_ids",
     "all_rules",
-    "fix_files",
-    "fix_source",
     "format_json",
     "format_sarif",
     "format_text",
@@ -79,7 +73,6 @@ __all__ = [
     "lint_paths",
     "register_project_rule",
     "register_rule",
-    "ruleset_version",
     "run_project_rules",
     "to_sarif",
 ]

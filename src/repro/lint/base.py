@@ -39,7 +39,7 @@ class FileContext:
 
     def __init__(self, path: str, source: str, tree: ast.Module) -> None:
         self.path = path
-        # Normalized, forward-slash path used for scoping and baselines.
+        # Normalized, forward-slash path used for scoping and reporting.
         self.norm_path = path.replace("\\", "/")
         self.source = source
         self.lines = source.splitlines()
@@ -140,7 +140,7 @@ class ProjectRule:
     suppressions are applied here in :meth:`check_project` — the exact
     filter :meth:`LintRule.check` applies for file rules — so every
     invocation path (the runner, direct rule calls, ``--rules`` subsets)
-    honors them identically; the baseline is applied by the runner.
+    honors them identically.
     """
 
     rule_id: str = ""
@@ -174,12 +174,8 @@ class ProjectRule:
             message=message, line_text=line_text))
 
 
-# Both registries are content-pure memos of the imported rule modules
-# (fully determined by the lint package source, which the ruleset digest
-# hashes), hence the declared-cache pragmas: reading them in a pool
-# worker cannot make output depend on scheduling.
-_REGISTRY: Dict[str, Type[LintRule]] = {}  # mapglint: declared-cache
-_PROJECT_REGISTRY: Dict[str, Type[ProjectRule]] = {}  # mapglint: declared-cache
+_REGISTRY: Dict[str, Type[LintRule]] = {}
+_PROJECT_REGISTRY: Dict[str, Type[ProjectRule]] = {}
 
 
 def register_rule(rule_class: Type[LintRule]) -> Type[LintRule]:

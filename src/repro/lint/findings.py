@@ -11,10 +11,10 @@ from typing import Iterable, List
 class Severity(enum.Enum):
     """How bad a finding is.
 
-    ``ERROR`` findings are correctness hazards (unit mixing, illegal FSM
-    transitions); ``WARNING`` findings are determinism/robustness smells
-    that are occasionally intentional.  Both fail the lint run — the
-    distinction exists for reporting and for baseline triage.
+    ``ERROR`` findings are correctness hazards (unit mixing, stale-cache
+    inputs); ``WARNING`` findings are determinism/robustness smells that
+    are occasionally intentional.  Both fail the lint run — the
+    distinction exists for reporting only.
     """
 
     WARNING = "warning"
@@ -37,11 +37,11 @@ class Finding:
         return f"{self.path}:{self.line}:{self.column}"
 
     def fingerprint(self) -> "tuple[str, str, str]":
-        """Line-number-independent identity used for baseline matching.
+        """Line-number-independent identity (the SARIF fingerprint).
 
-        Keyed on (path, rule, stripped source line) so that findings keep
-        matching their baseline entry when unrelated edits shift line
-        numbers, but stop matching as soon as the offending line changes.
+        Keyed on (path, rule, stripped source line) so that a finding keeps
+        its identity when unrelated edits shift line numbers, but loses it
+        as soon as the offending line changes.
         """
         return (self.path, self.rule_id, self.line_text.strip())
 

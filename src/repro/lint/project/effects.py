@@ -83,22 +83,6 @@ import re
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-#: Bump when the effect-summary layout or inference changes; folded into
-#: the result-cache key (see :mod:`repro.lint.cache`) so upgrading the
-#: linter can never serve stale phase-1 effect summaries.
-#: 3: ModuleEffects grew the error-flow model (raise sites, handler
-#: spans, protected spans, resource sites, exception classes, and the
-#: error-boundary pragma) for the error-flow rules.
-#: 4: lock operations, persistence writes, lock-typed globals, the locks
-#: held at pool submissions, and the thread-spawn/lock-acquire effect
-#: kinds removed with the retired lock-discipline, spawn-hygiene and
-#: atomic-persistence rules.
-#: 5: protected spans, resource sites, nested-function names, the
-#: payload-shape flags of pool submissions and the handler/raise context
-#: flags removed with the retired payload, handler, mutation-safety and
-#: resource rules.
-EFFECT_SCHEMA = 5
-
 # ---- the effect alphabet ---------------------------------------------------
 
 ENV = "env"                    # os.environ / os.getenv reads
@@ -167,7 +151,6 @@ class PoolSubmission:
     method: str                # "map", "imap_unordered", "Process", ...
     worker_kind: str           # "name" | "lambda" | "attribute" | "other"
     worker_name: str           # bare name when worker_kind == "name"
-    worker_repr: str           # source spelling of the worker expression
     receiver: str              # dotted receiver ("pool"), may be ""
     in_function: str           # qualname of the enclosing function
     line: int
@@ -183,7 +166,6 @@ class SpawnSite:
     api: str                   # source spelling ("threading.Thread", ...)
     worker_kind: str           # "name" | "lambda" | "attribute" | "other"
     worker_name: str           # bare name when worker_kind == "name"
-    worker_repr: str           # source spelling of the worker expression
     in_function: str           # qualname of the enclosing function
     line: int
     col: int
@@ -263,9 +245,6 @@ class ModuleEffects:
     functions: Tuple[FunctionEffects, ...] = ()
     pool_submissions: Tuple[PoolSubmission, ...] = ()
     class_mutable_attrs: Tuple[ClassAttrInfo, ...] = ()
-    mutable_globals: FrozenSet[str] = frozenset()
-    mutated_globals: FrozenSet[str] = frozenset()
-    declared_caches: FrozenSet[str] = frozenset()
     spawn_sites: Tuple[SpawnSite, ...] = ()
     guarded_bindings: Tuple[GuardedBinding, ...] = ()
     raise_sites: Tuple[RaiseSite, ...] = ()
@@ -497,24 +476,6 @@ def line_at(lines: List[str], line: int) -> str:
     if 1 <= line <= len(lines):
         return lines[line - 1].rstrip("\r\n")
     return ""
-
-
-def source_repr(lines: List[str], node: ast.AST, limit: int = 60) -> str:
-    """``node``'s source text, whitespace-collapsed and cut to ``limit``."""
-    end_line = getattr(node, "end_lineno", None)
-    end = getattr(node, "end_col_offset", None)
-    if end_line is None or end is None:
-        return ""
-    first, last, start = node.lineno - 1, end_line - 1, node.col_offset
-    # Column offsets count UTF-8 bytes, as in ast.get_source_segment.
-    if first == last:
-        segment = lines[first].encode()[start:end].decode()
-    else:
-        segment = "".join([lines[first].encode()[start:].decode(),
-                           *lines[first + 1:last],
-                           lines[last].encode()[:end].decode()])
-    segment = " ".join(segment.split())
-    return segment if len(segment) <= limit else segment[:limit - 3] + "..."
 
 
 def dotted_name(node: ast.AST) -> str:
@@ -891,7 +852,6 @@ class _PoolSiteCollector(ast.NodeVisitor):
         kind, name = _worker_ref(worker)
         self.into.append(PoolSubmission(
             method=method, worker_kind=kind, worker_name=name,
-            worker_repr=source_repr(self.lines, worker),
             receiver=receiver, in_function=self.qualname,
             line=node.lineno, col=node.col_offset + 1,
             line_text=line_at(self.lines, node.lineno)))
@@ -953,8 +913,6 @@ class _SpawnSiteCollector(ast.NodeVisitor):
         self.into.append(SpawnSite(
             kind=kind, api=api, worker_kind=worker_kind,
             worker_name=worker_name,
-            worker_repr=source_repr(self.lines, worker)
-            if worker is not None else "",
             in_function=self.qualname, line=node.lineno,
             col=node.col_offset + 1,
             line_text=line_at(self.lines, node.lineno)))
@@ -1228,9 +1186,6 @@ def extract_module_effects(path: str, source: str,
         functions=tuple(functions),
         pool_submissions=tuple(pool_sites),
         class_mutable_attrs=tuple(class_attrs),
-        mutable_globals=frozenset(mutable),
-        mutated_globals=frozenset(mutated),
-        declared_caches=frozenset(declared),
         spawn_sites=tuple(spawn_sites),
         guarded_bindings=tuple(guarded),
         raise_sites=tuple(raise_sites),

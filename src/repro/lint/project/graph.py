@@ -3,8 +3,7 @@
 ``ProjectModel`` merges every :class:`~repro.lint.project.summary.ModuleSummary`
 into a project symbol table (functions by bare name, dataclasses, the union
 of attribute reads over non-test sources) and a name-resolved call graph.
-Project rules run against this model only — they never touch an AST, which
-is what lets warm cache runs skip parsing entirely.
+Project rules run against this model only — they never touch an AST.
 
 Call resolution is by bare name against functions *defined in non-test
 source*.  When several same-named functions exist (``access`` appears on

@@ -1,15 +1,12 @@
 """Phase 1 of the whole-program analyzer: per-file symbol extraction.
 
 ``extract_summary`` turns one parsed module into a :class:`ModuleSummary`
-— a compact, picklable record of everything the interprocedural rules need
-from that file: its functions and methods (with every call they make),
-its dataclasses (fields and the names their ``__post_init__`` validates),
+— a compact record of everything the interprocedural rules need from that
+file: its functions and methods (with every call they make), its
+dataclasses (fields and the names their ``__post_init__`` validates),
 every attribute name the module reads, its effect record and its per-line
-``# mapglint: disable`` pragmas.
-
-Summaries are the unit of caching: because they carry no AST nodes, a warm
-lint run deserializes them straight from ``.mapglint-cache/`` and goes
-directly to phase 2 without re-parsing anything.
+``# mapglint: disable`` pragmas.  Summaries carry no AST nodes, so phase 2
+never re-parses anything.
 """
 
 from __future__ import annotations
@@ -21,20 +18,6 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 from repro.lint.project.effects import (
     ModuleEffects, dotted_name, extract_module_effects, line_at,
     split_source)
-
-#: Bump when the summary layout changes so cached pickles are invalidated
-#: even if the source of the lint package somehow hashes equal.
-#: 4: ModuleEffects grew the concurrency model (spawn sites, lock ops,
-#: guarded bindings, persistence writes) for the concurrency rules.
-#: 5: ModuleEffects grew the error-flow model (raise sites, handler
-#: spans, resource sites, exception classes) for the error-flow rules.
-#: 6: ModuleTwinFacts joined the summary for the twin-drift rules.
-#: 7: ModuleTwinFacts removed with the twin-drift rules.
-#: 8: dimension inference (call-site argument/result dimensions and
-#: reprs, function parameter/return dimensions) and attribute-write
-#: sites removed with the unit, ledger and event-queue rules.
-SUMMARY_SCHEMA = 8
-
 
 @dataclass(frozen=True)
 class CallSite:
@@ -177,13 +160,13 @@ def _is_negative_enabled_guard(stmt: ast.stmt) -> bool:
 class _CallCollector:
     """Every call expression of one body, in one linear pass.
 
-    A call is recorded after its arguments, with whether it sits under an observability ``enabled``
-    guard (an ``if X.enabled:`` body, or the rest of a block after
-    ``if not X.enabled: return``), whether its value is used, and the
-    dotted target it is assigned or returned to.  The walk does not
-    enter nested defs, lambdas, comprehensions, f-strings, subscript
-    slices, the callee expression of a call, or ``async for``/``async
-    with``/``match`` statements.
+    A call is recorded after its callee and arguments, with whether it
+    sits under an observability ``enabled`` guard (an ``if X.enabled:``
+    body, or the rest of a block after ``if not X.enabled: return``),
+    whether its value is used, and the dotted target it is assigned or
+    returned to.  Every statement and expression kind is walked, except
+    nested ``def``/``class`` bodies (each is summarized on its own) and
+    annotations.
     """
 
     def __init__(self, lines: List[str]) -> None:
@@ -201,22 +184,24 @@ class _CallCollector:
         self._guard_depth -= bumped
 
     def _stmt(self, stmt: ast.stmt) -> None:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            return
         if isinstance(stmt, ast.Assign):
             target = dotted_name(stmt.targets[0]) \
                 if len(stmt.targets) == 1 else ""
             self._expr(stmt.value, target=target)
+            for node in stmt.targets:
+                self._expr(node)
         elif isinstance(stmt, (ast.AnnAssign, ast.AugAssign)):
             if stmt.value is not None:
                 self._expr(stmt.value, target=dotted_name(stmt.target))
+            self._expr(stmt.target)
         elif isinstance(stmt, ast.Return):
             if stmt.value is not None:
                 self._expr(stmt.value, target="<return>")
         elif isinstance(stmt, ast.Expr):
             self._expr(stmt.value, used=False)
-        elif isinstance(stmt, (ast.For, ast.While)):
-            self._expr(stmt.iter if isinstance(stmt, ast.For) else stmt.test)
-            self.block(stmt.body)
-            self.block(stmt.orelse)
         elif isinstance(stmt, ast.If):
             self._expr(stmt.test)
             guarded = _is_enabled_test(stmt.test)
@@ -224,20 +209,23 @@ class _CallCollector:
             self.block(stmt.body)
             self._guard_depth -= guarded
             self.block(stmt.orelse)
-        elif isinstance(stmt, ast.With):
-            for item in stmt.items:
-                self._expr(item.context_expr)
-            self.block(stmt.body)
-        elif isinstance(stmt, ast.Try):
-            self.block(stmt.body)
-            for handler in stmt.handlers:
-                self.block(handler.body)
-            self.block(stmt.orelse)
-            self.block(stmt.finalbody)
-        elif isinstance(stmt, (ast.Raise, ast.Assert)):
-            for value in ast.iter_child_nodes(stmt):
-                if isinstance(value, ast.expr):
-                    self._expr(value)
+        else:
+            self._fields(stmt)
+
+    def _fields(self, node: ast.AST) -> None:
+        """Walk a statement or clause (handler, ``case``, ``with`` item)
+        field by field: statement lists as blocks, the rest as
+        expressions or nested clauses."""
+        for _, value in ast.iter_fields(node):
+            if isinstance(value, list) and value and \
+                    isinstance(value[0], ast.stmt):
+                self.block(value)
+                continue
+            for item in value if isinstance(value, list) else [value]:
+                if isinstance(item, ast.expr):
+                    self._expr(item)
+                elif isinstance(item, ast.AST):
+                    self._fields(item)
 
     def _expr(self, node: ast.AST, used: bool = True,
               target: str = "") -> None:
@@ -247,34 +235,16 @@ class _CallCollector:
         if isinstance(node, ast.Call):
             self._call(node, used, target)
             return
-        if isinstance(node, ast.Dict):
-            children: List[Optional[ast.AST]] = [*node.keys, *node.values]
-        elif isinstance(node, (ast.Attribute, ast.Subscript, ast.Starred)):
-            children = [node.value]
-        elif isinstance(node, ast.BinOp):
-            children = [node.left, node.right]
-        elif isinstance(node, ast.UnaryOp):
-            children = [node.operand]
-        elif isinstance(node, ast.BoolOp):
-            children = list(node.values)
-        elif isinstance(node, ast.Compare):
-            children = [node.left, *node.comparators]
-        elif isinstance(node, ast.IfExp):
-            children = [node.test, node.body, node.orelse]
-        elif isinstance(node, (ast.Tuple, ast.List, ast.Set)):
-            children = list(node.elts)
-        else:
-            return
-        for child in children:
-            if child is not None:
-                self._expr(child)
+        for child in ast.iter_child_nodes(node):
+            self._expr(child)
 
     def _call(self, node: ast.Call, used: bool, target: str) -> None:
+        func = node.func
+        self._expr(func.value if isinstance(func, ast.Attribute) else func)
         for arg in node.args:
             self._expr(arg)
         for keyword in node.keywords:
             self._expr(keyword.value)
-        func = node.func
         if isinstance(func, ast.Name):
             name, receiver = func.id, ""
         elif isinstance(func, ast.Attribute):
@@ -392,11 +362,9 @@ def extract_summary(path: str, source: str, tree: ast.Module,
 
     walk_body(tree.body)
 
-    # Module-level call sites (constants computed at import time).
-    module_level = [stmt for stmt in tree.body
-                    if isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.Expr,
-                                         ast.If, ast.For, ast.Try))]
-    module_calls = _calls_in(lines, module_level)
+    # Module-level call sites (constants computed at import time); the
+    # walk skips the def and class bodies summarized above.
+    module_calls = _calls_in(lines, tree.body)
     if module_calls:
         summary.functions.append(FunctionInfo(
             qualname=f"{norm}::<module>", name="<module>", line=1,

@@ -6,9 +6,9 @@ Analysis Results Interchange Format so findings land in code-review UIs
 ``github/codeql-action/upload-sarif``).  The driver advertises *every*
 enabled rule — not just those that fired — so a clean run still documents
 what was checked, and each result carries a ``partialFingerprints`` entry
-derived from the same ``(path, rule, line-text)`` triple the baseline
-uses, which keeps annotations stable across unrelated edits that only
-shift line numbers.
+derived from the ``(path, rule, line-text)`` triple of
+:meth:`~repro.lint.findings.Finding.fingerprint`, which keeps annotations
+stable across unrelated edits that only shift line numbers.
 """
 
 from __future__ import annotations

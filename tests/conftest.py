@@ -24,11 +24,9 @@ def repo_lint_report():
     Linting the tree is the slowest thing the suite does, so every test
     that asserts something about the real tree reads this one report.
     """
-    from repro.lint import Baseline, lint_paths
+    from repro.lint import lint_paths
 
-    baseline = Baseline.load(str(REPO_ROOT / "lint-baseline.json"))
-    return lint_paths([str(REPO_ROOT / "src"), str(REPO_ROOT / "tests")],
-                      baseline=baseline)
+    return lint_paths([str(REPO_ROOT / "src"), str(REPO_ROOT / "tests")])
 
 
 @pytest.fixture(autouse=True)

@@ -1,15 +1,15 @@
 """Unit tests for the mapglint rules on synthetic snippets.
 
 Each rule gets at least one known-bad snippet it must flag and one
-known-good snippet it must stay silent on; the suppression pragma and the
-baseline machinery are exercised on the same snippets.
+known-good snippet it must stay silent on; the suppression pragma is
+exercised on the same snippets.
 """
 
 import textwrap
 
 import pytest
 
-from repro.lint import Baseline, Severity, all_rules, get_rule
+from repro.lint import Severity, all_rules, get_rule
 from repro.lint.runner import lint_source
 
 
@@ -216,33 +216,3 @@ class TestSuppression:
     def test_disable_other_rule_does_not_silence(self):
         source = "total = stall_cycles + wake_s  # mapglint: disable=DET01\n"
         assert rule_ids(run_lint(source)) == ["UNIT01"]
-
-
-class TestBaseline:
-    def test_baseline_absorbs_known_finding(self, tmp_path):
-        findings = run_lint("total = stall_cycles + wake_s\n")
-        baseline = Baseline.from_findings(findings)
-        new, stale = baseline.filter(findings)
-        assert new == [] and stale == []
-
-    def test_baseline_does_not_absorb_second_copy(self):
-        one = run_lint("total = stall_cycles + wake_s\n")
-        two = run_lint("total = stall_cycles + wake_s\n"
-                       "again = stall_cycles + wake_s\n")
-        baseline = Baseline.from_findings(one)
-        new, _ = baseline.filter(two)
-        assert len(new) == 1
-
-    def test_stale_entries_reported(self):
-        findings = run_lint("total = stall_cycles + wake_s\n")
-        baseline = Baseline.from_findings(findings)
-        new, stale = baseline.filter([])
-        assert new == [] and len(stale) == 1
-
-    def test_round_trip_through_file(self, tmp_path):
-        findings = run_lint("total = stall_cycles + wake_s\n")
-        path = tmp_path / "baseline.json"
-        Baseline.from_findings(findings).save(str(path))
-        loaded = Baseline.load(str(path))
-        new, stale = loaded.filter(findings)
-        assert new == [] and stale == []

@@ -79,8 +79,7 @@ class TestSarifCli:
             def f(stall_cycles, wake_s):
                 return stall_cycles + wake_s
             """), encoding="utf-8")
-        exit_code = lint_main([str(tmp_path), "--format", "sarif",
-                               "--no-cache"])
+        exit_code = lint_main([str(tmp_path), "--format", "sarif"])
         log = json.loads(capsys.readouterr().out)
         assert exit_code == 1
         assert log["version"] == "2.1.0"
@@ -91,8 +90,7 @@ class TestSarifCli:
         good = tmp_path / "repro" / "ok.py"
         good.parent.mkdir(parents=True)
         good.write_text("VALUE = 1\n", encoding="utf-8")
-        exit_code = lint_main([str(tmp_path), "--format", "sarif",
-                               "--no-cache"])
+        exit_code = lint_main([str(tmp_path), "--format", "sarif"])
         log = json.loads(capsys.readouterr().out)
         assert exit_code == 0
         assert log["runs"][0]["results"] == []
