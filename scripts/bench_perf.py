@@ -5,9 +5,9 @@
 
 Runs ``perfbench/run.py [--quick] --trace`` at seed 11, times a 9-cell
 matrix on the fast engine against a fresh ``ResultCache`` cold then warm,
-and once more cold on the oracle, times one cell batch large enough to
-cross the pool's start-up gate on a cold two-worker pool and inline,
-checks ``FLOORS`` on the medians and those rows, times cold generation of
+and once more cold on the oracle, times cell batches large enough to
+cross the pool's start-up gate on a cold two-worker pool and inline, in
+alternating passes, checks ``FLOORS`` on the medians and those rows, times cold generation of
 the benchmark's unique traces (report-only), and writes the perfbench/1
 document (``--compare`` reads it) plus a ``gates`` block to ``--output``
 atomically.  Verdicts against the checked-in ledger print when mode and
@@ -22,6 +22,7 @@ import dataclasses
 import json
 import os
 import runpy
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -30,7 +31,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.config import SystemConfig
 from repro.exec import JobSpec, ResultCache, SweepRunner, result_to_dict
-from repro.exec.engine import _POOL_START_OPS
+from repro.exec.engine import _POOL_START_OPS, _drop_pool
 from repro.obs import SweepRecorder
 from repro.sim.runner import with_policy
 from repro.workloads.profiles import get_profile
@@ -45,6 +46,8 @@ CACHE_OPS = 10_000  # per cell, in both modes: --quick cuts cells, not ops
 # times what a cold two-worker pool must beat (2 * _POOL_START_OPS).
 POOL_COST_X = 3
 POOL_OPS = POOL_COST_X * 2 * _POOL_START_OPS // 8
+# Pool/inline pass pairs; the floor gates the median pair's speedup.
+POOL_PASSES = 3
 
 # Floors on the fresh medians and the cache row: each is the stronger of
 # the old script's flag default and the old CI band, in perfbench's
@@ -53,9 +56,10 @@ FLOORS = {
     "figure-grid cells/s": 1.73,  # fast kernel: 51 639 ops/s
     "grid-fast cells/s": 1.73,  # fast kernel: 51 639 ops/s
     "fast / oracle speedup": 1.33,  # the cache row's cold passes
-    # the pool row: a cold pool never loses to inline on a batch that
-    # crosses its start-up gate; 1.11-1.61 in 10 --quick runs on a shared
-    # 2-vCPU host, whose own two-process speedup read 1.57-1.90
+    # the pool row's median pair: a cold pool never loses to inline on a
+    # batch that crosses its start-up gate; single pairs read 1.11-1.61 in
+    # 10 --quick runs on a shared 2-vCPU host (and once 0.9986), whose own
+    # two-process speedup read 1.57-1.90
     "pool / inline speedup": 1.0,
     "warm / cold cache speedup": 32.0,
 }
@@ -92,36 +96,55 @@ def cache_row() -> Dict[str, Any]:
 
 
 def pool_row() -> Dict[str, Any]:
-    """Wall time of one 8-cell batch on a cold two-worker pool, then inline.
+    """Wall times of 8-cell batches on a cold two-worker pool and inline.
 
-    Both passes run the same kernel cells without a cache, and the batch
-    costs ``POOL_COST_X`` times what a cold pool must beat, so the pooled
-    pass builds its pool and the ratio compares the pool with inline work
-    like for like.  Both generate their traces cold: the pool's workers
-    are fresh processes, and no other row uses ``POOL_OPS``.  Each pass
-    records the dispatch mode the runner chose.  On a host with fewer
-    than 2 CPUs the runner cannot start two workers, so the row says why
-    its floor does not apply.
+    ``POOL_PASSES`` pairs alternate a pooled pass and an inline pass
+    (which goes first alternates too), each pair on its own trace seed.
+    Both passes of a pair run the same kernel cells without a cache and
+    generate their traces cold: the pool is terminated before each pooled
+    pass, its workers are fresh processes, and no other row or pair uses
+    the pair's traces.  The batch costs ``POOL_COST_X`` times what a cold
+    pool must beat, so each pooled pass builds its pool and the ratio
+    compares the pool with inline work like for like.  The row keeps every
+    wall time and each pair's speedup; the floor reads their median, so
+    one pass slowed by a neighbour on a shared host does not decide it.
+    Each pass records the dispatch mode the runner chose.  On a host with
+    fewer than 2 CPUs the runner cannot start two workers, so the row
+    says why its floor does not apply.
     """
-    specs = [JobSpec(config=with_policy(SystemConfig(), policy),
-                     profile=workload, num_ops=POOL_OPS, seed=SEED,
-                     engine="fast")
-             for workload in ("mcf_like", "gcc_like", "povray_like",
-                              "lbm_like")
-             for policy in ("naive", "mapg")]
-    row: Dict[str, Any] = {"cells": len(specs), "num_ops": POOL_OPS,
-                           "cpus": os.cpu_count() or 1}
-    dumps = {}
-    for mode, jobs in (("pool", 2), ("inline", 1)):
-        recorder = SweepRecorder()
-        start = time.perf_counter()
-        results = SweepRunner(jobs=jobs, recorder=recorder).run(specs)
-        row[f"{mode}_s"] = time.perf_counter() - start
-        row[f"{mode}_mode"] = next(event["mode"] for event in recorder.events()
-                                   if event["event"] == "dispatch")
-        dumps[mode] = json.dumps([result_to_dict(r) for r in results],
-                                 sort_keys=True)
-    row["identical"] = dumps["pool"] == dumps["inline"]
+    row: Dict[str, Any] = {"cells": 8, "num_ops": POOL_OPS,
+                           "cpus": os.cpu_count() or 1, "pool_s": [],
+                           "inline_s": [], "speedups": [],
+                           "pool_mode": "pool", "identical": True}
+    for index in range(POOL_PASSES):
+        specs = [JobSpec(config=with_policy(SystemConfig(), policy),
+                         profile=workload, num_ops=POOL_OPS,
+                         seed=SEED + index, engine="fast")
+                 for workload in ("mcf_like", "gcc_like", "povray_like",
+                                  "lbm_like")
+                 for policy in ("naive", "mapg")]
+        walls = {}
+        dumps = {}
+        order = (("pool", 2), ("inline", 1))
+        for mode, jobs in order if index % 2 == 0 else order[::-1]:
+            _drop_pool()
+            recorder = SweepRecorder()
+            start = time.perf_counter()
+            results = SweepRunner(jobs=jobs, recorder=recorder).run(specs)
+            walls[mode] = time.perf_counter() - start
+            dispatched = next(event["mode"] for event in recorder.events()
+                              if event["event"] == "dispatch")
+            if mode == "pool" and dispatched != "pool":
+                row["pool_mode"] = dispatched
+            dumps[mode] = json.dumps([result_to_dict(r) for r in results],
+                                     sort_keys=True)
+        _drop_pool()
+        row["pool_s"].append(walls["pool"])
+        row["inline_s"].append(walls["inline"])
+        row["speedups"].append(walls["inline"] / walls["pool"])
+        row["identical"] = row["identical"] and dumps["pool"] == dumps["inline"]
+    row["speedup_median"] = statistics.median(row["speedups"])
+    row["speedup_spread"] = [min(row["speedups"]), max(row["speedups"])]
     if row["cpus"] < 2:
         row["floor_skipped"] = (f"{row['cpus']} CPU: the runner cannot "
                                 f"start two workers")
@@ -168,7 +191,7 @@ def gate(document: Dict[str, Any], cache: Dict[str, Any],
         "figure-grid cells/s": rate["figure-grid"],
         "grid-fast cells/s": rate["grid-fast"],
         "fast / oracle speedup": cache["oracle_s"] / cache["cold_s"],
-        "pool / inline speedup": pool["inline_s"] / pool["pool_s"],
+        "pool / inline speedup": statistics.median(pool["speedups"]),
         "warm / cold cache speedup": cache["cold_s"] / cache["warm_s"],
     }
     records = [{"name": name, "observed": observed[name], "floor": floor,

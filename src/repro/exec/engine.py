@@ -75,6 +75,10 @@ _POLL_S = 0.1
 # 0.56-0.64 s on a cold Pool(2); at 60k ops 0.52-0.67 s against 0.59-0.80 s;
 # at 90k ops 0.87-1.07 s against 0.83-0.86 s.  Break-even is ~500k ops at
 # two workers, so the start-up is ~250k ops (0.2-0.3 s at 0.8-1.3 us/op).
+# Re-probed once the kernel jumped over L1 hits (8 gcc_like cells across
+# bet_scale, same method): 60k ops 0.46-0.58 s inline against 0.48-0.50 s
+# pooled, 75k ops 0.68-0.89 s against 0.63-0.70 s, 90k ops 0.73-0.79 s
+# against 0.68-0.77 s; break-even stayed within the probe's noise of ~500k.
 _POOL_START_OPS = 250_000
 # An oracle cell's cost per op, in kernel ops.  Same probe: 4 oracle cells
 # broke even at 10k ops each (0.30-0.50 s inline against 0.46-0.60 s), and

@@ -19,10 +19,22 @@ The kernel additionally needs each interval's *busy cycles*, which depend
 on the core's issue width: the oracle charges ``ceil(instructions /
 issue_width)`` **per block** (a sum of ceilings, not a ceiling of sums),
 so :meth:`ColumnarTrace.busy_cycles_for` pre-folds each interval with
-exactly that per-block ``math.ceil`` and memoizes per width.  The trace
-generator writes the arrays directly; building a ``ColumnarTrace`` from
-op objects (trace files) is a linear pass, and :meth:`ColumnarTrace.ops`
-reconstructs the op stream for the oracle.
+exactly that per-block ``math.ceil`` and memoizes per width, and
+:meth:`ColumnarTrace.busy_prefix_for` sums ``busy + 1`` over accesses, so
+a run of accesses that cannot stall advances the clock in O(1).
+
+L1 tag state does not depend on timing: a hit, a miss and its victim are
+the same whether the access merges into an in-flight fill or not.
+:meth:`ColumnarTrace.l1_pass` therefore looks every access up in the L1
+tags once per (geometry, write-back, starting state) and memoizes the
+outcome as an :class:`L1Pass`: which accesses miss, each miss's dirty
+victim, and the state the region leaves behind, which keys the next
+region's pass.  The kernel replays only the misses and the accesses
+near in-flight fills.
+
+The trace generator writes the arrays directly; building a
+``ColumnarTrace`` from op objects (trace files) is a linear pass, and
+:meth:`ColumnarTrace.ops` reconstructs the op stream for the oracle.
 
 One memo of ``(warmup, measured)`` pairs per process serves both
 engines, the oracle replaying their :meth:`~ColumnarTrace.ops`.  One
@@ -38,6 +50,7 @@ from __future__ import annotations
 import math
 from array import array
 from collections import OrderedDict
+from itertools import accumulate
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import ConfigError, TraceError
@@ -47,6 +60,31 @@ from repro.workloads.synthetic import SyntheticTraceGenerator
 
 
 _Columns = Tuple[array, array, bytearray, bytearray, array, array, int]
+_MISSING = object()
+
+
+class L1Pass:
+    """One region's L1 tag outcomes from one starting tag state.
+
+    ``misses`` holds the indices of the accesses that miss the L1 tags,
+    in order, closed by ``num_memory_ops`` as a sentinel; ``victims[k]``
+    is miss ``k``'s dirty-victim address, -1 for none, and ``writebacks``
+    counts the dirty victims.  ``end`` is the tag state the region leaves:
+    per set, an insertion-ordered ``tag -> dirty`` dict whose order is the
+    oracle's LRU stack (fills take invalid ways in way order while a touch
+    moves a line to the stack tail; the victim is the first key).  It is
+    never mutated, and a pass compares by identity, so the pass itself
+    keys the next region's pass.
+    """
+
+    __slots__ = ("misses", "victims", "writebacks", "end")
+
+    def __init__(self, misses: array, victims: array, writebacks: int,
+                 end: List[Dict[int, bool]]) -> None:
+        self.misses = misses
+        self.victims = victims
+        self.writebacks = writebacks
+        self.end = end
 
 
 class ColumnarTrace:
@@ -56,7 +94,7 @@ class ColumnarTrace:
                  "block_instructions", "block_bounds",
                  "num_memory_ops", "num_blocks", "num_ops",
                  "total_block_instructions", "_busy_by_width",
-                 "_keys_by_geometry")
+                 "_keys_by_geometry", "_prefix_by_width", "_l1_passes")
 
     def __init__(self, ops: Iterable[TraceOp] = (),
                  columns: "Optional[_Columns]" = None) -> None:
@@ -98,6 +136,9 @@ class ColumnarTrace:
         self._keys_by_geometry: Dict[Tuple[int, int],
                                      Tuple[List[int], List[int],
                                            List[int]]] = {}
+        self._prefix_by_width: Dict[int, array] = {}
+        self._l1_passes: Dict[Tuple[int, int, int, bool, Optional[L1Pass]],
+                              L1Pass] = {}
 
     def busy_cycles_for(self, issue_width: int) -> array:
         """Busy cycles per interval at ``issue_width``, memoized.
@@ -146,6 +187,78 @@ class ColumnarTrace:
                 [block >> index_bits for block in blocks])
         self._keys_by_geometry[geometry] = keys
         return keys
+
+    def busy_prefix_for(self, issue_width: int) -> array:
+        """Running sums of ``busy + 1`` over accesses, memoized per width.
+
+        Entry ``k`` is the cycles accesses ``0..k-1`` take when none of
+        them stalls (each one's busy run plus its issue cycle), so
+        ``prefix[j] - prefix[i]`` advances the clock over accesses
+        ``i..j-1`` in one step.
+        """
+        cached = self._prefix_by_width.get(issue_width)
+        if cached is None:
+            busy = self.busy_cycles_for(issue_width)
+            cached = array("q", accumulate(
+                (busy[i] + 1 for i in range(self.num_memory_ops)),
+                initial=0))
+            self._prefix_by_width[issue_width] = cached
+        return cached
+
+    def l1_pass(self, offset_bits: int, index_mask: int, ways: int,
+                write_back: bool, start: Optional[L1Pass]) -> L1Pass:
+        """The L1 tag outcomes of this region, memoized.
+
+        ``start`` is the pass of the region replayed before this one on
+        the same cache (``None`` for empty tags).  A tag lookup's outcome
+        does not depend on timing, so every cell replaying this region
+        from that state shares one pass.
+        """
+        key = (offset_bits, index_mask, ways, write_back, start)
+        cached = self._l1_passes.get(key)
+        if cached is None:
+            cached = self._run_l1_pass(offset_bits, index_mask, ways,
+                                       write_back, start)
+            self._l1_passes[key] = cached
+        return cached
+
+    def _run_l1_pass(self, offset_bits: int, index_mask: int, ways: int,
+                     write_back: bool, start: Optional[L1Pass]) -> L1Pass:
+        """``Cache.access`` on the L1 tags for every access, in order."""
+        __, idxs, tags = self.block_keys_for(offset_bits, index_mask)
+        index_bits = index_mask.bit_length()
+        if start is None:
+            sets: List[Dict[int, bool]] = [{} for __ in range(index_mask + 1)]
+        else:
+            sets = [dict(lset) for lset in start.end]
+        misses = array("q")
+        victims = array("q")
+        writebacks = 0
+        for i, (write, idx, tag) in enumerate(
+                zip(self.write_flags, idxs, tags)):
+            lset = sets[idx]
+            dirty = lset.pop(tag, _MISSING)
+            if dirty is not _MISSING:
+                lset[tag] = True if write and write_back else dirty
+                continue
+            misses.append(i)
+            victim = -1
+            if len(lset) >= ways:
+                vtag = next(iter(lset))
+                if lset.pop(vtag):
+                    writebacks += 1
+                    victim = ((vtag << index_bits) | idx) << offset_bits
+            victims.append(victim)
+            lset[tag] = True if write and write_back else False
+        misses.append(self.num_memory_ops)
+        return L1Pass(misses, victims, writebacks, sets)
+
+    def drop_derived(self) -> None:
+        """Forget every memoized derived column (rebuilt on next use)."""
+        self._busy_by_width.clear()
+        self._keys_by_geometry.clear()
+        self._prefix_by_width.clear()
+        self._l1_passes.clear()
 
     def ops(self) -> Iterator[TraceOp]:
         """Reconstruct the original op stream (oracle-compatible)."""
@@ -204,11 +317,10 @@ class ColumnarTraceStore:
             self.hits += 1
         last = next(reversed(_PAIRS), None)
         if last is not None and last != trace_key:
-            # The pair going idle keeps its columns, not its per-core
+            # The pair going idle keeps its columns, not its derived
             # caches (~2.5x the columns' size); they are rebuilt if needed.
             for trace in _PAIRS[last]:
-                trace._busy_by_width.clear()
-                trace._keys_by_geometry.clear()
+                trace.drop_derived()
         _PAIRS[trace_key] = pair
         _PAIRS.move_to_end(trace_key)
         while len(_PAIRS) > _MAX_PAIRS:

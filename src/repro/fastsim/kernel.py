@@ -11,14 +11,25 @@ as a single ACTIVE batch at the next stall, exactly as the oracle's
 into per-event handling only where controller state actually matters: at
 off-chip stalls.
 
+The loop visits only the accesses that can change timing.  L1 tag state
+does not depend on time, so each region's L1 tag hits, misses and dirty
+victims come from one memoized pass per trace
+(:meth:`~repro.fastsim.columnar.ColumnarTrace.l1_pass`).  Once every L1
+fill has completed (the latest fill registered is no later than the next
+access's issue), every access up to the next tag miss is a pipelined
+hit, and the loop jumps there in one step through the trace's prefix
+sums of ``busy + 1``; it steps one access at a time only while fills are
+in flight, to find the accesses that merge into them.
+
 The contract is **bit identity**, not approximation.  Every float the
 oracle computes is reproduced with the same operands in the same order:
 
 * interval energy accumulates as ``state_power * (cycles / f)`` per
   interval, in event order, into one accumulator per power state;
-* DRAM bank timing runs the oracle's nanosecond arithmetic term by term,
-  with cycle<->ns conversions through the same :mod:`repro.units`
-  helpers the hierarchy calls;
+* DRAM bank timing runs the oracle's nanosecond arithmetic term by term
+  in one closure (:meth:`FastSimulator._dram_for`) for demand reads,
+  writebacks and prefetches, with cycle<->ns conversions through the
+  same :mod:`repro.units` helpers the hierarchy calls;
 * the MAPG rules are not copied: the kernel calls the real objects'
   own methods — the table's ``lookup`` and its entry's ``observe``,
   ``MapgPolicy.plan_gate`` and ``observe_fallback``,
@@ -29,12 +40,18 @@ oracle computes is reproduced with the same operands in the same order:
   wakeup algebra.
 
 A windowed-MLP core (``miss_window > 1``) replays through the same loop:
-each access is preceded by a pre-issue slot for ``WindowedCore``'s
-dependence stall, off-chip misses register in the wrapped core's own
-outstanding-miss deque (retired by its own ``retire_completed``) until the
-window fills, and the dependence, window-full and dependent-use stalls
-all reach the one off-chip resolution block, with the blocking access's
-age passed to the policy as ``elapsed``.
+off-chip misses register in the wrapped core's own outstanding-miss deque
+(retired by its own ``retire_completed``) until the window fills.  Each
+stepped access (or jump) first registers the last window-full stall's
+new miss; a stepped access then retires, and takes ``WindowedCore``'s
+dependence stall if its producer is in flight.  The dependence,
+window-full and dependent-use stalls all reach the one off-chip
+resolution block, with the blocking access's age passed to the policy as
+``elapsed``.  A jump skips no other such work: once
+every L1 fill has completed, so has every outstanding miss (each one
+completes ``l1`` latency cycles before its fill), and retiring is
+monotone in time, so retiring at the next stepped access leaves the same
+deque and the same ``hidden_misses`` count.
 
 The stride prefetcher is trained by owner-call too: each L2 access calls
 the hierarchy's own ``StridePrefetcher.train`` and fills its targets
@@ -42,8 +59,9 @@ through the kernel's L2 tag and MSHR state and the DRAM helper the
 writebacks use, scoring useful and late prefetches against the
 hierarchy's own prefetched-line set (:meth:`FastSimulator._prefetch`).
 
-Architectural state (cache tags as insertion-ordered per-set dicts whose
-order provably equals the oracle's LRU stacks, MSHR fill maps with the
+Architectural state (the L2 tags as insertion-ordered per-set dicts whose
+order provably equals the oracle's LRU stacks, the L1 tags as the last
+region's :class:`~repro.fastsim.columnar.L1Pass`, MSHR fill maps with the
 oracle's eager expiry replayed at the same call points, DRAM bank state)
 lives privately on the kernel and persists across the warmup/measure
 boundary; *measurement* state accumulates in locals and is flushed into
@@ -69,16 +87,16 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_right
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.config import SystemConfig
+from repro.config import DramConfig, SystemConfig
 from repro.core.adaptive import AdaptiveMapgPolicy
 from repro.core.policies import GatingPolicy, MapgPolicy, NeverPolicy
 from repro.core.token import TokenArbiter
 from repro.core.wakeup import WakeupPlan, wakeup_timeline
 from repro.cpu.core import MLP_WINDOW_CYCLES
 from repro.errors import SimulationError
-from repro.fastsim.columnar import ColumnarTrace
+from repro.fastsim.columnar import ColumnarTrace, L1Pass
 from repro.memory.dram import ROW_CLOSED, ROW_CONFLICT, ROW_HIT, Dram
 from repro.obs.spans import NullRecorder
 from repro.power.model import PowerState
@@ -131,25 +149,6 @@ def fallback_reasons(config: SystemConfig, *,
     if recorder is not None and recorder.enabled:
         reasons.append("span recorder attached")
     return reasons
-
-
-def _pre_issue_slots(trace: ColumnarTrace, blocks: Sequence[int],
-                     idxs: Sequence[int], tags: Sequence[int],
-                     busy: Sequence[int]) -> Iterator[Tuple[int, ...]]:
-    """The replay loop's slots on a windowed core: two per access.
-
-    ``WindowedCore`` may stall *before* an access issues (a pointer-chase
-    dependence), so each access is preceded by a pre-issue slot — address
-    -1, the dependent flag in the write-flag position — that advances the
-    busy run and the issue cycle.  The access slot that follows advances
-    nothing (busy -1, plus the loop's one issue cycle).  Both stalls then
-    reach the loop's one off-chip resolution block.
-    """
-    for addr, pc, iw, dep, block, idx, tag, delta in zip(
-            trace.addresses, trace.pcs, trace.write_flags,
-            trace.dependent_flags, blocks, idxs, tags, busy):
-        yield -1, pc, dep, block, idx, tag, delta
-        yield addr, pc, iw, block, idx, tag, -1
 
 
 class FastSimulator:
@@ -219,18 +218,18 @@ class FastSimulator:
         self._window = config.core.miss_window
         self._l1_lat = config.l1.hit_latency_cycles
         self._l2_lat = config.l2.hit_latency_cycles
-        # L1/L2 tag state: per-set insertion-ordered dict tag -> dirty.
+        # L1 tag state: the pass of the last region replayed (None while
+        # the tags are empty), which keys the next region's pass.
+        self._l1_off = config.l1.line_bytes.bit_length() - 1
+        self._l1_mask = config.l1.num_sets - 1
+        self._l1_ways = config.l1.associativity
+        self._l1_wb = config.l1.write_back
+        self._l1_state: Optional[L1Pass] = None
+        # L2 tag state: per-set insertion-ordered dict tag -> dirty.
         # Insertion order equals the oracle's LRU stack: fills take invalid
         # ways in way order while `_touch` appends to the stack tail, so
         # stack order is insertion order; hits reinsert at the tail; the
         # victim (stack head) is the first key.
-        self._l1_off = config.l1.line_bytes.bit_length() - 1
-        self._l1_mask = config.l1.num_sets - 1
-        self._l1_idx_bits = self._l1_mask.bit_length()
-        self._l1_ways = config.l1.associativity
-        self._l1_wb = config.l1.write_back
-        self._l1_sets: List[Dict[int, bool]] = [
-            {} for __ in range(config.l1.num_sets)]
         self._l2_off = config.l2.line_bytes.bit_length() - 1
         self._l2_mask = config.l2.num_sets - 1
         self._l2_idx_bits = self._l2_mask.bit_length()
@@ -241,44 +240,29 @@ class FastSimulator:
         # MSHRs: line -> fill cycle, plus a tracked minimum fill so the
         # oracle's eager expiry scan runs only when it could remove entries,
         # and line -> issue cycle over the same keys (a windowed core's
-        # dependent use reads the in-flight entry's age).
+        # dependent use reads the in-flight entry's age).  The L1's latest
+        # fill ever registered bounds when every L1 fill has completed.
         self._l1_cap = config.l1.mshr_entries
         self._l2_cap = config.l2.mshr_entries
         self._l1m: Dict[int, int] = {}
         self._l1mi: Dict[int, int] = {}
         self._l1m_min: float = _INF
+        self._l1m_last = 0
         self._l2m: Dict[int, int] = {}
         self._l2mi: Dict[int, int] = {}
         self._l2m_min: float = _INF
-        # DRAM.
-        dram_cfg = config.dram
-        nbanks = dram_cfg.total_banks
-        self._d_nbanks = nbanks
-        self._d_rowbits = dram_cfg.row_bytes.bit_length() - 1
-        self._d_overhead_ns = dram_cfg.controller_overhead_ns
-        self._d_tcas_ns = dram_cfg.t_cas_ns
-        self._d_trcd_ns = dram_cfg.t_rcd_ns
-        self._d_trp_ns = dram_cfg.t_rp_ns
-        self._d_tras_ns = dram_cfg.t_ras_ns
-        self._d_qserv_ns = dram_cfg.queue_service_ns
-        self._d_bus_ns = dram_cfg.bus_transfer_ns
-        self._d_refresh_int_ns = dram_cfg.refresh_interval_ns
-        self._d_refresh_lat_ns = dram_cfg.refresh_latency_ns
-        self._d_row_open = dram_cfg.row_policy == "open"
-        self._d_wbpb = dram_cfg.write_buffer_per_bank
-        self._d_wserv_ns = dram_cfg.t_cas_ns + dram_cfg.queue_service_ns
-        self._d_wcap_ns = dram_cfg.write_buffer_per_bank * self._d_wserv_ns
-        self._d_open: List[int] = [-1] * nbanks
-        self._d_busy: List[float] = [0.0] * nbanks
-        self._d_act: List[float] = [-1e18] * nbanks
-        self._d_debt: List[float] = [0.0] * nbanks
-        # Histogram edge tables (identical floats to the oracle's, taken
-        # from freshly built instances).
-        self._sh_edges = list(
-            sim.stall_histogram._edges)
-        self._dh_edges = list(
-            sim.hierarchy.dram.latency_histogram._edges)
-        self._reset_dram_histogram()
+        # Memory counters (flushed and zeroed per region), the off-chip
+        # stall histogram's edges, and the DRAM: its timing and bank state
+        # live in the closure that times every access (_dram_for), its
+        # latency histogram in `_dh_counts` and `_dh_stats` ([n, sum, min,
+        # max]), zeroed in place per region.  Edge tables are identical
+        # floats to the oracle's, taken from freshly built instances.
+        self._mc = [0] * _MC_SLOTS
+        self._sh_edges = list(sim.stall_histogram._edges)
+        dh_edges = list(sim.hierarchy.dram.latency_histogram._edges)
+        self._dh_counts = [0] * (len(dh_edges) + 1)
+        self._dh_stats: List[Any] = [0, 0.0, _INF, -_INF]
+        self._dram_access = self._dram_for(config.dram, dh_edges)
         # Energy: per-state powers and the circuit clock, hoisted.
         powers = sim.power_model.state_power_table()
         self._p_active = powers[PowerState.ACTIVE]
@@ -298,12 +282,6 @@ class FastSimulator:
         # memoizing per int sleep length reproduces its floats exactly.
         self._ee_full: Dict[int, float] = {}
         self._ee_ret: Dict[int, float] = {}
-
-    def _reset_dram_histogram(self) -> None:
-        # Stats ride in one list ([n, sum, min, max]) so the replay loop's
-        # local reference and the rare-path DRAM helper share them.
-        self._dh_counts = [0] * (len(self._dh_edges) + 1)
-        self._dh_stats: List[Any] = [0, 0.0, _INF, -_INF]
 
     # ---- public API ------------------------------------------------------------
 
@@ -332,26 +310,24 @@ class FastSimulator:
     def _replay(self, trace: ColumnarTrace) -> None:
         """Advance the whole region, then flush measurements into the sim.
 
-        One iteration per *memory access*; the busy run before each access
-        (pre-folded per issue width by the columnar trace) advances the
-        clock and the pending-ACTIVE batch in O(1).
+        One iteration per *stepped* access; the busy run before each
+        access (pre-folded per issue width by the columnar trace) advances
+        the clock and the pending-ACTIVE batch in O(1), and so does a jump
+        over a run of L1 hits.
         """
         sim = self.sim
-        mc = [0] * _MC_SLOTS
-        self._mc = mc
+        mc = self._mc
+        mc[:] = [0] * _MC_SLOTS
 
         # Hot architectural state -> locals.
         cyc = sim.core._cycle
         last_off = sim.core._last_offchip_end
-        l1_sets = self._l1_sets
         l1m = self._l1m
         l1m_get = l1m.get
         l1mi = self._l1mi
         l1m_min = self._l1m_min
+        l1m_last = self._l1m_last
         l1_off = self._l1_off
-        l1_idx_bits = self._l1_idx_bits
-        l1_ways = self._l1_ways
-        l1_wb = self._l1_wb
         l1_lat = self._l1_lat
         l1_cap = self._l1_cap
         l2_sets = self._l2_sets
@@ -365,31 +341,9 @@ class FastSimulator:
         l2_ways = self._l2_ways
         l2_lat = self._l2_lat
         l2_cap = self._l2_cap
-        d_nbanks = self._d_nbanks
-        d_rowbits = self._d_rowbits
-        d_overhead_ns = self._d_overhead_ns
-        d_tcas_ns = self._d_tcas_ns
-        d_trcd_ns = self._d_trcd_ns
-        d_trp_ns = self._d_trp_ns
-        d_tras_ns = self._d_tras_ns
-        d_qserv_ns = self._d_qserv_ns
-        d_bus_ns = self._d_bus_ns
-        d_refresh_int_ns = self._d_refresh_int_ns
-        d_refresh_lat_ns = self._d_refresh_lat_ns
-        d_refresh_on = d_refresh_lat_ns > 0.0
-        d_row_open = self._d_row_open
-        d_open = self._d_open
-        d_busy = self._d_busy
-        d_act = self._d_act
-        d_debt = self._d_debt
-        dh_edges = self._dh_edges
-        dh_counts = self._dh_counts
-        dh_stats = self._dh_stats
         freq = self._freq
         ceil_ = math.ceil
         ceil_eps = CYCLE_CEIL_EPSILON
-        bisect = bisect_right
-        c2ns = cycles_to_ns
         wb_l2 = self._wb_l2
         dram_access = self._dram_access
         # The stride prefetcher (inline MemoryHierarchy._run_prefetcher):
@@ -406,10 +360,8 @@ class FastSimulator:
         n_on = 0
         on_cyc = 0
         # Hot memory counters (merged into `mc` at flush; the rare-path
-        # writeback and prefetch methods count into `mc` directly).
-        n_l1_miss = 0
+        # writeback, prefetch and DRAM methods count into `mc` directly).
         n_l1_merge = 0
-        n_l1_wb = 0
         h_l1_stall = 0
         n_l2_acc = 0
         n_l2_hit = 0
@@ -418,11 +370,6 @@ class FastSimulator:
         n_l2_wb = 0
         h_l2_stall = 0
         h_wb = 0
-        n_d_acc = 0
-        n_d_hit = 0
-        n_d_closed = 0
-        n_d_conflict = 0
-        n_d_refresh = 0
         active_c = 0
         e_active = 0.0
         stall_c = 0
@@ -496,30 +443,36 @@ class FastSimulator:
             feedback = (policy.feedback if type(policy).feedback
                         is not GatingPolicy.feedback else None)
 
+        n_mem = trace.num_memory_ops
         busy = trace.busy_cycles_for(self._issue_width)
-        blocks, idxs, tags = trace.block_keys_for(l1_off, self._l1_mask)
+        prefix = trace.busy_prefix_for(self._issue_width)
+        blocks = trace.block_keys_for(l1_off, self._l1_mask)[0]
+        addresses = trace.addresses
+        pcs = trace.pcs
+        dependent_flags = trace.dependent_flags
+        l1 = trace.l1_pass(l1_off, self._l1_mask, self._l1_ways,
+                           self._l1_wb, self._l1_state)
+        self._l1_state = l1
+        misses = l1.misses
+        victims = l1.victims
         # Windowed core (miss_window > 1): the outstanding misses are the
         # WindowedCore's own deque, retired by its own method, so they
-        # cross the warmup boundary as they are.  Each access gets a
-        # pre-issue slot (see _pre_issue_slots).  A blocking core pays one
-        # falsy `windowed` test per access; its merge and off-chip paths
-        # reuse tests they already make.
+        # cross the warmup boundary as they are.  A blocking core pays one
+        # falsy `windowed` test per stepped access; its merge and off-chip
+        # paths reuse tests they already make.
         windowed = self._window > 1
         if windowed:
             outstanding = sim.core._outstanding
             retire = sim.core.retire_completed
             window = self._window
-            slots = _pre_issue_slots(trace, blocks, idxs, tags, busy)
             # A merge stalling past the L2 latency is a dependent use of
             # an in-flight off-chip miss: gateable, unlike on a blocking
             # core, where the bound below is never reached.
             dep_use_min = l2_lat
         else:
-            slots = zip(trace.addresses, trace.pcs, trace.write_flags,
-                        blocks, idxs, tags, busy)
             dep_use_min = _NEVER
         offchip_hook = windowed or mlp_on
-        # The window-full stall's new miss, registered at the next slot.
+        # The window-full stall's new miss, registered at the next access.
         pending = None
         n_overlapped = 0
         n_dependence = 0
@@ -527,36 +480,64 @@ class FastSimulator:
         # blocking core).
         elapsed = 0
 
-        for addr, pc, iw, block, idx, tag, delta in slots:
-            # The access issues after the busy run plus one cycle.
-            delta += 1
-            pend += delta
-            cyc += delta
-
-            if windowed and addr < 0:
-                # ---- pre-issue slot: WindowedCore.segments before the
-                # access (`iw` carries the dependent flag here) ----
-                if pending is not None:
-                    outstanding.append(pending)
-                    pending = None
-                if outstanding and outstanding[0][0] <= cyc:
-                    retire(cyc)
-                if not (iw and outstanding):
-                    continue
-                # Pointer-chase dependence: the producer (the youngest
-                # miss) is still in flight; stall for its residual.
-                completion, issued, pc, bank, kind = outstanding[-1]
-                stall = completion - cyc
-                if stall < 1:
-                    stall = 1
-                elapsed = cyc - issued
-                if elapsed < 0:
-                    elapsed = 0
-                n_dependence += 1
-                off = True
+        i = -1
+        # misses[m] is the next access that misses the L1 tags (n_mem once
+        # none is left).
+        m = 0
+        next_miss = misses[0]
+        # Set by a dependence stall: access i issues after it, unadvanced.
+        held = False
+        while True:
+            if held:
+                held = False
             else:
-                # ---- hierarchy access (inline L1 level; the steady-state
-                # hit path falls through with zero Python calls) ----
+                i += 1
+                if i < next_miss and l1m_last <= cyc + busy[i] + 1:
+                    # Every L1 fill completes by access i's issue, so
+                    # accesses i..next_miss-1 are pipelined L1 hits:
+                    # advance over them in one step (the next stepped
+                    # access expires the MSHR).  On a windowed core their
+                    # pre-issue work reduces to registering the pending
+                    # miss: every outstanding miss completes before its
+                    # fill (no dependence stall), and the next stepped
+                    # access, or the region's end, retires them.
+                    delta = prefix[next_miss] - prefix[i]
+                    pend += delta
+                    cyc += delta
+                    i = next_miss
+                    if pending is not None:
+                        outstanding.append(pending)
+                        pending = None
+                if i == n_mem:
+                    break
+                # The access issues after the busy run plus one cycle.
+                delta = busy[i] + 1
+                pend += delta
+                cyc += delta
+                if windowed:
+                    # ---- WindowedCore.segments before the access ----
+                    if pending is not None:
+                        outstanding.append(pending)
+                        pending = None
+                    if outstanding and outstanding[0][0] <= cyc:
+                        retire(cyc)
+                    if dependent_flags[i] and outstanding:
+                        # Pointer-chase dependence: the producer (the
+                        # youngest miss) is still in flight; stall for its
+                        # residual.
+                        completion, issued, pc, bank, kind = outstanding[-1]
+                        stall = completion - cyc
+                        if stall < 1:
+                            stall = 1
+                        elapsed = cyc - issued
+                        if elapsed < 0:
+                            elapsed = 0
+                        n_dependence += 1
+                        off = True
+                        held = True
+            if not held:
+                # ---- hierarchy access (inline L1 level: the tag outcome
+                # comes from the L1 pass, the MSHR is replayed here) ----
                 if l1m_min <= cyc:
                     if len(l1m) == 1:
                         # The tracked minimum IS the sole entry: expired.
@@ -568,22 +549,16 @@ class FastSimulator:
                             del l1m[k]
                             del l1mi[k]
                         l1m_min = min(l1m.values()) if l1m else _INF
-                lset = l1_sets[idx]
+                block = blocks[i]
                 fill = l1m_get(block)
+                tag_miss = i == next_miss
+                if tag_miss:
+                    m += 1
+                    next_miss = misses[m]
                 if fill is None:
-                    dirty = lset.pop(tag, _MISSING)
-                    if dirty is not _MISSING:
-                        # Pipelined L1 hit: no visible stall.
-                        lset[tag] = True if iw and l1_wb else dirty
-                        continue
-                    n_l1_miss += 1
-                    wb1 = None
-                    if len(lset) >= l1_ways:
-                        vtag = next(iter(lset))
-                        if lset.pop(vtag):
-                            n_l1_wb += 1
-                            wb1 = ((vtag << l1_idx_bits) | idx) << l1_off
-                    lset[tag] = True if iw and l1_wb else False
+                    if not tag_miss:
+                        continue  # pipelined L1 hit: no visible stall
+                    victim = victims[m - 1]
                     # L1 MSHR structural hazard (already expired at cyc).
                     if len(l1m) >= l1_cap:
                         h_l1_stall += 1
@@ -594,6 +569,8 @@ class FastSimulator:
                         issue = cyc
 
                     # ---- L2 (inline MemoryHierarchy._access_l2) ----
+                    addr = addresses[i]
+                    pc = pcs[i]
                     l2_block = addr >> l2_off
                     if l2m_min <= issue:
                         if len(l2m) == 1:
@@ -639,8 +616,7 @@ class FastSimulator:
                         below = l2_lat
                         off = False
                     else:
-                        # ---- L2 miss -> DRAM demand read (inline
-                        # Dram.access, is_write=False) ----
+                        # ---- L2 miss -> DRAM demand read ----
                         n_l2_miss += 1
                         wb2 = None
                         if len(l2set) >= l2_ways:
@@ -657,66 +633,10 @@ class FastSimulator:
                         else:
                             wait2 = 0
                             issue2 = issue
-                        now = c2ns(issue2, freq)
-                        row_global = addr >> d_rowbits
-                        bank = row_global % d_nbanks
-                        row = row_global // d_nbanks
-                        arrival = now + d_overhead_ns
-                        if d_refresh_on:
-                            phase = arrival % d_refresh_int_ns
-                            if phase < d_refresh_lat_ns:
-                                n_d_refresh += 1
-                                arrival += d_refresh_lat_ns - phase
-                        dbt = d_debt[bank]
-                        if dbt > 0.0:
-                            idle_gap = arrival - d_busy[bank]
-                            if idle_gap < 0.0:
-                                idle_gap = 0.0
-                            drained = dbt if dbt < idle_gap else idle_gap
-                            d_debt[bank] = dbt - drained
-                            d_busy[bank] += drained
-                        queue_wait = d_busy[bank] - arrival
-                        if queue_wait < 0.0:
-                            queue_wait = 0.0
-                        start = arrival + queue_wait
-                        open_row = d_open[bank]
-                        if open_row == row:
-                            n_d_hit += 1
-                            kind = ROW_HIT
-                            array_lat = d_tcas_ns
-                        elif open_row == -1:
-                            n_d_closed += 1
-                            kind = ROW_CLOSED
-                            array_lat = d_trcd_ns + d_tcas_ns
-                            d_act[bank] = start
-                        else:
-                            n_d_conflict += 1
-                            kind = ROW_CONFLICT
-                            ras_wait = (d_act[bank] + d_tras_ns) - start
-                            if ras_wait < 0.0:
-                                ras_wait = 0.0
-                            array_lat = (ras_wait + d_trp_ns + d_trcd_ns
-                                         + d_tcas_ns)
-                            d_act[bank] = start + ras_wait + d_trp_ns
-                        done = start + array_lat + d_qserv_ns
-                        if d_row_open:
-                            d_open[bank] = row
-                            d_busy[bank] = done
-                        else:
-                            d_open[bank] = -1
-                            d_busy[bank] = done + d_trp_ns
-                        dlat = (done + d_bus_ns) - now
-                        n_d_acc += 1
-                        dh_counts[bisect(dh_edges, dlat)] += 1
-                        dh_stats[0] += 1
-                        dh_stats[1] += dlat
-                        if dlat < dh_stats[2]:
-                            dh_stats[2] = dlat
-                        if dlat > dh_stats[3]:
-                            dh_stats[3] = dlat
+                        dlat, bank, kind = dram_access(addr, issue2, False)
                         # seconds_to_cycles_ceil(dlat * NS, freq), inlined.
-                        dcyc = int(ceil_(dlat * NS * freq - ceil_eps))
-                        below = wait2 + l2_lat + dcyc
+                        below = (wait2 + l2_lat
+                                 + int(ceil_(dlat * NS * freq - ceil_eps)))
                         # Allocate the L2 miss (oracle expires at issue2
                         # first).
                         if l2m_min <= issue2:
@@ -758,24 +678,17 @@ class FastSimulator:
                     l1mi[block] = issue
                     if fillc < l1m_min:
                         l1m_min = fillc
-                    if wb1 is not None:
-                        wb_l2(wb1, issue)
+                    if fillc > l1m_last:
+                        l1m_last = fillc
+                    if victim >= 0:
+                        wb_l2(victim, issue)
                     stall = total - l1_lat
                     if stall <= 0:
                         continue
                 else:
-                    # L1 MSHR merge: residual latency; tag update runs for
-                    # its side effects, victim writeback address discarded.
+                    # L1 MSHR merge: residual latency (a tag miss's dirty
+                    # victim is counted by the L1 pass, not written back).
                     n_l1_merge += 1
-                    dirty = lset.pop(tag, _MISSING)
-                    if dirty is not _MISSING:
-                        lset[tag] = True if iw and l1_wb else dirty
-                    else:
-                        n_l1_miss += 1
-                        if len(lset) >= l1_ways:
-                            if lset.pop(next(iter(lset))):
-                                n_l1_wb += 1
-                        lset[tag] = True if iw and l1_wb else False
                     stall = fill - cyc  # >= 1: post-expiry fills are future
                     off = stall > dep_use_min
 
@@ -799,10 +712,11 @@ class FastSimulator:
                     if gap <= MLP_WINDOW_CYCLES:
                         reduced = int(round(stall * mlp_factor))
                         stall = reduced if reduced > 1 else 1
-                elif addr < 0:
-                    pass  # the dependence stall, set up in its slot
+                elif held:
+                    pass  # the dependence stall, set up before the access
                 elif fill is not None or fill2 is not None:
                     # Dependent use of the merged in-flight miss.
+                    pc = pcs[i]
                     elapsed = cyc - (l1mi[block] if fill is not None
                                      else l2mi[l2_block])
                     if elapsed < 0:
@@ -951,7 +865,7 @@ class FastSimulator:
             last_off = cyc
 
         # Trailing busy run after the last memory access.
-        delta = busy[trace.num_memory_ops]
+        delta = busy[n_mem]
         if delta:
             pend += delta
             cyc += delta
@@ -971,6 +885,7 @@ class FastSimulator:
 
         # ---- flush measurements into the wrapped simulator ----
         self._l1m_min = l1m_min
+        self._l1m_last = l1m_last
         self._l2m_min = l2m_min
         sim._cycle = cyc
         sim.core._cycle = cyc
@@ -979,11 +894,12 @@ class FastSimulator:
             sim.core._last_offchip_end = last_off
 
         # Merge loop-local counters into the shared slots (the rare-path
-        # writeback and prefetch methods already counted there); derivable
-        # totals are reconstructed instead of counted per iteration: every
-        # access is one hierarchy access and one L1 tag access, writes are
-        # the trace's write flags, and hits are the non-misses.
-        n_mem = trace.num_memory_ops
+        # writeback, prefetch and DRAM methods already counted there);
+        # derivable totals are reconstructed instead of counted per
+        # iteration: every access is one hierarchy access and one L1 tag
+        # access, writes are the trace's write flags, and the L1 misses
+        # and dirty victims are the L1 pass's.
+        n_l1_miss = len(misses) - 1
         mc[_H_ACC] += n_mem
         mc[_H_L1_MERGE] += n_l1_merge
         mc[_H_L1_STALL] += h_l1_stall
@@ -994,16 +910,11 @@ class FastSimulator:
         mc[_L1_WR] += trace.write_flags.count(1)
         mc[_L1_HIT] += n_mem - n_l1_miss
         mc[_L1_MISS] += n_l1_miss
-        mc[_L1_WB] += n_l1_wb
+        mc[_L1_WB] += l1.writebacks
         mc[_L2_ACC] += n_l2_acc
         mc[_L2_HIT] += n_l2_hit
         mc[_L2_MISS] += n_l2_miss
         mc[_L2_WB] += n_l2_wb
-        mc[_D_ACC] += n_d_acc
-        mc[_D_ROW_HIT] += n_d_hit
-        mc[_D_ROW_CLOSED] += n_d_closed
-        mc[_D_ROW_CONFLICT] += n_d_conflict
-        mc[_D_REFRESH] += n_d_refresh
 
         ledger = sim.ledger
         ledger.add_batch(PowerState.ACTIVE, active_c, e_active)
@@ -1067,12 +978,12 @@ class FastSimulator:
         sh._min = sh_min
         sh._max = sh_max
         dh = hierarchy.dram.latency_histogram
-        dh._counts = self._dh_counts
-        dh._n = dh_stats[0]
-        dh._sum = dh_stats[1]
-        dh._min = dh_stats[2]
-        dh._max = dh_stats[3]
-        self._reset_dram_histogram()
+        dh_counts = self._dh_counts
+        dh_stats = self._dh_stats
+        dh._counts = dh_counts[:]
+        dh._n, dh._sum, dh._min, dh._max = dh_stats
+        dh_counts[:] = [0] * len(dh_counts)
+        dh_stats[:] = [0, 0.0, _INF, -_INF]
 
         self._flush_counters(controller.counters, (
             ("offchip_stalls", n_off), ("offchip_stall_cycles", off_cyc),
@@ -1095,8 +1006,8 @@ class FastSimulator:
             if count:
                 add(name, count)
 
-    # ---- rare-path descents (victim writebacks and prefetches; the demand
-    # path is fully inlined in _replay) ---------------------------------------
+    # ---- descents off the inlined L1/L2 path (victim writebacks,
+    # prefetches and every DRAM access) ----------------------------------------
 
     def _l2_tag_access(self, addr: int,
                        is_write: bool) -> Tuple[bool, Optional[int]]:
@@ -1162,7 +1073,7 @@ class FastSimulator:
                 continue
             line = block << off
             fill = issue + seconds_to_cycles_ceil(
-                self._dram_access(line, issue, False) * NS, self._freq)
+                self._dram_access(line, issue, False)[0] * NS, self._freq)
             l2m[block] = fill
             self._l2mi[block] = issue
             if fill < l2m_min:
@@ -1184,83 +1095,111 @@ class FastSimulator:
                     mc[_PF_LATE] += 1
         return l2m_min
 
-    def _dram_access(self, addr: int, at: int, is_write: bool) -> float:
-        """Inlined ``Dram.access`` off the demand path, issued at cycle ``at``.
+    def _dram_for(self, dram: DramConfig, edges: List[float]
+                  ) -> Callable[[int, int, bool], Tuple[float, int, str]]:
+        """Inlined ``Dram.access`` for one DRAM, as a closure over its state.
 
-        Serves writebacks and prefetch reads; returns the latency in ns (a
-        buffered write's, which the oracle discards, as 0.0).  Counters and
-        histogram stats go through the shared ``mc`` slots and
-        ``_dh_counts`` / ``_dh_stats`` accumulators, so observations from
-        this rare path interleave with the replay loop's demand reads in
-        oracle (chronological) order.
+        The closure times demand reads, writebacks and prefetch reads
+        issued at cycle ``at`` and returns the latency in ns (a buffered
+        write's, which the oracle discards, as 0.0), the bank and the
+        row-buffer outcome.  Counters and latency stats accumulate in the
+        kernel's ``_mc`` slots and ``_dh_counts`` / ``_dh_stats``, in
+        oracle (chronological) order.  The timing constants and the bank
+        state are closure cells, which read as cheaply as the replay
+        loop's locals.
         """
+        freq = self._freq
         mc = self._mc
-        now = cycles_to_ns(at, self._freq)
-        row_global = addr >> self._d_rowbits
-        bank = row_global % self._d_nbanks
-        arrival = now + self._d_overhead_ns
-        if self._d_refresh_lat_ns > 0.0:
-            phase = arrival % self._d_refresh_int_ns
-            if phase < self._d_refresh_lat_ns:
-                mc[_D_REFRESH] += 1
-                arrival += self._d_refresh_lat_ns - phase
-        busy = self._d_busy
-        debt = self._d_debt
-        if debt[bank] > 0.0:
-            idle_gap = arrival - busy[bank]
-            if idle_gap < 0.0:
-                idle_gap = 0.0
-            drained = debt[bank] if debt[bank] < idle_gap else idle_gap
-            debt[bank] -= drained
-            busy[bank] += drained
-        mc[_D_ACC] += 1
-        if is_write:
-            mc[_D_WR] += 1
-            if self._d_wbpb > 0:
-                debt[bank] += self._d_wserv_ns
-                mc[_D_BUF_WR] += 1
-                if debt[bank] > self._d_wcap_ns:
-                    start = arrival if arrival > busy[bank] else busy[bank]
-                    busy[bank] = start + debt[bank]
-                    debt[bank] = 0.0
-                    mc[_D_DRAIN] += 1
-                return 0.0
-        queue_wait = busy[bank] - arrival
-        if queue_wait < 0.0:
-            queue_wait = 0.0
-        start = arrival + queue_wait
-        row = row_global // self._d_nbanks
-        open_rows = self._d_open
-        open_row = open_rows[bank]
-        if open_row == row:
-            mc[_D_ROW_HIT] += 1
-            array_lat = self._d_tcas_ns
-        elif open_row == -1:
-            mc[_D_ROW_CLOSED] += 1
-            array_lat = self._d_trcd_ns + self._d_tcas_ns
-            self._d_act[bank] = start
-        else:
-            mc[_D_ROW_CONFLICT] += 1
-            ras_wait = (self._d_act[bank] + self._d_tras_ns) - start
-            if ras_wait < 0.0:
-                ras_wait = 0.0
-            array_lat = (ras_wait + self._d_trp_ns + self._d_trcd_ns
-                         + self._d_tcas_ns)
-            self._d_act[bank] = start + ras_wait + self._d_trp_ns
-        done = start + array_lat + self._d_qserv_ns
-        if self._d_row_open:
-            open_rows[bank] = row
-            busy[bank] = done
-        else:
-            open_rows[bank] = -1
-            busy[bank] = done + self._d_trp_ns
-        dlat = (done + self._d_bus_ns) - now
+        counts = self._dh_counts
         stats = self._dh_stats
-        self._dh_counts[bisect_right(self._dh_edges, dlat)] += 1
-        stats[0] += 1
-        stats[1] += dlat
-        if dlat < stats[2]:
-            stats[2] = dlat
-        if dlat > stats[3]:
-            stats[3] = dlat
-        return dlat
+        rowbits = dram.row_bytes.bit_length() - 1
+        nbanks = dram.total_banks
+        overhead_ns = dram.controller_overhead_ns
+        refresh_int_ns = dram.refresh_interval_ns
+        refresh_lat_ns = dram.refresh_latency_ns
+        tcas_ns = dram.t_cas_ns
+        trcd_ns = dram.t_rcd_ns
+        trp_ns = dram.t_rp_ns
+        tras_ns = dram.t_ras_ns
+        qserv_ns = dram.queue_service_ns
+        bus_ns = dram.bus_transfer_ns
+        row_open = dram.row_policy == "open"
+        buffer_slots = dram.write_buffer_per_bank
+        wserv_ns = dram.t_cas_ns + dram.queue_service_ns
+        wcap_ns = dram.write_buffer_per_bank * wserv_ns
+        open_rows: List[int] = [-1] * nbanks
+        busy: List[float] = [0.0] * nbanks
+        act: List[float] = [-1e18] * nbanks
+        debt: List[float] = [0.0] * nbanks
+
+        def access(addr: int, at: int,
+                   is_write: bool) -> Tuple[float, int, str]:
+            now = cycles_to_ns(at, freq)
+            row_global = addr >> rowbits
+            bank = row_global % nbanks
+            arrival = now + overhead_ns
+            if refresh_lat_ns > 0.0:
+                phase = arrival % refresh_int_ns
+                if phase < refresh_lat_ns:
+                    mc[_D_REFRESH] += 1
+                    arrival += refresh_lat_ns - phase
+            if debt[bank] > 0.0:
+                idle_gap = arrival - busy[bank]
+                if idle_gap < 0.0:
+                    idle_gap = 0.0
+                drained = debt[bank] if debt[bank] < idle_gap else idle_gap
+                debt[bank] -= drained
+                busy[bank] += drained
+            mc[_D_ACC] += 1
+            if is_write:
+                mc[_D_WR] += 1
+                if buffer_slots > 0:
+                    debt[bank] += wserv_ns
+                    mc[_D_BUF_WR] += 1
+                    if debt[bank] > wcap_ns:
+                        start = arrival if arrival > busy[bank] else busy[bank]
+                        busy[bank] = start + debt[bank]
+                        debt[bank] = 0.0
+                        mc[_D_DRAIN] += 1
+                    return 0.0, bank, ""
+            queue_wait = busy[bank] - arrival
+            if queue_wait < 0.0:
+                queue_wait = 0.0
+            start = arrival + queue_wait
+            row = row_global // nbanks
+            open_row = open_rows[bank]
+            if open_row == row:
+                mc[_D_ROW_HIT] += 1
+                kind = ROW_HIT
+                array_lat = tcas_ns
+            elif open_row == -1:
+                mc[_D_ROW_CLOSED] += 1
+                kind = ROW_CLOSED
+                array_lat = trcd_ns + tcas_ns
+                act[bank] = start
+            else:
+                mc[_D_ROW_CONFLICT] += 1
+                kind = ROW_CONFLICT
+                ras_wait = (act[bank] + tras_ns) - start
+                if ras_wait < 0.0:
+                    ras_wait = 0.0
+                array_lat = ras_wait + trp_ns + trcd_ns + tcas_ns
+                act[bank] = start + ras_wait + trp_ns
+            done = start + array_lat + qserv_ns
+            if row_open:
+                open_rows[bank] = row
+                busy[bank] = done
+            else:
+                open_rows[bank] = -1
+                busy[bank] = done + trp_ns
+            dlat = (done + bus_ns) - now
+            counts[bisect_right(edges, dlat)] += 1
+            stats[0] += 1
+            stats[1] += dlat
+            if dlat < stats[2]:
+                stats[2] = dlat
+            if dlat > stats[3]:
+                stats[3] = dlat
+            return dlat, bank, kind
+
+        return access

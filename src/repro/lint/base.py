@@ -15,6 +15,23 @@ from typing import Dict, FrozenSet, List, Optional, Tuple, Type
 from repro.lint.findings import Finding, Severity
 
 _DISABLE_RE = re.compile(r"#\s*mapglint:\s*disable=([A-Za-z0-9_,\s]+)")
+_SOURCE_LINE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
+
+
+def split_source(source: str) -> List[str]:
+    """``source`` split into lines the way the parser numbers them.
+
+    Only ``\\r\\n``, ``\\n`` and ``\\r`` end a line (a form feed does not,
+    unlike :meth:`str.splitlines`) and each line keeps its ending, exactly
+    as ``ast.get_source_segment`` splits.  Every line number mapglint
+    reads (pragmas, finding text, call-site text) comes from this split.
+    """
+    return _SOURCE_LINE.findall(source)
+
+
+def source_lines(source: str) -> List[str]:
+    """:func:`split_source` with each line's ending removed."""
+    return [line.rstrip("\r\n") for line in split_source(source)]
 
 
 def parse_suppressions(source: str) -> Dict[int, FrozenSet[str]]:
@@ -24,7 +41,7 @@ def parse_suppressions(source: str) -> Dict[int, FrozenSet[str]]:
     summaries (interprocedural rules), so both suppression paths agree.
     """
     suppressions: Dict[int, FrozenSet[str]] = {}
-    for lineno, line in enumerate(source.splitlines(), start=1):
+    for lineno, line in enumerate(source_lines(source), start=1):
         match = _DISABLE_RE.search(line)
         if match:
             rules = frozenset(
@@ -42,7 +59,7 @@ class FileContext:
         # Normalized, forward-slash path used for scoping and reporting.
         self.norm_path = path.replace("\\", "/")
         self.source = source
-        self.lines = source.splitlines()
+        self.lines = source_lines(source)
         self.tree = tree
         self._suppressions = parse_suppressions(source)
 

@@ -83,6 +83,8 @@ import re
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
+from repro.lint.base import source_lines, split_source
+
 # ---- the effect alphabet ---------------------------------------------------
 
 ENV = "env"                    # os.environ / os.getenv reads
@@ -335,7 +337,7 @@ _MUTABLE_FACTORIES = frozenset({"dict", "list", "set", "defaultdict",
 def parse_declared_caches(source: str) -> Set[int]:
     """Line numbers carrying a ``# mapglint: declared-cache`` pragma."""
     lines: Set[int] = set()
-    for lineno, line in enumerate(source.splitlines(), start=1):
+    for lineno, line in enumerate(source_lines(source), start=1):
         if _DECLARED_CACHE_RE.search(line):
             lines.add(lineno)
     return lines
@@ -344,7 +346,7 @@ def parse_declared_caches(source: str) -> Set[int]:
 def parse_guarded_pragmas(source: str) -> Dict[int, str]:
     """``line -> lock`` for every ``# mapglint: guarded-by=<lock>`` pragma."""
     pragmas: Dict[int, str] = {}
-    for lineno, line in enumerate(source.splitlines(), start=1):
+    for lineno, line in enumerate(source_lines(source), start=1):
         match = _GUARDED_BY_RE.search(line)
         if match:
             pragmas[lineno] = match.group(1)
@@ -354,7 +356,7 @@ def parse_guarded_pragmas(source: str) -> Dict[int, str]:
 def parse_error_boundaries(source: str) -> Set[int]:
     """Line numbers carrying a ``# mapglint: error-boundary`` pragma."""
     lines: Set[int] = set()
-    for lineno, line in enumerate(source.splitlines(), start=1):
+    for lineno, line in enumerate(source_lines(source), start=1):
         if _ERROR_BOUNDARY_RE.search(line):
             lines.add(lineno)
     return lines
@@ -454,21 +456,6 @@ def _is_mutable_value(node: ast.AST) -> bool:
             target.attr if isinstance(target, ast.Attribute) else "")
         return name in _MUTABLE_FACTORIES
     return False
-
-
-_SOURCE_LINE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
-
-
-def split_source(source: str) -> List[str]:
-    """``source`` split into lines the way the parser numbers them.
-
-    Only ``\\r\\n``, ``\\n`` and ``\\r`` end a line (a form feed does not,
-    unlike :meth:`str.splitlines`) and each line keeps its ending, exactly
-    as ``ast.get_source_segment`` splits.  Phase 1 splits each module once
-    and slices call-site text from the result: ``get_source_segment``
-    re-splits the whole module per call, which made phase 1 quadratic.
-    """
-    return _SOURCE_LINE.findall(source)
 
 
 def line_at(lines: List[str], line: int) -> str:

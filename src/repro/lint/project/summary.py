@@ -15,9 +15,9 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
+from repro.lint.base import split_source
 from repro.lint.project.effects import (
-    ModuleEffects, dotted_name, extract_module_effects, line_at,
-    split_source)
+    ModuleEffects, dotted_name, extract_module_effects, line_at)
 
 @dataclass(frozen=True)
 class CallSite:

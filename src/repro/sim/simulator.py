@@ -31,9 +31,9 @@ from repro.errors import SimulationError
 from repro.memory.dram import Dram
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.obs.spans import NULL_RECORDER, NullRecorder
-from repro.power.gating import SleepTransistorNetwork
+from repro.power.gating import GatingCircuit, SleepTransistorNetwork
 from repro.power.model import CorePowerModel, PowerState
-from repro.power.technology import get_technology
+from repro.power.technology import TechnologyNode, get_technology
 from repro.power.temperature import NOMINAL_TEMPERATURE_C
 from repro.predict.table import make_predictor
 from repro.sim.results import SimulationResult
@@ -42,7 +42,7 @@ from repro.units import NS, seconds_to_cycles_ceil
 
 
 from dataclasses import dataclass, field
-from typing import Tuple
+from typing import Dict, Tuple
 
 
 @dataclass(frozen=True)
@@ -84,6 +84,25 @@ def static_offchip_latency_cycles(config: SystemConfig) -> int:
     return seconds_to_cycles_ceil(total_ns * NS, config.core.frequency_hz)
 
 
+# Characterizing the circuit runs two 80-step bisections; every input is
+# frozen or a number, so each (node, temperature, clock, pipeline depth)
+# is characterized once per process and its circuit shared.
+_CIRCUITS: Dict[Tuple[TechnologyNode, float, float, int], GatingCircuit] = {}  # mapglint: declared-cache
+
+
+def characterized_circuit(tech: TechnologyNode, temperature_c: float,
+                          frequency_hz: float,
+                          pipeline_depth: int) -> GatingCircuit:
+    """The gating circuit of ``tech`` at one operating point, memoized."""
+    key = (tech, temperature_c, frequency_hz, pipeline_depth)
+    circuit = _CIRCUITS.get(key)
+    if circuit is None:
+        network = SleepTransistorNetwork(tech, temperature_c=temperature_c)
+        circuit = network.characterize(frequency_hz, pipeline_depth)
+        _CIRCUITS[key] = circuit
+    return circuit
+
+
 class Simulator:
     """One core domain: replay, gate, and account."""
 
@@ -109,9 +128,9 @@ class Simulator:
         # controller's BET (and the rail-decay energetics) track how leaky
         # the silicon actually is — on cool silicon the BET grows and MAPG
         # correctly gates less (F10).
-        network = SleepTransistorNetwork(tech, temperature_c=temperature_c)
-        self.circuit = network.characterize(
-            config.core.frequency_hz, config.core.pipeline_depth)
+        self.circuit = characterized_circuit(
+            tech, temperature_c, config.core.frequency_hz,
+            config.core.pipeline_depth)
         self.power_model = CorePowerModel(self.circuit, temperature_c)
         self.analyzer = BreakEvenAnalyzer(self.circuit, config.gating)
 

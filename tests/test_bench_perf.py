@@ -48,10 +48,13 @@ def _cache(cold_s=1.1, warm_s=0.007, oracle_s=5.7, identical=True,
 
 
 def _pool(pool_s=4.4, inline_s=5.9, cpus=2, pool_mode="pool",
-          identical=True):
-    row = {"cells": 8, "num_ops": 187_500, "cpus": cpus, "pool_s": pool_s,
-           "pool_mode": pool_mode, "inline_s": inline_s,
-           "inline_mode": "serial", "identical": identical}
+          identical=True, speedups=None):
+    if speedups is None:
+        speedups = [inline_s / pool_s] * 3
+    row = {"cells": 8, "num_ops": 187_500, "cpus": cpus,
+           "pool_s": [pool_s] * 3, "pool_mode": pool_mode,
+           "inline_s": [inline_s] * 3, "speedups": speedups,
+           "identical": identical}
     if cpus < 2:
         row["floor_skipped"] = f"{cpus} CPU: the runner cannot start two workers"
     return row
@@ -93,6 +96,17 @@ class TestFloors:
         assert floors["fast / oracle speedup"] >= 1.33
         assert floors["pool / inline speedup"] >= 1.0
         assert floors["warm / cold cache speedup"] >= 32
+
+    @pytest.mark.parametrize("speedups,ok", [
+        ([0.9986, 1.30, 1.48], True),  # one pass slowed by a neighbour
+        ([1.30, 0.9986, 0.95], False),
+    ])
+    def test_pool_floor_reads_the_median_pair(self, speedups, ok):
+        code, records, __ = bench_perf.gate(_document(), _cache(),
+                                            _pool(speedups=speedups))
+        (record,) = [r for r in records if r["name"] == "pool / inline speedup"]
+        assert record["observed"] == sorted(speedups)[1]
+        assert (record["ok"], code) == (ok, 0 if ok else 1)
 
     def test_one_cpu_host_records_the_pool_row_without_its_floor(self):
         pool = _pool(pool_s=6.5, cpus=1, pool_mode="serial")

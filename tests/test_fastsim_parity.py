@@ -35,7 +35,7 @@ from repro.fastsim import (
 from repro.memory.dram import Dram
 from repro.power.technology import TECHNOLOGY_NODES
 from repro.predict.table import HistoryTablePredictor
-from repro.sim.runner import run_workload, with_policy
+from repro.sim.runner import run_policy_comparison, run_workload, with_policy
 from repro.sim import simulator as simulator_module
 from repro.sim.simulator import Simulator
 from repro.trace.format import ComputeBlock, MemoryAccess
@@ -443,6 +443,135 @@ class TestPrefetcher:
                             run_on_the_kernel)
         bench_f11_prefetch.build_report()
         assert prefetching.count(True) == 2 * len(bench_f11_prefetch.WORKLOADS)
+
+
+def with_l1(config, **l1):
+    return config.replace(l1=dataclasses.replace(config.l1, **l1))
+
+
+#: Cells whose L1 tag outcomes the kernel takes from the L1 pass: a
+#: direct-mapped L1 on a windowed core (in-flight lines are evicted and
+#: touched again), a write-through L1 (writes never dirty a line) and a
+#: blocking core with MLP overlap (jumps over hits between shortened
+#: stalls).
+L1_CELLS = {
+    "direct-mapped-windowed": with_window(
+        with_l1(with_policy(SystemConfig(), "mapg"), associativity=1), 4),
+    "write-through": with_l1(with_policy(SystemConfig(), "mapg_adaptive"),
+                             write_back=False),
+    "mlp-overlap": with_policy(SystemConfig(), "mapg").replace(
+        core=dataclasses.replace(SystemConfig().core, mlp_overlap=0.5)),
+}
+
+
+class TestL1Pass:
+    """The L1 tag outcomes come from one memoized pass per trace region."""
+
+    @pytest.mark.parametrize("cell", sorted(L1_CELLS))
+    @pytest.mark.parametrize("profile", ("mcf_like", "gcc_like",
+                                         "milc_like"))
+    def test_cells_match_the_oracle(self, cell, profile):
+        for warmup in (0, 300):
+            assert_identical(L1_CELLS[cell], profile, 1500, seed=7,
+                             warmup_ops=warmup)
+
+    def test_merge_on_a_tag_miss_counts_its_victim_without_writing_it(self):
+        # A and B share a direct-mapped set.  B evicts the dirty in-flight
+        # A (written back); A's return misses the tags and merges into its
+        # own fill, evicting the dirty B, which is counted, not written.
+        a, b = 0, 32 * 1024
+        ops = [MemoryAccess(address=a, pc=0x40, is_write=True),
+               MemoryAccess(address=b, pc=0x44, is_write=True),
+               MemoryAccess(address=a, pc=0x48)]
+        config = L1_CELLS["direct-mapped-windowed"]
+        oracle = Simulator(config, workload="fuzz").run(iter(ops))
+        fast = FastSimulator(config, workload="fuzz").run(ColumnarTrace(ops))
+        assert canonical(fast) == canonical(oracle)
+        counters = oracle.memory_counters
+        assert (counters["l1_misses"], counters["l1_mshr_merges"],
+                counters["l1_writebacks"], counters["writebacks"]) == \
+            (3, 1, 2, 1)
+
+    def test_window_full_stall_then_only_hits(self):
+        # The third miss stalls on the oldest; a long compute run lets its
+        # own fill complete, so the loop jumps over the closing hit to the
+        # region's end and must register that miss on the way, as the
+        # hit's issue does on the oracle, for the end to retire it.
+        ops = [MemoryAccess(address=address, pc=pc)
+               for address, pc in ((7044912, 4160), (3648, 4224),
+                                   (256600, 4228))]
+        ops += [ComputeBlock(instructions=4000),
+                MemoryAccess(address=3648, pc=4232)]
+        config = with_window(with_policy(SystemConfig(), "naive"), 2)
+        oracle = Simulator(config, workload="fuzz")
+        fast = FastSimulator(config, workload="fuzz")
+        assert canonical(fast.run(ColumnarTrace(ops))) == \
+            canonical(oracle.run(iter(ops)))
+        assert core_state(fast.sim.core) == core_state(oracle.core)
+        counters, outstanding, __ = core_state(oracle.core)
+        assert counters["hidden_misses"] == 2 and not outstanding
+
+    def test_run_on_a_trace_that_is_not_the_warmup_pair(self):
+        config = with_window(with_policy(SystemConfig(), "mapg"), 2)
+        store = shared_columnar_store()
+        warm, __ = store.traces("gcc_like", 800, seed=3, warmup_ops=500)
+        __, measured = store.traces("mcf_like", 1200, seed=4, warmup_ops=0)
+        oracle = Simulator(config, workload="mix")
+        fast = FastSimulator(config, workload="mix")
+        oracle.warm_up(warm.ops())
+        fast.warm_up(warm)
+        assert canonical(fast.run(measured)) == \
+            canonical(oracle.run(measured.ops()))
+
+    def test_one_trace_after_different_warmups(self):
+        # Both cells replay one measured region; its pass must start from
+        # each cell's own L1 tags, not from whichever ran first.
+        config = with_policy(SystemConfig(), "mapg")
+        store = shared_columnar_store()
+        __, measured = store.traces("gcc_like", 1500, seed=2)
+        warmups = [store.traces(profile, 10, seed=2, warmup_ops=600)[0]
+                   for profile in ("gcc_like", "povray_like")]
+        results = []
+        for warm in warmups:
+            oracle = Simulator(config, workload="gcc_like")
+            fast = FastSimulator(config, workload="gcc_like")
+            oracle.warm_up(warm.ops())
+            fast.warm_up(warm)
+            expected = canonical(oracle.run(measured.ops()))
+            assert canonical(fast.run(measured)) == expected
+            results.append(expected)
+        assert results[0] != results[1]
+
+    @pytest.mark.parametrize("window", (1, 4))
+    def test_regions_with_no_memory_ops(self, window):
+        config = with_window(with_policy(SystemConfig(), "naive"), window)
+        compute = [ComputeBlock(instructions=7), ComputeBlock(instructions=3)]
+        mixed = TestRandomizedSegments._random_ops(random.Random(9), 200)
+        for warm, measured in ((compute, mixed), (mixed, compute),
+                               ([], compute)):
+            oracle = Simulator(config, workload="fuzz")
+            fast = FastSimulator(config, workload="fuzz")
+            oracle.warm_up(iter(warm))
+            fast.warm_up(ColumnarTrace(warm))
+            assert canonical(fast.run(ColumnarTrace(measured))) == \
+                canonical(oracle.run(iter(measured)))
+            if window > 1:
+                assert core_state(fast.sim.core) == core_state(oracle.core)
+
+    def test_policy_comparison_runs_the_pass_once_per_trace(
+            self, monkeypatch):
+        runs = []
+        real = ColumnarTrace._run_l1_pass
+
+        def counted(trace, *args):
+            runs.append(trace)
+            return real(trace, *args)
+
+        monkeypatch.setattr(ColumnarTrace, "_run_l1_pass", counted)
+        run_policy_comparison(SystemConfig(), ("mcf_like", "gcc_like"),
+                              ("never", "naive", "bet_guard", "mapg",
+                               "oracle"), 1000, seed=5)
+        assert len(runs) == 2 and runs[0] is not runs[1]
 
 
 #: Every MAPG tunable at its one owner: ``(owner, attribute, patched value,

@@ -216,3 +216,17 @@ class TestSuppression:
     def test_disable_other_rule_does_not_silence(self):
         source = "total = stall_cycles + wake_s  # mapglint: disable=DET01\n"
         assert rule_ids(run_lint(source)) == ["UNIT01"]
+
+    @pytest.mark.parametrize("separator", ("\x0c", "\v", "\x1c", "\x85",
+                                           "\u2028"))
+    def test_pragma_lines_are_numbered_as_the_parser_numbers_them(
+            self, separator):
+        # str.splitlines() also breaks at these characters; the parser
+        # does not, so a comment holding one must not shift the pragma.
+        pragma = "total = stall_cycles + wake_s  # mapglint: disable=UNIT01\n"
+        source = f"a = 1  # {separator} note\n" + pragma
+        assert run_lint(source, path="src/repro/sim/o.py") == []
+        bare = f"a = 1  # {separator} note\ntotal = stall_cycles + wake_s\n"
+        [finding] = run_lint(bare, path="src/repro/sim/o.py")
+        assert (finding.rule_id, finding.line) == ("UNIT01", 2)
+        assert finding.line_text == "total = stall_cycles + wake_s"

@@ -1,5 +1,7 @@
 """Tests for the end-to-end simulator and result objects."""
 
+import dataclasses
+
 import pytest
 
 from repro.config import GatingConfig, SystemConfig
@@ -24,6 +26,28 @@ class TestStaticEstimate:
         slow = config.replace(dram=config.dram.scaled(2.0))
         assert static_offchip_latency_cycles(slow) == pytest.approx(
             2 * static_offchip_latency_cycles(config), abs=2)
+
+
+class TestCircuit:
+    def test_equal_inputs_share_one_characterized_circuit(self):
+        first = Simulator(make_config("mapg"), temperature_c=70.0)
+        second = Simulator(make_config("never"), temperature_c=70.0)
+        assert second.circuit is first.circuit
+
+    def test_any_differing_input_characterizes_again(self):
+        base = Simulator(make_config(), temperature_c=70.0).circuit
+        config = make_config()
+        others = [
+            Simulator(config, temperature_c=71.0),
+            Simulator(config.replace(technology="32nm"), temperature_c=70.0),
+            Simulator(config.replace(core=dataclasses.replace(
+                config.core, frequency_hz=1.5e9)), temperature_c=70.0),
+            Simulator(config.replace(core=dataclasses.replace(
+                config.core, pipeline_depth=9)), temperature_c=70.0),
+        ]
+        circuits = [sim.circuit for sim in others]
+        assert all(circuit is not base for circuit in circuits)
+        assert len({id(circuit) for circuit in circuits}) == len(circuits)
 
 
 class TestRun:
