@@ -16,6 +16,7 @@ of pure Python; the shapes are stable well below these lengths.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import sys
@@ -91,6 +92,27 @@ def run_sweep(specs):
             write_sweep_artifacts(
                 recorder,
                 Path(_TELEMETRY_DIR) / f"sweep-{_TELEMETRY_SEQ:04d}.json")
+
+# The F2/T3 policy matrix: every profile under these policies.
+POLICIES = ["never", "naive", "bet_guard", "mapg", "oracle"]
+
+
+@functools.lru_cache(maxsize=None)
+def policy_matrix():
+    """The F2/T3 matrix, ``results[workload][policy]``, built once per process.
+
+    F2 and T3 read the same cells (every profile x :data:`POLICIES`,
+    ``FULL_OPS`` ops, seed 11), so a stock ``pytest benchmarks/``
+    simulates them once.  Callers must not mutate the returned matrix.
+    """
+    from repro.config import SystemConfig
+    from repro.sim.runner import run_policy_comparison
+    from repro.workloads import profile_names
+
+    return run_policy_comparison(
+        SystemConfig(), profile_names(), POLICIES, FULL_OPS, seed=11,
+        jobs=SWEEP_JOBS, cache=sweep_cache())
+
 
 RESULTS_DIR = Path(__file__).parent / "results"
 

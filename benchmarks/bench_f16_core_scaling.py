@@ -52,15 +52,10 @@ def build_report() -> ExperimentReport:
             savings.append(1.0 - gated.energy_j / base.energy_j)
             penalties.append(gated.total_cycles / base.total_cycles - 1.0)
         sample = never.per_core[0]
-        row_hits = sum(r.memory_counters.get("dram_row_hit", 0)
-                       for r in never.per_core.values())
-        dram_accesses = max(1, sum(r.memory_counters.get("dram_accesses", 0)
-                                   for r in never.per_core.values()))
         # The DRAM is shared: every core's counters alias the same device,
         # so read it once from core 0 instead of summing.
         row_rate = (sample.memory_counters.get("dram_row_hit", 0)
                     / max(1, sample.memory_counters.get("dram_accesses", 1)))
-        del row_hits, dram_accesses
         report.add_row(
             cores,
             f"{stall_cycles / stall_count:.0f}",

@@ -7,22 +7,16 @@ workloads but pays a large wake-latency penalty; MAPG keeps the savings at
 a small fraction of naive's penalty; oracle bounds both.
 """
 
-from _common import FULL_OPS, SWEEP_JOBS, emit, run_once, sweep_cache
+from _common import POLICIES, emit, policy_matrix, run_once
 
 from repro.analysis.energy import summarize_comparisons
 from repro.analysis.report import ExperimentReport
 from repro.analysis.tables import format_fraction_pct
-from repro.config import SystemConfig
-from repro.sim.runner import run_policy_comparison
 from repro.workloads import profile_names
-
-POLICIES = ["never", "naive", "bet_guard", "mapg", "oracle"]
 
 
 def build_report() -> ExperimentReport:
-    matrix = run_policy_comparison(
-        SystemConfig(), profile_names(), POLICIES, FULL_OPS, seed=11,
-        jobs=SWEEP_JOBS, cache=sweep_cache())
+    matrix = policy_matrix()
     comparisons = summarize_comparisons(matrix)
     report = ExperimentReport(
         "F2", "Energy saving / performance penalty vs never-gate baseline",

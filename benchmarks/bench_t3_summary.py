@@ -6,7 +6,7 @@ magnitude lower penalty than naive; its geometric-mean EDP ratio is the
 best of the realizable policies.
 """
 
-from _common import FULL_OPS, SWEEP_JOBS, emit, run_once, sweep_cache
+from _common import POLICIES, emit, policy_matrix, run_once
 
 from repro.analysis.energy import (
     geomean_edp_ratio,
@@ -16,17 +16,11 @@ from repro.analysis.energy import (
 )
 from repro.analysis.report import ExperimentReport
 from repro.analysis.tables import format_fraction_pct
-from repro.config import SystemConfig
-from repro.sim.runner import run_policy_comparison
 from repro.workloads import profile_names
-
-POLICIES = ["never", "naive", "bet_guard", "mapg", "oracle"]
 
 
 def build_report() -> ExperimentReport:
-    matrix = run_policy_comparison(
-        SystemConfig(), profile_names(), POLICIES, FULL_OPS, seed=11,
-        jobs=SWEEP_JOBS, cache=sweep_cache())
+    matrix = policy_matrix()
     comparisons = summarize_comparisons(matrix)
     report = ExperimentReport(
         "T3", "Summary over all workloads (vs never-gate baseline)",

@@ -151,8 +151,8 @@ class Core:
             if pending_busy:
                 yield BusySegment(pending_busy)
                 pending_busy = 0
-            dram_kind = result.dram.kind if result.dram is not None else None
-            bank = result.dram.bank if result.dram is not None else -1
+            __, bank, dram_kind = (result.dram if result.dram is not None
+                                   else (0.0, -1, None))
             yield StallSegment(
                 cycles=stall_cycles,
                 off_chip=result.off_chip,

@@ -125,8 +125,8 @@ class WindowedCore(Core):
 
             # Off-chip miss: register it; stall only if the window is full.
             completion = self._cycle + max(0, result.total_cycles - l1_latency)
-            kind = result.dram.kind if result.dram is not None else ""
-            bank = result.dram.bank if result.dram is not None else -1
+            __, bank, kind = (result.dram if result.dram is not None
+                              else (0.0, -1, ""))
             if len(self._outstanding) < window:
                 self._outstanding.append((completion, self._cycle, op.pc,
                                           bank, kind))

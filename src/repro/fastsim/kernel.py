@@ -26,13 +26,14 @@ oracle computes is reproduced with the same operands in the same order:
 
 * interval energy accumulates as ``state_power * (cycles / f)`` per
   interval, in event order, into one accumulator per power state;
-* DRAM bank timing runs the oracle's nanosecond arithmetic term by term
-  in one closure (:meth:`FastSimulator._dram_for`) for demand reads,
-  writebacks and prefetches, with cycle<->ns conversions through the
-  same :mod:`repro.units` helpers the hierarchy calls;
-* the MAPG rules are not copied: the kernel calls the real objects'
-  own methods — the table's ``lookup`` and its entry's ``observe``,
-  ``MapgPolicy.plan_gate`` and ``observe_fallback``,
+* DRAM timing is not copied: demand reads, writebacks and prefetches
+  call the hierarchy's own :class:`~repro.memory.dram.Dram` ``access``,
+  with cycle<->ns conversions through the same :mod:`repro.units`
+  helpers the hierarchy calls, so bank state and DRAM counters live on
+  that ``Dram``;
+* the MAPG rules are not copied either: the kernel calls the real
+  objects' own methods — the table's ``lookup`` and its entry's
+  ``observe``, ``MapgPolicy.plan_gate`` and ``observe_fallback``,
   ``AdaptiveMapgPolicy.adapt`` — the same code the oracle's
   ``decide``/``observe``/``feedback`` run — feeds prediction errors to
   the controller's own ``RunningMean`` streams, and resolves gated stalls
@@ -55,21 +56,21 @@ deque and the same ``hidden_misses`` count.
 
 The stride prefetcher is trained by owner-call too: each L2 access calls
 the hierarchy's own ``StridePrefetcher.train`` and fills its targets
-through the kernel's L2 tag and MSHR state and the DRAM helper the
-writebacks use, scoring useful and late prefetches against the
-hierarchy's own prefetched-line set (:meth:`FastSimulator._prefetch`).
+through the kernel's L2 tag and MSHR state and the hierarchy's ``Dram``,
+scoring useful and late prefetches against the hierarchy's own
+prefetched-line set (:meth:`FastSimulator._prefetch`).
 
-Architectural state (the L2 tags as insertion-ordered per-set dicts whose
-order provably equals the oracle's LRU stacks, the L1 tags as the last
-region's :class:`~repro.fastsim.columnar.L1Pass`, MSHR fill maps with the
-oracle's eager expiry replayed at the same call points, DRAM bank state)
-lives privately on the kernel and persists across the warmup/measure
-boundary; *measurement* state accumulates in locals and is flushed into
-the wrapped simulator's real objects at region end — counters through
+Cache architectural state (the L2 tags as insertion-ordered per-set
+dicts whose order provably equals the oracle's LRU stacks, the L1 tags as
+the last region's :class:`~repro.fastsim.columnar.L1Pass`, MSHR fill maps
+with the oracle's eager expiry replayed at the same call points) lives
+privately on the kernel and persists across the warmup/measure boundary;
+*measurement* state accumulates in locals and is flushed into the
+wrapped simulator's real objects at region end — counters through
 ``CounterSet.add``, ledger totals through
 :meth:`~repro.core.energy.EnergyLedger.add_batch` (the batch entry point,
-so ledger internals stay owned by ``repro/core/energy.py``), histograms
-by direct state transplant into the freshly-reset objects.
+so ledger internals stay owned by ``repro/core/energy.py``), the stall
+histogram by direct state transplant into the freshly-reset object.
 ``Simulator.reset_measurements()`` and ``Simulator.result()`` then run
 unmodified, so the result path is shared with the oracle.
 
@@ -87,9 +88,9 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_right
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.config import DramConfig, SystemConfig
+from repro.config import SystemConfig
 from repro.core.adaptive import AdaptiveMapgPolicy
 from repro.core.policies import GatingPolicy, MapgPolicy, NeverPolicy
 from repro.core.token import TokenArbiter
@@ -97,7 +98,7 @@ from repro.core.wakeup import WakeupPlan, wakeup_timeline
 from repro.cpu.core import MLP_WINDOW_CYCLES
 from repro.errors import SimulationError
 from repro.fastsim.columnar import ColumnarTrace, L1Pass
-from repro.memory.dram import ROW_CLOSED, ROW_CONFLICT, ROW_HIT, Dram
+from repro.memory.dram import Dram
 from repro.obs.spans import NullRecorder
 from repro.power.model import PowerState
 from repro.power.temperature import NOMINAL_TEMPERATURE_C
@@ -117,10 +118,8 @@ _NEVER = sys.maxsize
 _H_ACC, _H_L1_MERGE, _H_L1_STALL, _H_L2_MERGE, _H_L2_STALL, _H_WB = range(6)
 _L1_ACC, _L1_WR, _L1_HIT, _L1_MISS, _L1_WB = range(6, 11)
 _L2_ACC, _L2_WR, _L2_HIT, _L2_MISS, _L2_WB = range(11, 16)
-(_D_ACC, _D_ROW_HIT, _D_ROW_CLOSED, _D_ROW_CONFLICT, _D_WR, _D_BUF_WR,
- _D_DRAIN, _D_REFRESH) = range(16, 24)
-_PF_FILL, _PF_REDUNDANT, _PF_DROPPED, _PF_USEFUL, _PF_LATE = range(24, 29)
-_MC_SLOTS = 29
+_PF_FILL, _PF_REDUNDANT, _PF_DROPPED, _PF_USEFUL, _PF_LATE = range(16, 21)
+_MC_SLOTS = 21
 
 _MISSING = object()
 
@@ -251,18 +250,11 @@ class FastSimulator:
         self._l2m: Dict[int, int] = {}
         self._l2mi: Dict[int, int] = {}
         self._l2m_min: float = _INF
-        # Memory counters (flushed and zeroed per region), the off-chip
-        # stall histogram's edges, and the DRAM: its timing and bank state
-        # live in the closure that times every access (_dram_for), its
-        # latency histogram in `_dh_counts` and `_dh_stats` ([n, sum, min,
-        # max]), zeroed in place per region.  Edge tables are identical
-        # floats to the oracle's, taken from freshly built instances.
+        # Memory counters (flushed and zeroed per region) and the off-chip
+        # stall histogram's edges (identical floats to the oracle's, taken
+        # from a freshly built instance).
         self._mc = [0] * _MC_SLOTS
         self._sh_edges = list(sim.stall_histogram._edges)
-        dh_edges = list(sim.hierarchy.dram.latency_histogram._edges)
-        self._dh_counts = [0] * (len(dh_edges) + 1)
-        self._dh_stats: List[Any] = [0, 0.0, _INF, -_INF]
-        self._dram_access = self._dram_for(config.dram, dh_edges)
         # Energy: per-state powers and the circuit clock, hoisted.
         powers = sim.power_model.state_power_table()
         self._p_active = powers[PowerState.ACTIVE]
@@ -345,7 +337,8 @@ class FastSimulator:
         ceil_ = math.ceil
         ceil_eps = CYCLE_CEIL_EPSILON
         wb_l2 = self._wb_l2
-        dram_access = self._dram_access
+        dram_access = sim.hierarchy.dram.access
+        to_ns = cycles_to_ns
         # The stride prefetcher (inline MemoryHierarchy._run_prefetcher):
         # one falsy test per L2 access when it is off.
         prefetch = (self._prefetch if sim.hierarchy.prefetcher is not None
@@ -633,7 +626,8 @@ class FastSimulator:
                         else:
                             wait2 = 0
                             issue2 = issue
-                        dlat, bank, kind = dram_access(addr, issue2, False)
+                        dlat, bank, kind = dram_access(
+                            addr, to_ns(issue2, freq))
                         # seconds_to_cycles_ceil(dlat * NS, freq), inlined.
                         below = (wait2 + l2_lat
                                  + int(ceil_(dlat * NS * freq - ceil_eps)))
@@ -657,7 +651,7 @@ class FastSimulator:
                             l2m_min = fillc2
                         if wb2 is not None:
                             h_wb += 1
-                            dram_access(wb2, issue2, True)
+                            dram_access(wb2, to_ns(issue2, freq), True)
                         off = True
 
                     total = wait1 + l1_lat + below
@@ -962,28 +956,14 @@ class FastSimulator:
             ("accesses", mc[_L2_ACC]), ("writes", mc[_L2_WR]),
             ("hits", mc[_L2_HIT]), ("misses", mc[_L2_MISS]),
             ("writebacks", mc[_L2_WB])))
-        self._flush_counters(hierarchy.dram.counters, (
-            ("accesses", mc[_D_ACC]), (ROW_HIT, mc[_D_ROW_HIT]),
-            (ROW_CLOSED, mc[_D_ROW_CLOSED]),
-            (ROW_CONFLICT, mc[_D_ROW_CONFLICT]),
-            ("writes", mc[_D_WR]), ("buffered_writes", mc[_D_BUF_WR]),
-            ("write_buffer_drains", mc[_D_DRAIN]),
-            ("refresh_collisions", mc[_D_REFRESH])))
-
-        # Histograms: transplant into the (fresh-per-region) real objects.
+        # The stall histogram: transplant into the (fresh-per-region) real
+        # object.
         sh = sim.stall_histogram
         sh._counts = sh_counts
         sh._n = sh_n
         sh._sum = sh_sum
         sh._min = sh_min
         sh._max = sh_max
-        dh = hierarchy.dram.latency_histogram
-        dh_counts = self._dh_counts
-        dh_stats = self._dh_stats
-        dh._counts = dh_counts[:]
-        dh._n, dh._sum, dh._min, dh._max = dh_stats
-        dh_counts[:] = [0] * len(dh_counts)
-        dh_stats[:] = [0, 0.0, _INF, -_INF]
 
         self._flush_counters(controller.counters, (
             ("offchip_stalls", n_off), ("offchip_stall_cycles", off_cyc),
@@ -1006,8 +986,8 @@ class FastSimulator:
             if count:
                 add(name, count)
 
-    # ---- descents off the inlined L1/L2 path (victim writebacks,
-    # prefetches and every DRAM access) ----------------------------------------
+    # ---- descents off the inlined L1/L2 path (victim writebacks and
+    # prefetches) --------------------------------------------------------------
 
     def _l2_tag_access(self, addr: int,
                        is_write: bool) -> Tuple[bool, Optional[int]]:
@@ -1041,7 +1021,8 @@ class FastSimulator:
         hit, wb = self._l2_tag_access(addr, True)
         if not hit and wb is not None:
             self._mc[_H_WB] += 1
-            self._dram_access(wb, issue, True)
+            self.sim.hierarchy.dram.access(
+                wb, cycles_to_ns(issue, self._freq), True)
 
     def _prefetch(self, pc: int, addr: int, issue: int,
                   l2m_min: float) -> float:
@@ -1063,6 +1044,7 @@ class FastSimulator:
         mask = self._l2_mask
         idx_bits = self._l2_idx_bits
         lines = hierarchy._prefetched_lines
+        dram_access = hierarchy.dram.access
         for target in hierarchy.prefetcher.train(pc, addr):
             block = target >> off
             if block in l2m or (block >> idx_bits) in l2_sets[block & mask]:
@@ -1072,15 +1054,16 @@ class FastSimulator:
                 mc[_PF_DROPPED] += 1
                 continue
             line = block << off
+            now_ns = cycles_to_ns(issue, self._freq)
             fill = issue + seconds_to_cycles_ceil(
-                self._dram_access(line, issue, False)[0] * NS, self._freq)
+                dram_access(line, now_ns)[0] * NS, self._freq)
             l2m[block] = fill
             self._l2mi[block] = issue
             if fill < l2m_min:
                 l2m_min = fill
             __, wb = self._l2_tag_access(line, False)
             if wb is not None:
-                self._dram_access(wb, issue, True)
+                dram_access(wb, now_ns, True)
             mc[_PF_FILL] += 1
             if len(lines) >= hierarchy._PREFETCH_TRACK_LIMIT:
                 lines.pop(next(iter(lines)))
@@ -1094,112 +1077,3 @@ class FastSimulator:
                 if merge:
                     mc[_PF_LATE] += 1
         return l2m_min
-
-    def _dram_for(self, dram: DramConfig, edges: List[float]
-                  ) -> Callable[[int, int, bool], Tuple[float, int, str]]:
-        """Inlined ``Dram.access`` for one DRAM, as a closure over its state.
-
-        The closure times demand reads, writebacks and prefetch reads
-        issued at cycle ``at`` and returns the latency in ns (a buffered
-        write's, which the oracle discards, as 0.0), the bank and the
-        row-buffer outcome.  Counters and latency stats accumulate in the
-        kernel's ``_mc`` slots and ``_dh_counts`` / ``_dh_stats``, in
-        oracle (chronological) order.  The timing constants and the bank
-        state are closure cells, which read as cheaply as the replay
-        loop's locals.
-        """
-        freq = self._freq
-        mc = self._mc
-        counts = self._dh_counts
-        stats = self._dh_stats
-        rowbits = dram.row_bytes.bit_length() - 1
-        nbanks = dram.total_banks
-        overhead_ns = dram.controller_overhead_ns
-        refresh_int_ns = dram.refresh_interval_ns
-        refresh_lat_ns = dram.refresh_latency_ns
-        tcas_ns = dram.t_cas_ns
-        trcd_ns = dram.t_rcd_ns
-        trp_ns = dram.t_rp_ns
-        tras_ns = dram.t_ras_ns
-        qserv_ns = dram.queue_service_ns
-        bus_ns = dram.bus_transfer_ns
-        row_open = dram.row_policy == "open"
-        buffer_slots = dram.write_buffer_per_bank
-        wserv_ns = dram.t_cas_ns + dram.queue_service_ns
-        wcap_ns = dram.write_buffer_per_bank * wserv_ns
-        open_rows: List[int] = [-1] * nbanks
-        busy: List[float] = [0.0] * nbanks
-        act: List[float] = [-1e18] * nbanks
-        debt: List[float] = [0.0] * nbanks
-
-        def access(addr: int, at: int,
-                   is_write: bool) -> Tuple[float, int, str]:
-            now = cycles_to_ns(at, freq)
-            row_global = addr >> rowbits
-            bank = row_global % nbanks
-            arrival = now + overhead_ns
-            if refresh_lat_ns > 0.0:
-                phase = arrival % refresh_int_ns
-                if phase < refresh_lat_ns:
-                    mc[_D_REFRESH] += 1
-                    arrival += refresh_lat_ns - phase
-            if debt[bank] > 0.0:
-                idle_gap = arrival - busy[bank]
-                if idle_gap < 0.0:
-                    idle_gap = 0.0
-                drained = debt[bank] if debt[bank] < idle_gap else idle_gap
-                debt[bank] -= drained
-                busy[bank] += drained
-            mc[_D_ACC] += 1
-            if is_write:
-                mc[_D_WR] += 1
-                if buffer_slots > 0:
-                    debt[bank] += wserv_ns
-                    mc[_D_BUF_WR] += 1
-                    if debt[bank] > wcap_ns:
-                        start = arrival if arrival > busy[bank] else busy[bank]
-                        busy[bank] = start + debt[bank]
-                        debt[bank] = 0.0
-                        mc[_D_DRAIN] += 1
-                    return 0.0, bank, ""
-            queue_wait = busy[bank] - arrival
-            if queue_wait < 0.0:
-                queue_wait = 0.0
-            start = arrival + queue_wait
-            row = row_global // nbanks
-            open_row = open_rows[bank]
-            if open_row == row:
-                mc[_D_ROW_HIT] += 1
-                kind = ROW_HIT
-                array_lat = tcas_ns
-            elif open_row == -1:
-                mc[_D_ROW_CLOSED] += 1
-                kind = ROW_CLOSED
-                array_lat = trcd_ns + tcas_ns
-                act[bank] = start
-            else:
-                mc[_D_ROW_CONFLICT] += 1
-                kind = ROW_CONFLICT
-                ras_wait = (act[bank] + tras_ns) - start
-                if ras_wait < 0.0:
-                    ras_wait = 0.0
-                array_lat = ras_wait + trp_ns + trcd_ns + tcas_ns
-                act[bank] = start + ras_wait + trp_ns
-            done = start + array_lat + qserv_ns
-            if row_open:
-                open_rows[bank] = row
-                busy[bank] = done
-            else:
-                open_rows[bank] = -1
-                busy[bank] = done + trp_ns
-            dlat = (done + bus_ns) - now
-            counts[bisect_right(edges, dlat)] += 1
-            stats[0] += 1
-            stats[1] += dlat
-            if dlat < stats[2]:
-                stats[2] = dlat
-            if dlat > stats[3]:
-                stats[3] = dlat
-            return dlat, bank, kind
-
-        return access

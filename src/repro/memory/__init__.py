@@ -1,7 +1,7 @@
 """Memory substrate: set-associative caches, MSHRs, DRAM, and the hierarchy."""
 
 from repro.memory.cache import Cache, CacheAccessResult
-from repro.memory.dram import Dram, DramAccessResult, ROW_CLOSED, ROW_CONFLICT, ROW_HIT
+from repro.memory.dram import Dram, ROW_CLOSED, ROW_CONFLICT, ROW_HIT
 from repro.memory.hierarchy import AccessResult, MemoryHierarchy
 from repro.memory.mshr import Mshr, MshrEntry
 
@@ -9,7 +9,6 @@ __all__ = [
     "Cache",
     "CacheAccessResult",
     "Dram",
-    "DramAccessResult",
     "ROW_HIT",
     "ROW_CLOSED",
     "ROW_CONFLICT",

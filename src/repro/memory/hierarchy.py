@@ -23,11 +23,11 @@ Modeling choices (documented because they shape the evaluation):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.config import CacheConfig, DramConfig
 from repro.memory.cache import Cache
-from repro.memory.dram import Dram, DramAccessResult
+from repro.memory.dram import Dram
 from repro.memory.mshr import Mshr
 from repro.memory.prefetch import PrefetcherConfig, StridePrefetcher
 from repro.obs.spans import NULL_RECORDER, NullRecorder
@@ -41,15 +41,15 @@ class AccessResult:
 
     ``level`` is the furthest level that serviced the request: ``"l1"``,
     ``"l2"``, or ``"dram"``.  ``merged`` marks MSHR merges (the request
-    piggybacked on an in-flight fill).  ``dram`` carries the DRAM latency
-    breakdown when ``level == "dram"``.
+    piggybacked on an in-flight fill).  ``dram`` carries the DRAM's
+    ``(latency_ns, bank, kind)`` when ``level == "dram"``.
     """
 
     total_cycles: int
     level: str
     merged: bool = False
     mshr_wait_cycles: int = 0
-    dram: Optional[DramAccessResult] = None
+    dram: Optional[Tuple[float, int, str]] = None
     # For merged results: the cycle the in-flight miss originally issued
     # (lets callers compute how long the line has been outstanding).
     in_flight_issue_cycle: Optional[int] = None
@@ -139,8 +139,8 @@ class MemoryHierarchy:
             self._writeback(l1_result.writeback_address, issue, to_dram=False)
         if self._obs.enabled and below.level == "dram":
             self._m_dram.inc()
-            kind = below.dram.kind if below.dram is not None else "dram"
-            bank = below.dram.bank if below.dram is not None else -1
+            __, bank, kind = (below.dram if below.dram is not None
+                              else (0.0, -1, "dram"))
             self._obs.span(
                 "dram", kind, cycle, total, category="mem",
                 args={"bank": bank, "write": is_write,
@@ -178,8 +178,8 @@ class MemoryHierarchy:
         if mshr_wait:
             self.counters.add("l2_mshr_stalls")
         issue = cycle + mshr_wait
-        dram_result = self.dram.access(address, self._cycles_to_ns(issue), is_write=False)
-        dram_cycles = self._ns_to_cycles(dram_result.latency_ns)
+        dram_result = self.dram.access(address, self._cycles_to_ns(issue))
+        dram_cycles = self._ns_to_cycles(dram_result[0])
         total = mshr_wait + l2_lat + dram_cycles
         self.l2_mshr.allocate(line, issue, cycle + total)
         if l2_result.writeback_address is not None:
@@ -204,9 +204,8 @@ class MemoryHierarchy:
             if self.l2_mshr.wait_for_free_slot(cycle) > 0:
                 self.counters.add("prefetch_dropped")
                 continue
-            dram_result = self.dram.access(
-                line, self._cycles_to_ns(cycle), is_write=False)
-            fill_cycle = cycle + self._ns_to_cycles(dram_result.latency_ns)
+            latency_ns = self.dram.access(line, self._cycles_to_ns(cycle))[0]
+            fill_cycle = cycle + self._ns_to_cycles(latency_ns)
             self.l2_mshr.allocate(line, cycle, fill_cycle)
             result = self.l2.access(line, is_write=False)
             if result.writeback_address is not None:

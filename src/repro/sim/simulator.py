@@ -338,9 +338,7 @@ class Simulator:
         self.hierarchy.counters = CounterSet()
         self.hierarchy.l1.counters = CounterSet()
         self.hierarchy.l2.counters = CounterSet()
-        self.hierarchy.dram.counters = CounterSet()
-        self.hierarchy.dram.latency_histogram = Histogram.exponential(
-            low=10.0, factor=1.3, buckets=24, keep_samples=False)
+        self.hierarchy.dram.reset_measurements()
         if self.hierarchy.prefetcher is not None:
             self.hierarchy.prefetcher.counters = CounterSet()
 

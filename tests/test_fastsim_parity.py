@@ -141,11 +141,22 @@ class TestRandomizedSegments:
         ops = self._random_ops(rng, 1500)
         policy = rng.choice(POLICIES)
         config = with_policy(SystemConfig(), policy)
-        oracle = Simulator(config, workload="fuzz").run(iter(ops))
-        fast = FastSimulator(config, workload="fuzz").run(
-            ColumnarTrace(ops))
+        oracle_sim = Simulator(config, workload="fuzz")
+        oracle = oracle_sim.run(iter(ops))
+        fast_sim = FastSimulator(config, workload="fuzz")
+        fast = fast_sim.run(ColumnarTrace(ops))
         assert canonical(fast) == canonical(oracle), \
             f"diverged on fuzz case {case_seed} ({policy})"
+        # The kernel drives the hierarchy's own Dram: same counters, same
+        # open rows, busy, activation and write-debt times per bank.
+        assert dram_state(fast_sim.sim.hierarchy.dram) == \
+            dram_state(oracle_sim.hierarchy.dram)
+
+
+def dram_state(dram):
+    """A Dram's counters and per-bank state, for equality checks."""
+    return (dram.counters.as_dict(), dram._open_rows, dram._busy_until_ns,
+            dram._activated_at_ns, dram._write_debt_ns)
 
 
 class RecordingPolicy(GatingPolicy):

@@ -111,7 +111,7 @@ class TestSharedDram:
         # Same row from the other core: row buffer already open (row hit).
         result = hier_b.access(0x1000 + 0x40, cycle=10_000)
         assert result.dram is not None
-        assert result.dram.kind == "row_hit"
+        assert result.dram[2] == "row_hit"  # (latency_ns, bank, kind)
 
     def test_private_dram_by_default(self):
         hier_a = make_hierarchy()

@@ -1,5 +1,6 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
+import dataclasses
 import io
 
 from hypothesis import given, settings
@@ -9,7 +10,7 @@ from repro.core.wakeup import resolve_wakeup
 from repro.memory.cache import Cache
 from repro.config import CacheConfig, DramConfig, GatingConfig
 from repro.core.breakeven import BreakEvenAnalyzer
-from repro.memory.dram import Dram
+from repro.memory.dram import ROW_CLOSED, ROW_CONFLICT, ROW_HIT, Dram
 from repro.power.gating import SleepTransistorNetwork
 from repro.power.technology import get_technology
 from repro.stats import CounterSet, Histogram, IntervalAccumulator, RunningMean
@@ -103,10 +104,94 @@ def test_dram_latency_bounds(addresses, start_ns):
              + config.queue_service_ns + config.bus_transfer_ns)
     now = start_ns
     for address in addresses:
-        result = dram.access(address, now)
-        assert result.latency_ns >= floor - 1e-9
-        assert result.latency_ns < 1e7
+        latency = dram.access(address, now)[0]
+        assert latency >= floor - 1e-9
+        assert latency < 1e7
         now += 1.0
+
+
+def _quarter_ns(low, high):
+    """Multiples of 0.25 ns: every sum the model forms stays exact."""
+    return st.integers(int(low * 4), int(high * 4)).map(lambda q: q / 4)
+
+
+_ns = _quarter_ns(0.0, 50.0)
+
+dram_configs = st.builds(
+    DramConfig,
+    channels=st.integers(1, 2), ranks_per_channel=st.integers(1, 2),
+    banks_per_rank=st.integers(1, 8),
+    row_bytes=st.sampled_from((1024, 2048, 4096, 8192)),
+    t_cas_ns=_ns, t_rcd_ns=_ns, t_rp_ns=_ns, t_ras_ns=_ns,
+    controller_overhead_ns=_ns, bus_transfer_ns=_ns, queue_service_ns=_ns,
+    row_policy=st.sampled_from(("open", "closed")),
+    refresh_interval_ns=_quarter_ns(100.0, 10_000.0),
+    refresh_latency_ns=_quarter_ns(0.0, 100.0),
+    write_buffer_per_bank=st.integers(0, 8))
+
+# Far enough apart that every bank is idle and tRAS has elapsed.
+_IDLE_NS = 1e4
+
+
+@given(config=dram_configs, bank=st.integers(0, 63),
+       row=st.integers(0, 1000), is_write=st.booleans())
+@settings(max_examples=200)
+def test_dram_row_outcomes_match_analytic_latency(config, bank, row,
+                                                  is_write):
+    """Uncontended: row hit <= row closed <= row conflict, each analytic.
+
+    A first access to an idle bank finds no open row; re-touching the row
+    hits it under the open-page policy (the closed-page policy precharged
+    it, so the row is closed again); another row of the bank conflicts.
+    """
+    config = dataclasses.replace(config, refresh_latency_ns=0.0)
+    banks = config.total_banks
+    address = ((row * banks + bank % banks) * config.row_bytes
+               + (row % config.row_bytes))
+    other_row = address + banks * config.row_bytes
+    open_page = config.row_policy == "open"
+    base = (config.controller_overhead_ns + config.queue_service_ns
+            + config.bus_transfer_ns + config.t_cas_ns)
+    expected = {ROW_HIT: base, ROW_CLOSED: base + config.t_rcd_ns,
+                ROW_CONFLICT: base + config.t_rcd_ns + config.t_rp_ns}
+
+    dram = Dram(config)
+    latencies = {}
+    for step, (target, kind) in enumerate((
+            (address, ROW_CLOSED),
+            (address, ROW_HIT if open_page else ROW_CLOSED),
+            (other_row, ROW_CONFLICT if open_page else ROW_CLOSED))):
+        # A write only ever leads the sequence: a buffered one opens no row.
+        write = is_write and step == 0 and config.write_buffer_per_bank == 0
+        latency, got_bank, got_kind = dram.access(target, step * _IDLE_NS,
+                                                  write)
+        assert (got_bank, got_kind) == (bank % banks, kind)
+        assert latency == expected[kind]
+        latencies[kind] = latency
+    assert expected[ROW_HIT] <= expected[ROW_CLOSED] <= expected[ROW_CONFLICT]
+    if open_page:
+        assert latencies[ROW_HIT] <= latencies[ROW_CLOSED] \
+            <= latencies[ROW_CONFLICT]
+
+
+@given(config=dram_configs, address=st.integers(0, 1 << 30),
+       now_ns=_quarter_ns(0.0, 1e6))
+@settings(max_examples=200)
+def test_dram_refresh_never_shortens_an_access(config, address, now_ns):
+    """With refresh on, a first access is never faster than with it off.
+
+    It is slower by exactly the rest of the refresh window it lands in.
+    """
+    off = Dram(dataclasses.replace(config, refresh_latency_ns=0.0))
+    on = Dram(config)
+    latency_off = off.access(address, now_ns)[0]
+    latency_on = on.access(address, now_ns)[0]
+    assert latency_on >= latency_off
+    phase = (now_ns + config.controller_overhead_ns) \
+        % config.refresh_interval_ns
+    wait = config.refresh_latency_ns - phase \
+        if phase < config.refresh_latency_ns else 0.0
+    assert latency_on == latency_off + wait
 
 
 # ---- histogram --------------------------------------------------------------------
