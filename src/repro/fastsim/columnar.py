@@ -25,10 +25,11 @@ a run of accesses that cannot stall advances the clock in O(1).
 
 L1 tag state does not depend on timing: a hit, a miss and its victim are
 the same whether the access merges into an in-flight fill or not.
-:meth:`ColumnarTrace.l1_pass` therefore looks every access up in the L1
-tags once per (geometry, write-back, starting state) and memoizes the
+:meth:`ColumnarTrace.l1_pass` therefore runs every access through a
+:class:`~repro.memory.cache.Cache` (the one implementation of the tag
+rules) once per (geometry, write-back, starting state) and memoizes the
 outcome as an :class:`L1Pass`: which accesses miss, each miss's dirty
-victim, and the state the region leaves behind, which keys the next
+victim, and the cache the region leaves behind, which keys the next
 region's pass.  The kernel replays only the misses and the accesses
 near in-flight fills.
 
@@ -53,14 +54,15 @@ from collections import OrderedDict
 from itertools import accumulate
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
+from repro.config import CacheConfig
 from repro.errors import ConfigError, TraceError
+from repro.memory.cache import Cache
 from repro.trace.format import ComputeBlock, MemoryAccess, TraceOp
 from repro.workloads.profiles import get_profile
 from repro.workloads.synthetic import SyntheticTraceGenerator
 
 
 _Columns = Tuple[array, array, bytearray, bytearray, array, array, int]
-_MISSING = object()
 
 
 class L1Pass:
@@ -68,22 +70,18 @@ class L1Pass:
 
     ``misses`` holds the indices of the accesses that miss the L1 tags,
     in order, closed by ``num_memory_ops`` as a sentinel; ``victims[k]``
-    is miss ``k``'s dirty-victim address, -1 for none, and ``writebacks``
-    counts the dirty victims.  ``end`` is the tag state the region leaves:
-    per set, an insertion-ordered ``tag -> dirty`` dict whose order is the
-    oracle's LRU stack (fills take invalid ways in way order while a touch
-    moves a line to the stack tail; the victim is the first key).  It is
-    never mutated, and a pass compares by identity, so the pass itself
-    keys the next region's pass.
+    is miss ``k``'s dirty-victim address, -1 for none.  ``end`` is the
+    :class:`~repro.memory.cache.Cache` that ran the region: its tag state
+    is the one the region leaves, and its counters are the region's L1
+    counts.  It is never mutated, and a pass compares by identity, so the
+    pass itself keys the next region's pass.
     """
 
-    __slots__ = ("misses", "victims", "writebacks", "end")
+    __slots__ = ("misses", "victims", "end")
 
-    def __init__(self, misses: array, victims: array, writebacks: int,
-                 end: List[Dict[int, bool]]) -> None:
+    def __init__(self, misses: array, victims: array, end: Cache) -> None:
         self.misses = misses
         self.victims = victims
-        self.writebacks = writebacks
         self.end = end
 
 
@@ -94,7 +92,7 @@ class ColumnarTrace:
                  "block_instructions", "block_bounds",
                  "num_memory_ops", "num_blocks", "num_ops",
                  "total_block_instructions", "_busy_by_width",
-                 "_keys_by_geometry", "_prefix_by_width", "_l1_passes")
+                 "_blocks_by_offset", "_prefix_by_width", "_l1_passes")
 
     def __init__(self, ops: Iterable[TraceOp] = (),
                  columns: "Optional[_Columns]" = None) -> None:
@@ -133,9 +131,7 @@ class ColumnarTrace:
         self.num_blocks = len(self.block_instructions)
         self.num_ops = self.num_memory_ops + self.num_blocks
         self._busy_by_width: Dict[int, array] = {}
-        self._keys_by_geometry: Dict[Tuple[int, int],
-                                     Tuple[List[int], List[int],
-                                           List[int]]] = {}
+        self._blocks_by_offset: Dict[int, List[int]] = {}
         self._prefix_by_width: Dict[int, array] = {}
         self._l1_passes: Dict[Tuple[int, int, int, bool, Optional[L1Pass]],
                               L1Pass] = {}
@@ -167,26 +163,18 @@ class ColumnarTrace:
         self._busy_by_width[issue_width] = busy
         return busy
 
-    def block_keys_for(self, offset_bits: int,
-                       index_mask: int) -> Tuple[List[int], List[int],
-                                                 List[int]]:
-        """Per-access (block, set index, tag) lists for one cache geometry.
+    def block_keys_for(self, offset_bits: int) -> List[int]:
+        """Per-access line (block) numbers for one line size, memoized.
 
-        Precomputed once per (offset_bits, index_mask) pair and memoized —
-        the batched kernel's hottest per-access work is exactly these three
-        integer ops, so folding them out of the loop (three plain list
-        comprehensions) buys a measurable share of the speedup.
+        The batched kernel keys its L1 MSHR by these; folding the shift
+        out of the loop into one list comprehension per trace and line
+        size saves it a per-access operation.
         """
-        geometry = (offset_bits, index_mask)
-        cached = self._keys_by_geometry.get(geometry)
-        if cached is not None:
-            return cached
-        index_bits = index_mask.bit_length()
-        blocks = [address >> offset_bits for address in self.addresses]
-        keys = (blocks, [block & index_mask for block in blocks],
-                [block >> index_bits for block in blocks])
-        self._keys_by_geometry[geometry] = keys
-        return keys
+        cached = self._blocks_by_offset.get(offset_bits)
+        if cached is None:
+            cached = [address >> offset_bits for address in self.addresses]
+            self._blocks_by_offset[offset_bits] = cached
+        return cached
 
     def busy_prefix_for(self, issue_width: int) -> array:
         """Running sums of ``busy + 1`` over accesses, memoized per width.
@@ -205,58 +193,42 @@ class ColumnarTrace:
             self._prefix_by_width[issue_width] = cached
         return cached
 
-    def l1_pass(self, offset_bits: int, index_mask: int, ways: int,
-                write_back: bool, start: Optional[L1Pass]) -> L1Pass:
+    def l1_pass(self, config: CacheConfig, start: Optional[L1Pass]) -> L1Pass:
         """The L1 tag outcomes of this region, memoized.
 
         ``start`` is the pass of the region replayed before this one on
         the same cache (``None`` for empty tags).  A tag lookup's outcome
         does not depend on timing, so every cell replaying this region
-        from that state shares one pass.
+        from that state with the same geometry shares one pass.
         """
-        key = (offset_bits, index_mask, ways, write_back, start)
+        key = (config.line_bytes, config.num_sets, config.associativity,
+               config.write_back, start)
         cached = self._l1_passes.get(key)
         if cached is None:
-            cached = self._run_l1_pass(offset_bits, index_mask, ways,
-                                       write_back, start)
+            cached = self._run_l1_pass(config, start)
             self._l1_passes[key] = cached
         return cached
 
-    def _run_l1_pass(self, offset_bits: int, index_mask: int, ways: int,
-                     write_back: bool, start: Optional[L1Pass]) -> L1Pass:
-        """``Cache.access`` on the L1 tags for every access, in order."""
-        __, idxs, tags = self.block_keys_for(offset_bits, index_mask)
-        index_bits = index_mask.bit_length()
-        if start is None:
-            sets: List[Dict[int, bool]] = [{} for __ in range(index_mask + 1)]
-        else:
-            sets = [dict(lset) for lset in start.end]
-        misses = array("q")
-        victims = array("q")
-        writebacks = 0
-        for i, (write, idx, tag) in enumerate(
-                zip(self.write_flags, idxs, tags)):
-            lset = sets[idx]
-            dirty = lset.pop(tag, _MISSING)
-            if dirty is not _MISSING:
-                lset[tag] = True if write and write_back else dirty
-                continue
-            misses.append(i)
-            victim = -1
-            if len(lset) >= ways:
-                vtag = next(iter(lset))
-                if lset.pop(vtag):
-                    writebacks += 1
-                    victim = ((vtag << index_bits) | idx) << offset_bits
-            victims.append(victim)
-            lset[tag] = True if write and write_back else False
+    def _run_l1_pass(self, config: CacheConfig,
+                     start: Optional[L1Pass]) -> L1Pass:
+        """``Cache.access`` for every access, in order, from ``start``."""
+        cache = Cache(config)
+        if start is not None:
+            cache.take_over(start.end)
+            cache.reset_measurements()
+        outcomes = list(map(cache.access, self.addresses, self.write_flags))
+        misses = array("q", [i for i, (hit, __) in enumerate(outcomes)
+                             if not hit])
+        writebacks = [outcomes[i][1] for i in misses]
+        victims = array("q", [-1 if address is None else address
+                              for address in writebacks])
         misses.append(self.num_memory_ops)
-        return L1Pass(misses, victims, writebacks, sets)
+        return L1Pass(misses, victims, cache)
 
     def drop_derived(self) -> None:
         """Forget every memoized derived column (rebuilt on next use)."""
         self._busy_by_width.clear()
-        self._keys_by_geometry.clear()
+        self._blocks_by_offset.clear()
         self._prefix_by_width.clear()
         self._l1_passes.clear()
 

@@ -14,7 +14,8 @@ off-chip stalls.
 The loop visits only the accesses that can change timing.  L1 tag state
 does not depend on time, so each region's L1 tag hits, misses and dirty
 victims come from one memoized pass per trace
-(:meth:`~repro.fastsim.columnar.ColumnarTrace.l1_pass`).  Once every L1
+(:meth:`~repro.fastsim.columnar.ColumnarTrace.l1_pass`, the region's
+accesses run through a :class:`~repro.memory.cache.Cache`).  Once every L1
 fill has completed (the latest fill registered is no later than the next
 access's issue), every access up to the next tag miss is a pipelined
 hit, and the loop jumps there in one step through the trace's prefix
@@ -26,12 +27,17 @@ oracle computes is reproduced with the same operands in the same order:
 
 * interval energy accumulates as ``state_power * (cycles / f)`` per
   interval, in event order, into one accumulator per power state;
-* DRAM timing is not copied: demand reads, writebacks and prefetches
-  call the hierarchy's own :class:`~repro.memory.dram.Dram` ``access``,
-  with cycle<->ns conversions through the same :mod:`repro.units`
-  helpers the hierarchy calls, so bank state and DRAM counters live on
-  that ``Dram``;
-* the MAPG rules are not copied either: the kernel calls the real
+* cache tags are not copied: L2 demand reads, merges, L1-victim
+  writebacks and prefetch fills call the hierarchy's own L2
+  :class:`~repro.memory.cache.Cache` ``access``, and each region's L1
+  pass hands its tags and counts to the hierarchy's L1 (``take_over``),
+  so tag state and cache counters live on those ``Cache`` objects;
+* DRAM timing is not copied either: demand reads, writebacks and
+  prefetches call the hierarchy's own :class:`~repro.memory.dram.Dram`
+  ``access``, with cycle<->ns conversions through the same
+  :mod:`repro.units` helpers the hierarchy calls, so bank state and DRAM
+  counters live on that ``Dram``;
+* nor are the MAPG rules: the kernel calls the real
   objects' own methods — the table's ``lookup`` and its entry's
   ``observe``, ``MapgPolicy.plan_gate`` and ``observe_fallback``,
   ``AdaptiveMapgPolicy.adapt`` — the same code the oracle's
@@ -56,16 +62,16 @@ deque and the same ``hidden_misses`` count.
 
 The stride prefetcher is trained by owner-call too: each L2 access calls
 the hierarchy's own ``StridePrefetcher.train`` and fills its targets
-through the kernel's L2 tag and MSHR state and the hierarchy's ``Dram``,
-scoring useful and late prefetches against the hierarchy's own
-prefetched-line set (:meth:`FastSimulator._prefetch`).
+through the hierarchy's L2 ``Cache``, the kernel's L2 MSHR and the
+hierarchy's ``Dram``, scoring useful and late prefetches against the
+hierarchy's own prefetched-line set (:meth:`FastSimulator._prefetch`).
 
-Cache architectural state (the L2 tags as insertion-ordered per-set
-dicts whose order provably equals the oracle's LRU stacks, the L1 tags as
-the last region's :class:`~repro.fastsim.columnar.L1Pass`, MSHR fill maps
-with the oracle's eager expiry replayed at the same call points) lives
-privately on the kernel and persists across the warmup/measure boundary;
-*measurement* state accumulates in locals and is flushed into the
+Cache tag state lives on the hierarchy's ``Cache`` objects.  Only the
+MSHR fill maps (with the oracle's eager expiry replayed at the same call
+points) stay private to the kernel, and persist across the
+warmup/measure boundary, as does the last region's
+:class:`~repro.fastsim.columnar.L1Pass`, which keys the next region's
+pass.  *Measurement* state accumulates in locals and is flushed into the
 wrapped simulator's real objects at region end — counters through
 ``CounterSet.add``, ledger totals through
 :meth:`~repro.core.energy.EnergyLedger.add_batch` (the batch entry point,
@@ -116,10 +122,8 @@ _NEVER = sys.maxsize
 # CounterSets at region end; a key is flushed only when its count is
 # nonzero, matching the oracle's "present iff added at least once").
 _H_ACC, _H_L1_MERGE, _H_L1_STALL, _H_L2_MERGE, _H_L2_STALL, _H_WB = range(6)
-_L1_ACC, _L1_WR, _L1_HIT, _L1_MISS, _L1_WB = range(6, 11)
-_L2_ACC, _L2_WR, _L2_HIT, _L2_MISS, _L2_WB = range(11, 16)
-_PF_FILL, _PF_REDUNDANT, _PF_DROPPED, _PF_USEFUL, _PF_LATE = range(16, 21)
-_MC_SLOTS = 21
+_PF_FILL, _PF_REDUNDANT, _PF_DROPPED, _PF_USEFUL, _PF_LATE = range(6, 11)
+_MC_SLOTS = 11
 
 _MISSING = object()
 
@@ -217,25 +221,13 @@ class FastSimulator:
         self._window = config.core.miss_window
         self._l1_lat = config.l1.hit_latency_cycles
         self._l2_lat = config.l2.hit_latency_cycles
-        # L1 tag state: the pass of the last region replayed (None while
-        # the tags are empty), which keys the next region's pass.
-        self._l1_off = config.l1.line_bytes.bit_length() - 1
-        self._l1_mask = config.l1.num_sets - 1
-        self._l1_ways = config.l1.associativity
-        self._l1_wb = config.l1.write_back
+        # The L1 pass of the last region replayed (None while the tags are
+        # empty), which keys the next region's pass.  The tags themselves
+        # live on the hierarchy's caches.
         self._l1_state: Optional[L1Pass] = None
-        # L2 tag state: per-set insertion-ordered dict tag -> dirty.
-        # Insertion order equals the oracle's LRU stack: fills take invalid
-        # ways in way order while `_touch` appends to the stack tail, so
-        # stack order is insertion order; hits reinsert at the tail; the
-        # victim (stack head) is the first key.
+        # Line-number shifts (the MSHRs' keys).
+        self._l1_off = config.l1.line_bytes.bit_length() - 1
         self._l2_off = config.l2.line_bytes.bit_length() - 1
-        self._l2_mask = config.l2.num_sets - 1
-        self._l2_idx_bits = self._l2_mask.bit_length()
-        self._l2_ways = config.l2.associativity
-        self._l2_wb = config.l2.write_back
-        self._l2_sets: List[Dict[int, bool]] = [
-            {} for __ in range(config.l2.num_sets)]
         # MSHRs: line -> fill cycle, plus a tracked minimum fill so the
         # oracle's eager expiry scan runs only when it could remove entries,
         # and line -> issue cycle over the same keys (a windowed core's
@@ -322,21 +314,17 @@ class FastSimulator:
         l1_off = self._l1_off
         l1_lat = self._l1_lat
         l1_cap = self._l1_cap
-        l2_sets = self._l2_sets
         l2m = self._l2m
         l2m_get = l2m.get
         l2mi = self._l2mi
         l2m_min = self._l2m_min
         l2_off = self._l2_off
-        l2_mask = self._l2_mask
-        l2_idx_bits = self._l2_idx_bits
-        l2_ways = self._l2_ways
         l2_lat = self._l2_lat
         l2_cap = self._l2_cap
         freq = self._freq
         ceil_ = math.ceil
         ceil_eps = CYCLE_CEIL_EPSILON
-        wb_l2 = self._wb_l2
+        l2_access = sim.hierarchy.l2.access
         dram_access = sim.hierarchy.dram.access
         to_ns = cycles_to_ns
         # The stride prefetcher (inline MemoryHierarchy._run_prefetcher):
@@ -352,15 +340,11 @@ class FastSimulator:
         off_cyc = 0
         n_on = 0
         on_cyc = 0
-        # Hot memory counters (merged into `mc` at flush; the rare-path
-        # writeback, prefetch and DRAM methods count into `mc` directly).
+        # Hot hierarchy counters (merged into `mc` at flush; the prefetch
+        # method counts into `mc` directly).  The caches count their own.
         n_l1_merge = 0
         h_l1_stall = 0
-        n_l2_acc = 0
-        n_l2_hit = 0
-        n_l2_miss = 0
         n_l2_merge = 0
-        n_l2_wb = 0
         h_l2_stall = 0
         h_wb = 0
         active_c = 0
@@ -439,12 +423,11 @@ class FastSimulator:
         n_mem = trace.num_memory_ops
         busy = trace.busy_cycles_for(self._issue_width)
         prefix = trace.busy_prefix_for(self._issue_width)
-        blocks = trace.block_keys_for(l1_off, self._l1_mask)[0]
+        blocks = trace.block_keys_for(l1_off)
         addresses = trace.addresses
         pcs = trace.pcs
         dependent_flags = trace.dependent_flags
-        l1 = trace.l1_pass(l1_off, self._l1_mask, self._l1_ways,
-                           self._l1_wb, self._l1_state)
+        l1 = trace.l1_pass(self.config.l1, self._l1_state)
         self._l1_state = l1
         misses = l1.misses
         victims = l1.victims
@@ -579,46 +562,21 @@ class FastSimulator:
                     if prefetch:
                         l2m_min = prefetch(pc, addr, issue, l2m_min)
                     fill2 = l2m_get(l2_block)
-                    l2_idx = l2_block & l2_mask
-                    l2_tag = l2_block >> l2_idx_bits
-                    l2set = l2_sets[l2_idx]
-                    n_l2_acc += 1
-                    dirty2 = l2set.pop(l2_tag, _MISSING)
+                    hit2, wb2 = l2_access(addr)
                     if fill2 is not None:
                         # L2 MSHR merge: residual fill latency; the tag
-                        # access still runs for its side effects, victim
+                        # access still ran for its side effects, its victim
                         # writeback address discarded (oracle behaviour).
                         n_l2_merge += 1
-                        if dirty2 is not _MISSING:
-                            n_l2_hit += 1
-                            l2set[l2_tag] = dirty2
-                        else:
-                            n_l2_miss += 1
-                            if len(l2set) >= l2_ways:
-                                if l2set.pop(next(iter(l2set))):
-                                    n_l2_wb += 1
-                            l2set[l2_tag] = False
                         below = l2_lat + (fill2 - issue)
                         # Its stall always exceeds the L2 latency: a
                         # dependent use on a windowed core.
                         off = windowed
-                    elif dirty2 is not _MISSING:
-                        # L2 hit (demand reads never dirty the line).
-                        n_l2_hit += 1
-                        l2set[l2_tag] = dirty2
+                    elif hit2:
                         below = l2_lat
                         off = False
                     else:
                         # ---- L2 miss -> DRAM demand read ----
-                        n_l2_miss += 1
-                        wb2 = None
-                        if len(l2set) >= l2_ways:
-                            vtag2 = next(iter(l2set))
-                            if l2set.pop(vtag2):
-                                n_l2_wb += 1
-                                wb2 = (((vtag2 << l2_idx_bits) | l2_idx)
-                                       << l2_off)
-                        l2set[l2_tag] = False
                         if len(l2m) >= l2_cap:
                             h_l2_stall += 1
                             wait2 = int(l2m_min) - issue
@@ -675,7 +633,12 @@ class FastSimulator:
                     if fillc > l1m_last:
                         l1m_last = fillc
                     if victim >= 0:
-                        wb_l2(victim, issue)
+                        # MemoryHierarchy._writeback(..., to_dram=False).
+                        h_wb += 1
+                        wb2 = l2_access(victim, True)[1]
+                        if wb2 is not None:
+                            h_wb += 1
+                            dram_access(wb2, to_ns(issue, freq), True)
                     stall = total - l1_lat
                     if stall <= 0:
                         continue
@@ -887,28 +850,15 @@ class FastSimulator:
             # WindowedCore models MLP by its window, not by this marker.
             sim.core._last_offchip_end = last_off
 
-        # Merge loop-local counters into the shared slots (the rare-path
-        # writeback, prefetch and DRAM methods already counted there);
-        # derivable totals are reconstructed instead of counted per
-        # iteration: every access is one hierarchy access and one L1 tag
-        # access, writes are the trace's write flags, and the L1 misses
-        # and dirty victims are the L1 pass's.
-        n_l1_miss = len(misses) - 1
+        # Merge loop-local counters into the shared slots (the prefetch
+        # method already counted there); every access is one hierarchy
+        # access.
         mc[_H_ACC] += n_mem
         mc[_H_L1_MERGE] += n_l1_merge
         mc[_H_L1_STALL] += h_l1_stall
         mc[_H_L2_MERGE] += n_l2_merge
         mc[_H_L2_STALL] += h_l2_stall
         mc[_H_WB] += h_wb
-        mc[_L1_ACC] += n_mem
-        mc[_L1_WR] += trace.write_flags.count(1)
-        mc[_L1_HIT] += n_mem - n_l1_miss
-        mc[_L1_MISS] += n_l1_miss
-        mc[_L1_WB] += l1.writebacks
-        mc[_L2_ACC] += n_l2_acc
-        mc[_L2_HIT] += n_l2_hit
-        mc[_L2_MISS] += n_l2_miss
-        mc[_L2_WB] += n_l2_wb
 
         ledger = sim.ledger
         ledger.add_batch(PowerState.ACTIVE, active_c, e_active)
@@ -948,14 +898,8 @@ class FastSimulator:
             ("prefetch_dropped", mc[_PF_DROPPED]),
             ("useful_prefetches", mc[_PF_USEFUL]),
             ("late_prefetches", mc[_PF_LATE])))
-        self._flush_counters(hierarchy.l1.counters, (
-            ("accesses", mc[_L1_ACC]), ("writes", mc[_L1_WR]),
-            ("hits", mc[_L1_HIT]), ("misses", mc[_L1_MISS]),
-            ("writebacks", mc[_L1_WB])))
-        self._flush_counters(hierarchy.l2.counters, (
-            ("accesses", mc[_L2_ACC]), ("writes", mc[_L2_WR]),
-            ("hits", mc[_L2_HIT]), ("misses", mc[_L2_MISS]),
-            ("writebacks", mc[_L2_WB])))
+        # The L1 tags and counts are the pass's; the L2 counted itself.
+        hierarchy.l1.take_over(l1.end)
         # The stall histogram: transplant into the (fresh-per-region) real
         # object.
         sh = sim.stall_histogram
@@ -986,43 +930,7 @@ class FastSimulator:
             if count:
                 add(name, count)
 
-    # ---- descents off the inlined L1/L2 path (victim writebacks and
-    # prefetches) --------------------------------------------------------------
-
-    def _l2_tag_access(self, addr: int,
-                       is_write: bool) -> Tuple[bool, Optional[int]]:
-        """Inlined ``Cache.access`` on the L2 tag state."""
-        mc = self._mc
-        block = addr >> self._l2_off
-        idx = block & self._l2_mask
-        tag = block >> self._l2_idx_bits
-        lset = self._l2_sets[idx]
-        mc[_L2_ACC] += 1
-        if is_write:
-            mc[_L2_WR] += 1
-        dirty = lset.pop(tag, _MISSING)
-        if dirty is not _MISSING:
-            mc[_L2_HIT] += 1
-            lset[tag] = True if (is_write and self._l2_wb) else bool(dirty)
-            return True, None
-        mc[_L2_MISS] += 1
-        wb = None
-        if len(lset) >= self._l2_ways:
-            vtag = next(iter(lset))
-            if lset.pop(vtag):
-                mc[_L2_WB] += 1
-                wb = ((vtag << self._l2_idx_bits) | idx) << self._l2_off
-        lset[tag] = bool(is_write and self._l2_wb)
-        return False, wb
-
-    def _wb_l2(self, addr: int, issue: int) -> None:
-        """Inlined ``MemoryHierarchy._writeback(..., to_dram=False)``."""
-        self._mc[_H_WB] += 1
-        hit, wb = self._l2_tag_access(addr, True)
-        if not hit and wb is not None:
-            self._mc[_H_WB] += 1
-            self.sim.hierarchy.dram.access(
-                wb, cycles_to_ns(issue, self._freq), True)
+    # ---- the prefetcher, off the inlined L2 path -------------------------------
 
     def _prefetch(self, pc: int, addr: int, issue: int,
                   l2m_min: float) -> float:
@@ -1039,15 +947,14 @@ class FastSimulator:
         hierarchy = self.sim.hierarchy
         mc = self._mc
         l2m = self._l2m
-        l2_sets = self._l2_sets
         off = self._l2_off
-        mask = self._l2_mask
-        idx_bits = self._l2_idx_bits
+        probe = hierarchy.l2.probe
+        l2_access = hierarchy.l2.access
         lines = hierarchy._prefetched_lines
         dram_access = hierarchy.dram.access
         for target in hierarchy.prefetcher.train(pc, addr):
             block = target >> off
-            if block in l2m or (block >> idx_bits) in l2_sets[block & mask]:
+            if block in l2m or probe(target):
                 mc[_PF_REDUNDANT] += 1
                 continue
             if len(l2m) >= self._l2_cap:
@@ -1061,7 +968,7 @@ class FastSimulator:
             self._l2mi[block] = issue
             if fill < l2m_min:
                 l2m_min = fill
-            __, wb = self._l2_tag_access(line, False)
+            wb = l2_access(line)[1]
             if wb is not None:
                 dram_access(wb, now_ns, True)
             mc[_PF_FILL] += 1
@@ -1071,7 +978,7 @@ class FastSimulator:
         if lines:
             block = addr >> off
             merge = block in l2m
-            if (merge or (block >> idx_bits) in l2_sets[block & mask]) and \
+            if (merge or probe(addr)) and \
                     lines.pop(block << off, _MISSING) is None:
                 mc[_PF_USEFUL] += 1
                 if merge:

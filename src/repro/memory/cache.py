@@ -7,56 +7,80 @@ reports a write-back so the hierarchy can charge DRAM write traffic.
 With ``write_back=False`` the cache is write-through: stores never dirty
 a line, so evictions are free and the write traffic is charged at access
 time by the caller.
+
+:class:`Cache` is the one implementation of these tag rules: the oracle's
+hierarchy, the fast kernel's L2 accesses and its per-trace L1 pass all
+call its ``access``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.config import CacheConfig
 from repro.stats import CounterSet
 
+# Counter slots, in the order ``Cache.counters`` lists them.
+_COUNTER_NAMES = ("accesses", "writes", "hits", "misses", "writebacks")
+_ACC, _WR, _HIT, _MISS, _WB = range(len(_COUNTER_NAMES))
 
-@dataclass(frozen=True)
-class CacheAccessResult:
-    """Outcome of one cache lookup.
-
-    ``writeback_address`` is the byte address of an evicted dirty line (or
-    None); it is only ever set on misses that allocated over a dirty victim.
-    """
-
-    hit: bool
-    writeback_address: Optional[int] = None
-
-
-class _Line:
-    __slots__ = ("tag", "valid", "dirty")
-
-    def __init__(self) -> None:
-        self.tag = -1
-        self.valid = False
-        self.dirty = False
+_MISSING = object()
 
 
 class Cache:
     """One level of a write-allocate set-associative cache.
 
     Write-back versus write-through is selected by ``config.write_back``.
+    Each set is an insertion-ordered ``{tag: dirty}`` dict: the first key
+    is the least recently used line (the victim), and a hit re-inserts
+    its key at the tail.
+
+    ``access(address, is_write=False)`` looks ``address`` up and, on a
+    miss, allocates the line (fill assumed).  It returns ``(hit,
+    writeback_address)``, the second being the byte address of an evicted
+    dirty line or None (only ever set on a miss that allocated over a
+    dirty victim).  The caller charges the latency.  ``access`` is a
+    closure built per instance over the sets and the counter slots, so
+    each call reads them as cheaply as locals.
     """
 
     def __init__(self, config: CacheConfig) -> None:
         self.config = config
-        self._num_sets = config.num_sets
-        self._ways = config.associativity
-        self._offset_bits = config.line_bytes.bit_length() - 1
-        self._index_mask = self._num_sets - 1
-        # Per-set state is built on a set's first access (see _build_set);
-        # None marks an untouched set, which holds no valid line.
-        self._sets: List[Optional[List[_Line]]] = [None] * self._num_sets
-        # LRU: per-set list of way indices, most-recent last.
-        self._lru: Dict[int, List[int]] = {}
-        self.counters = CounterSet()
+        self._offset_bits = offset_bits = config.line_bytes.bit_length() - 1
+        self._index_mask = index_mask = config.num_sets - 1
+        self._index_bits = index_bits = index_mask.bit_length()
+        ways = config.associativity
+        write_back = config.write_back
+        sets: List[Dict[int, bool]] = [{} for __ in range(config.num_sets)]
+        self._sets = sets
+        self._counts = counts = [0] * len(_COUNTER_NAMES)
+
+        def access(address: int,
+                   is_write: bool = False) -> Tuple[bool, Optional[int]]:
+            block = address >> offset_bits
+            index = block & index_mask
+            tag = block >> index_bits
+            lines = sets[index]
+            counts[_ACC] += 1
+            if is_write:
+                counts[_WR] += 1
+            dirty = lines.pop(tag, _MISSING)
+            if dirty is not _MISSING:
+                counts[_HIT] += 1
+                lines[tag] = True if is_write and write_back else dirty
+                return True, None
+            counts[_MISS] += 1
+            writeback = None
+            if len(lines) >= ways:
+                victim = next(iter(lines))
+                if lines.pop(victim):
+                    counts[_WB] += 1
+                    writeback = (((victim << index_bits) | index)
+                                 << offset_bits)
+            lines[tag] = True if is_write and write_back else False
+            return False, writeback
+
+        self.access = access
 
     # ---- address mapping ---------------------------------------------------
 
@@ -64,104 +88,56 @@ class Cache:
         """Byte address of the start of the line containing ``address``."""
         return (address >> self._offset_bits) << self._offset_bits
 
-    def _index_and_tag(self, address: int) -> "tuple[int, int]":
-        block = address >> self._offset_bits
-        return block & self._index_mask, block >> (self._index_mask.bit_length())
-
-    # ---- main operation ----------------------------------------------------
-
-    def access(self, address: int, is_write: bool = False) -> CacheAccessResult:
-        """Look up ``address``; on a miss, allocate the line (fill assumed).
-
-        The caller is responsible for charging the miss latency; this method
-        only updates tag/replacement state and returns hit/writeback facts.
-        """
-        index, tag = self._index_and_tag(address)
-        lines = self._sets[index]
-        if lines is None:
-            lines = self._build_set(index)
-        self.counters.add("accesses")
-        if is_write:
-            self.counters.add("writes")
-
-        for way, line in enumerate(lines):
-            if line.valid and line.tag == tag:
-                self.counters.add("hits")
-                if is_write and self.config.write_back:
-                    line.dirty = True
-                self._touch(index, way)
-                return CacheAccessResult(hit=True)
-
-        self.counters.add("misses")
-        way = self._choose_victim(index, lines)
-        victim = lines[way]
-        writeback: Optional[int] = None
-        if victim.valid and victim.dirty:
-            self.counters.add("writebacks")
-            victim_block = (victim.tag << self._index_mask.bit_length()) | index
-            writeback = victim_block << self._offset_bits
-        victim.tag = tag
-        victim.valid = True
-        victim.dirty = is_write and self.config.write_back
-        self._touch(index, way)
-        return CacheAccessResult(hit=False, writeback_address=writeback)
+    # ---- state -------------------------------------------------------------
 
     def probe(self, address: int) -> bool:
         """Non-destructive lookup: True if the line is resident."""
-        index, tag = self._index_and_tag(address)
-        return any(line.valid and line.tag == tag
-                   for line in self._sets[index] or ())
-
-    def invalidate(self, address: int) -> bool:
-        """Drop the line containing ``address`` if resident; True if dropped.
-
-        Dirty data is discarded (used by failure-injection tests)."""
-        index, tag = self._index_and_tag(address)
-        for line in self._sets[index] or ():
-            if line.valid and line.tag == tag:
-                line.valid = False
-                line.dirty = False
-                return True
-        return False
+        block = address >> self._offset_bits
+        return (block >> self._index_bits) in self._sets[
+            block & self._index_mask]
 
     def flush(self) -> List[int]:
         """Invalidate everything; returns addresses of dirty lines dropped."""
         dirty: List[int] = []
         for index, lines in enumerate(self._sets):
-            for line in lines or ():
-                if line.valid and line.dirty:
-                    block = (line.tag << self._index_mask.bit_length()) | index
+            for tag, line_dirty in lines.items():
+                if line_dirty:
+                    block = (tag << self._index_bits) | index
                     dirty.append(block << self._offset_bits)
-                line.valid = False
-                line.dirty = False
+            lines.clear()
         return dirty
 
-    def _build_set(self, index: int) -> List[_Line]:
-        """Create set ``index``'s lines and replacement state (all invalid)."""
-        lines = [_Line() for __ in range(self._ways)]
-        self._sets[index] = lines
-        self._lru[index] = list(range(self._ways))
-        return lines
+    def take_over(self, region: "Cache") -> None:
+        """Become the cache that ran ``region``'s accesses from this state.
 
-    # ---- replacement (LRU) -------------------------------------------------
+        ``region`` is a cache of the same geometry that started from this
+        cache's tags: its tag state is copied here and its counts are
+        added to this cache's.  ``region`` itself is left as it is.
+        """
+        self._sets[:] = [dict(lines) for lines in region._sets]
+        counts = self._counts
+        for slot, count in enumerate(region._counts):
+            counts[slot] += count
 
-    def _touch(self, index: int, way: int) -> None:
-        order = self._lru[index]
-        order.remove(way)
-        order.append(way)
+    # ---- statistics -------------------------------------------------------
 
-    def _choose_victim(self, index: int, lines: List[_Line]) -> int:
-        # Prefer an invalid way; else the least recently used.
-        for way, line in enumerate(lines):
-            if not line.valid:
-                return way
-        return self._lru[index][0]
-
-    # ---- statistics ----------------------------------------------------------
+    @property
+    def counters(self) -> CounterSet:
+        """Event counts since the last reset; a key is present iff nonzero."""
+        counters = CounterSet()
+        for name, count in zip(_COUNTER_NAMES, self._counts):
+            if count:
+                counters.add(name, count)
+        return counters
 
     @property
     def hit_rate(self) -> float:
+        """Fraction of counted accesses that hit."""
         return self.counters.ratio("hits", "accesses")
+
+    def reset_measurements(self) -> None:
+        """Zero the counters (not the tag state)."""
+        self._counts[:] = [0] * len(_COUNTER_NAMES)
 
     def __repr__(self) -> str:
         cfg = self.config

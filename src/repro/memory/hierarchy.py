@@ -123,8 +123,8 @@ class MemoryHierarchy:
             return AccessResult(total, level="l1", merged=True,
                                 in_flight_issue_cycle=in_flight.issue_cycle)
 
-        l1_result = self.l1.access(address, is_write)
-        if l1_result.hit:
+        l1_hit, l1_writeback = self.l1.access(address, is_write)
+        if l1_hit:
             return AccessResult(l1_lat, level="l1")
 
         # L1 miss: possibly wait for an MSHR slot, then go to L2.
@@ -135,8 +135,8 @@ class MemoryHierarchy:
         below = self._access_l2(address, issue, is_write, pc=pc)
         total = mshr_wait + l1_lat + below.total_cycles
         self.l1_mshr.allocate(line, issue, cycle + total)
-        if l1_result.writeback_address is not None:
-            self._writeback(l1_result.writeback_address, issue, to_dram=False)
+        if l1_writeback is not None:
+            self._writeback(l1_writeback, issue, to_dram=False)
         if self._obs.enabled and below.level == "dram":
             self._m_dram.inc()
             __, bank, kind = (below.dram if below.dram is not None
@@ -168,8 +168,8 @@ class MemoryHierarchy:
                                 level="l2", merged=True,
                                 in_flight_issue_cycle=in_flight.issue_cycle)
 
-        l2_result = self.l2.access(address, is_write=False)
-        if l2_result.hit:
+        l2_hit, l2_writeback = self.l2.access(address, is_write=False)
+        if l2_hit:
             if self._prefetched_lines.pop(line, "absent") is None:
                 self.counters.add("useful_prefetches")
             return AccessResult(l2_lat, level="l2")
@@ -182,8 +182,8 @@ class MemoryHierarchy:
         dram_cycles = self._ns_to_cycles(dram_result[0])
         total = mshr_wait + l2_lat + dram_cycles
         self.l2_mshr.allocate(line, issue, cycle + total)
-        if l2_result.writeback_address is not None:
-            self._writeback(l2_result.writeback_address, issue, to_dram=True)
+        if l2_writeback is not None:
+            self._writeback(l2_writeback, issue, to_dram=True)
         return AccessResult(total, level="dram", mshr_wait_cycles=mshr_wait,
                             dram=dram_result)
 
@@ -207,10 +207,10 @@ class MemoryHierarchy:
             latency_ns = self.dram.access(line, self._cycles_to_ns(cycle))[0]
             fill_cycle = cycle + self._ns_to_cycles(latency_ns)
             self.l2_mshr.allocate(line, cycle, fill_cycle)
-            result = self.l2.access(line, is_write=False)
-            if result.writeback_address is not None:
-                self.dram.access(result.writeback_address,
-                                 self._cycles_to_ns(cycle), is_write=True)
+            writeback = self.l2.access(line, is_write=False)[1]
+            if writeback is not None:
+                self.dram.access(writeback, self._cycles_to_ns(cycle),
+                                 is_write=True)
             self.counters.add("prefetch_fills")
             if len(self._prefetched_lines) >= self._PREFETCH_TRACK_LIMIT:
                 self._prefetched_lines.pop(next(iter(self._prefetched_lines)))
@@ -221,9 +221,9 @@ class MemoryHierarchy:
         self.counters.add("writebacks")
         if not to_dram:
             # L1 victim lands in L2; a dirty L2 victim may cascade to DRAM.
-            result = self.l2.access(address, is_write=True)
-            if not result.hit and result.writeback_address is not None:
-                self._writeback(result.writeback_address, cycle, to_dram=True)
+            writeback = self.l2.access(address, is_write=True)[1]
+            if writeback is not None:
+                self._writeback(writeback, cycle, to_dram=True)
             return
         self.dram.access(address, self._cycles_to_ns(cycle), is_write=True)
 

@@ -103,6 +103,9 @@ def characterized_circuit(tech: TechnologyNode, temperature_c: float,
     return circuit
 
 
+_SegmentHandler = Callable[["Simulator", Segment], int]
+
+
 class Simulator:
     """One core domain: replay, gate, and account."""
 
@@ -157,10 +160,14 @@ class Simulator:
         self._track_core = f"core{core_id}"
         self._track_gating = f"core{core_id}/gating"
         # Type-keyed segment dispatch (see handle_segment): subclasses are
-        # resolved and memoized on first sight by _resolve_handler.
-        self._segment_handlers: "dict[type, Callable[[Segment], int]]" = {
-            BusySegment: self._handle_busy,
-            StallSegment: self._handle_stall,
+        # resolved and memoized on first sight by _resolve_handler.  The
+        # table holds plain functions, called as handler(self, segment):
+        # bound methods would tie the simulator into a reference cycle
+        # that only the cyclic GC frees.
+        cls = type(self)
+        self._segment_handlers: "dict[type, _SegmentHandler]" = {
+            BusySegment: cls._handle_busy,
+            StallSegment: cls._handle_stall,
         }
         if self._obs.enabled:
             metrics = self._obs.metrics
@@ -198,14 +205,14 @@ class Simulator:
         handler = self._segment_handlers.get(type(segment))
         if handler is None:
             handler = self._resolve_handler(segment)
-        return handler(segment)
+        return handler(self, segment)
 
-    def _resolve_handler(self, segment: Segment) -> "Callable[[Segment], int]":
+    def _resolve_handler(self, segment: Segment) -> "_SegmentHandler":
         """Slow path: map a segment subclass to its handler, once per type."""
         if isinstance(segment, BusySegment):
-            handler = self._handle_busy
+            handler = type(self)._handle_busy
         elif isinstance(segment, StallSegment):
-            handler = self._handle_stall
+            handler = type(self)._handle_stall
         else:
             raise SimulationError(
                 f"unknown segment type {type(segment).__name__}")
@@ -336,8 +343,8 @@ class Simulator:
             self._obs.clear()
         # Memory-side counters restart too (tag/row state is untouched).
         self.hierarchy.counters = CounterSet()
-        self.hierarchy.l1.counters = CounterSet()
-        self.hierarchy.l2.counters = CounterSet()
+        self.hierarchy.l1.reset_measurements()
+        self.hierarchy.l2.reset_measurements()
         self.hierarchy.dram.reset_measurements()
         if self.hierarchy.prefetcher is not None:
             self.hierarchy.prefetcher.counters = CounterSet()

@@ -18,18 +18,18 @@ def make_cache(sets=4, ways=2, line=64, **kwargs):
 class TestBasicHitMiss:
     def test_first_access_misses_second_hits(self):
         cache = make_cache()
-        assert not cache.access(0x1000).hit
-        assert cache.access(0x1000).hit
+        assert cache.access(0x1000) == (False, None)
+        assert cache.access(0x1000) == (True, None)
 
     def test_same_line_different_offset_hits(self):
         cache = make_cache(line=64)
         cache.access(0x1000)
-        assert cache.access(0x103F).hit
+        assert cache.access(0x103F)[0]
 
     def test_adjacent_line_misses(self):
         cache = make_cache(line=64)
         cache.access(0x1000)
-        assert not cache.access(0x1040).hit
+        assert not cache.access(0x1040)[0]
 
     def test_line_address(self):
         cache = make_cache(line=64)
@@ -69,29 +69,27 @@ class TestWriteback:
     def test_dirty_eviction_reports_writeback_address(self):
         cache = make_cache(sets=1, ways=1)
         cache.access(0x000, is_write=True)
-        result = cache.access(0x040)
-        assert result.writeback_address == 0x000
+        hit, writeback = cache.access(0x040)
+        assert not hit
+        assert writeback == 0x000
 
     def test_clean_eviction_no_writeback(self):
         cache = make_cache(sets=1, ways=1)
         cache.access(0x000, is_write=False)
-        result = cache.access(0x040)
-        assert result.writeback_address is None
+        assert cache.access(0x040)[1] is None
 
     def test_write_hit_marks_dirty(self):
         cache = make_cache(sets=1, ways=1)
         cache.access(0x000, is_write=False)
         cache.access(0x000, is_write=True)  # hit, marks dirty
-        result = cache.access(0x040)
-        assert result.writeback_address == 0x000
+        assert cache.access(0x040)[1] == 0x000
 
     def test_writeback_address_maps_to_same_set(self):
         cache = make_cache(sets=4, ways=1)
         address = 4 * 0x40 * 3 + 0x40  # set 1, some tag
         cache.access(address, is_write=True)
         conflicting = address + 4 * 0x40  # same set, different tag
-        result = cache.access(conflicting)
-        assert result.writeback_address == cache.line_address(address)
+        assert cache.access(conflicting)[1] == cache.line_address(address)
 
 
 class TestMaintenance:
@@ -102,15 +100,6 @@ class TestMaintenance:
         cache.probe(0x000)  # must NOT refresh LRU position of line 0
         cache.access(0x080)
         assert not cache.probe(0x000)  # line 0 was still LRU
-
-    def test_invalidate_drops_line(self):
-        cache = make_cache()
-        cache.access(0x1000)
-        assert cache.invalidate(0x1000)
-        assert not cache.probe(0x1000)
-
-    def test_invalidate_missing_line_returns_false(self):
-        assert not make_cache().invalidate(0x9000)
 
     def test_flush_returns_dirty_lines(self):
         cache = make_cache(sets=2, ways=2)
@@ -126,7 +115,6 @@ class TestLazySets:
     def test_untouched_sets_are_empty(self):
         cache = make_cache(sets=4, ways=2)
         assert cache.probe(0x40) is False
-        assert cache.invalidate(0x40) is False
         assert cache.flush() == []
 
     def test_flush_skips_untouched_sets(self):
@@ -158,7 +146,7 @@ class TestGeometry:
     def test_single_set_cache(self):
         cache = make_cache(sets=1, ways=4)
         cache.access(0x0)
-        assert cache.access(0x0).hit
+        assert cache.access(0x0)[0]
 
     def test_direct_mapped(self):
         cache = make_cache(sets=4, ways=1)

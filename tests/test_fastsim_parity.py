@@ -282,6 +282,15 @@ def core_state(core):
     return core.counters.as_dict(), list(core._outstanding), core.cycle
 
 
+def cache_state(hierarchy):
+    """The L1's and L2's tags (per set, ``(tag, dirty)`` from least to
+    most recently used) and counters: the kernel must leave on the
+    hierarchy's caches exactly what the oracle leaves on its own."""
+    return [([list(lines.items()) for lines in cache._sets],
+             cache.counters.as_dict())
+            for cache in (hierarchy.l1, hierarchy.l2)]
+
+
 def with_window(config, window, **core):
     return config.replace(core=dataclasses.replace(
         config.core, miss_window=window, **core))
@@ -323,12 +332,16 @@ class TestWindowedCore:
         oracle.warm_up(warm.ops())
         fast.warm_up(warm)
         assert core_state(fast.sim.core) == core_state(oracle.core)
+        assert cache_state(fast.sim.hierarchy) == \
+            cache_state(oracle.hierarchy)
         assert canonical(fast.run(measured)) == \
             canonical(oracle.run(measured.ops()))
         counters, __, __ = core_state(oracle.core)
         assert counters["overlapped_misses"] and counters["hidden_misses"] \
             and counters["dependence_stalls"]
         assert core_state(fast.sim.core) == core_state(oracle.core)
+        assert cache_state(fast.sim.hierarchy) == \
+            cache_state(oracle.hierarchy)
 
     @pytest.mark.parametrize("case_seed", range(12))
     def test_random_region_boundaries(self, case_seed):
@@ -348,6 +361,8 @@ class TestWindowedCore:
         assert canonical(fast.run(ColumnarTrace(measured))) == \
             canonical(oracle.run(iter(measured)))
         assert core_state(fast.sim.core) == core_state(oracle.core)
+        assert cache_state(fast.sim.hierarchy) == \
+            cache_state(oracle.hierarchy)
 
     @pytest.mark.parametrize("trailing", (False, True))
     def test_window_full_stall_ending_a_region(self, trailing):
@@ -424,10 +439,14 @@ class TestPrefetcher:
         fast.warm_up(warm)
         assert prefetcher_state(fast.sim.hierarchy) == \
             prefetcher_state(oracle.hierarchy)
+        assert cache_state(fast.sim.hierarchy) == \
+            cache_state(oracle.hierarchy)
         expected = oracle.run(measured.ops())
         assert canonical(fast.run(measured)) == canonical(expected)
         assert prefetcher_state(fast.sim.hierarchy) == \
             prefetcher_state(oracle.hierarchy)
+        assert cache_state(fast.sim.hierarchy) == \
+            cache_state(oracle.hierarchy)
         counters = expected.memory_counters
         for name in ("l2_mshr_merges", "late_prefetches", "prefetch_fills",
                      "prefetch_dropped", "prefetch_redundant"):
@@ -548,8 +567,12 @@ class TestL1Pass:
             fast = FastSimulator(config, workload="gcc_like")
             oracle.warm_up(warm.ops())
             fast.warm_up(warm)
+            assert cache_state(fast.sim.hierarchy) == \
+                cache_state(oracle.hierarchy)
             expected = canonical(oracle.run(measured.ops()))
             assert canonical(fast.run(measured)) == expected
+            assert cache_state(fast.sim.hierarchy) == \
+                cache_state(oracle.hierarchy)
             results.append(expected)
         assert results[0] != results[1]
 

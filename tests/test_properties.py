@@ -73,7 +73,7 @@ def test_cache_immediate_rehit(params):
     for address in addresses:
         cache.access(address)
         assert cache.probe(address)
-        assert cache.access(address).hit
+        assert cache.access(address) == (True, None)
 
 
 @given(cache_and_addresses())
@@ -86,6 +86,81 @@ def test_cache_counter_consistency(params):
     counters = cache.counters
     assert counters.get("hits") + counters.get("misses") == counters.get("accesses")
     assert counters.get("writebacks") == 0  # reads never dirty lines
+
+
+class ReferenceLru:
+    """The LRU rule written out plainly, independent of ``Cache``.
+
+    Per set, a list of ``[tag, dirty]`` lines, most recently used last;
+    set and tag come from division, not bit masks.
+    """
+
+    def __init__(self, sets, ways, write_back, line_bytes):
+        self.sets = sets
+        self.ways = ways
+        self.write_back = write_back
+        self.line_bytes = line_bytes
+        self.stacks = [[] for __ in range(sets)]
+        self.counts = dict.fromkeys(
+            ("accesses", "writes", "hits", "misses", "writebacks"), 0)
+
+    def access(self, address, is_write):
+        block = address // self.line_bytes
+        index = block % self.sets
+        tag = block // self.sets
+        stack = self.stacks[index]
+        self.counts["accesses"] += 1
+        if is_write:
+            self.counts["writes"] += 1
+        for position, line in enumerate(stack):
+            if line[0] == tag:
+                self.counts["hits"] += 1
+                stack.append(stack.pop(position))
+                if is_write and self.write_back:
+                    line[1] = True
+                return True, None
+        self.counts["misses"] += 1
+        writeback = None
+        if len(stack) == self.ways:
+            victim_tag, victim_dirty = stack.pop(0)
+            if victim_dirty:
+                self.counts["writebacks"] += 1
+                writeback = (victim_tag * self.sets + index) * self.line_bytes
+        stack.append([tag, is_write and self.write_back])
+        return False, writeback
+
+
+@st.composite
+def geometry_and_accesses(draw):
+    sets = draw(st.sampled_from([1, 2, 4, 8, 16]))
+    ways = draw(st.integers(min_value=1, max_value=8))
+    write_back = draw(st.booleans())
+    # A few more lines than the cache holds, so sets fill and evict.
+    lines = sets * (ways + 3)
+    accesses = draw(st.lists(
+        st.tuples(st.integers(min_value=0, max_value=lines * 64 - 1),
+                  st.booleans()),
+        min_size=1, max_size=300))
+    return sets, ways, write_back, accesses
+
+
+@given(geometry_and_accesses())
+@settings(max_examples=200)
+def test_cache_matches_the_reference_lru(params):
+    """Every access gives the reference's hit and writeback address, and
+    the counters and per-set recency order agree at the end."""
+    sets, ways, write_back, accesses = params
+    cache = Cache(CacheConfig(name="P", size_bytes=sets * ways * 64,
+                              line_bytes=64, associativity=ways,
+                              write_back=write_back))
+    reference = ReferenceLru(sets, ways, write_back, 64)
+    for address, is_write in accesses:
+        assert cache.access(address, is_write) == \
+            reference.access(address, is_write)
+    assert cache.counters.as_dict() == {
+        name: count for name, count in reference.counts.items() if count}
+    assert [list(lines.items()) for lines in cache._sets] == \
+        [[tuple(line) for line in stack] for stack in reference.stacks]
 
 
 # ---- DRAM ----------------------------------------------------------------------

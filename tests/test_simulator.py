@@ -1,12 +1,14 @@
 """Tests for the end-to-end simulator and result objects."""
 
 import dataclasses
+import gc
 
 import pytest
 
-from repro.config import GatingConfig, SystemConfig
+from repro.config import GatingConfig, PrefetcherConfig, SystemConfig
 from repro.errors import SimulationError
 from repro.sim.results import SimulationResult
+from repro.sim.runner import run_workload
 from repro.sim.simulator import Simulator, static_offchip_latency_cycles
 from repro.trace.format import ComputeBlock, MemoryAccess
 from repro.workloads.synthetic import generate_trace
@@ -48,6 +50,42 @@ class TestCircuit:
         circuits = [sim.circuit for sim in others]
         assert all(circuit is not base for circuit in circuits)
         assert len({id(circuit) for circuit in circuits}) == len(circuits)
+
+
+#: One cell per gating path, plus the prefetcher and the windowed core.
+GC_CELLS = {
+    "never": make_config("never"),
+    "mapg": make_config("mapg"),
+    "mapg_adaptive": make_config("mapg_adaptive"),
+    "prefetch": make_config("mapg").replace(
+        prefetcher=PrefetcherConfig(enabled=True, degree=4)),
+    "windowed": make_config("mapg").replace(core=dataclasses.replace(
+        SystemConfig().core, miss_window=4)),
+}
+
+
+class TestNoGarbageCycles:
+    """A finished cell is freed by reference counting alone: the cyclic
+    GC finds nothing it left behind (a simulator in a cycle keeps its
+    tag arrays alive until the next collection)."""
+
+    @pytest.mark.parametrize("engine", ("oracle", "fast"))
+    @pytest.mark.parametrize("cell", sorted(GC_CELLS))
+    def test_one_cell_leaves_no_cycle(self, cell, engine):
+        def run():
+            run_workload(GC_CELLS[cell], "mcf_like", 1500, seed=3,
+                         warmup_ops=300, engine=engine)
+
+        run()  # first use fills the process memos
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            run()
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestRun:
